@@ -32,7 +32,6 @@ class Config:
     format: str = "json"
     jobs: int = 1
     long: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.characteristic != 0 and not isprime(self.characteristic):
@@ -205,14 +204,12 @@ def _build_parser():
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--jobs", type=int, default=None,
                      help="parallel workers (default NEGCURVE_JOBS or cores)")
-    top.add_argument("--seed", type=int, default=0)
     # the same options are accepted after the subcommand; absent ones must not
     # clobber values parsed at the top level, hence SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -275,8 +272,7 @@ def main(argv=None):
         config = Config(characteristic=getattr(args, "char", 0),
                         format=args.format,
                         jobs=args.jobs if args.jobs else _default_jobs(),
-                        long=getattr(args, "long", False),
-                        seed=args.seed)
+                        long=getattr(args, "long", False))
         doc = args.func(args, config)
     except DiagramContradiction as exc:
         print("contradiction: %s" % exc, file=sys.stderr)

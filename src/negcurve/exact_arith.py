@@ -1,14 +1,15 @@
-"""Exact scalars (rationals or prime residues) and exact linear algebra.
+"""Exact linear algebra on plain integer rows, over Q or a prime field F_p.
 
 No floating point anywhere: rationals are `fractions.Fraction`, prime fields
-are ints in [0, p).  Elimination over Q is fraction-free (Bareiss) so entries
-stay integral until the final back-substitution; over F_p it is ordinary
-Gauss-Jordan.  Pivoting is deterministic (first nonzero in row-major order),
-so kernel bases are reproducible across runs.
+are ints in [0, p).  There is one elimination per field: fraction-free
+Bareiss over Q, so entries stay integral until the back-substitution, and
+forward elimination over F_p.  Both feed the same back-substitution.
+Pivoting is deterministic (first nonzero in row-major order), so kernel
+bases are reproducible across runs.
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 
 class CharMismatch(ValueError):
@@ -32,90 +33,6 @@ def _residue(value, p):
             raise CharMismatch("denominator %d not invertible mod %d" % (value.denominator, p))
         return value.numerator * pow(value.denominator, -1, p) % p
     return value % p
-
-
-class Scalar:
-    """A field element: Fraction at char 0, residue in [0, p) at char p."""
-
-    __slots__ = ("char", "val")
-
-    def __init__(self, value, char=0):
-        if isinstance(value, Scalar):
-            if value.char != char:
-                raise CharMismatch("scalar of char %s used at char %s" % (value.char, char))
-            value = value.val
-        self.char = char
-        self.val = Fraction(value) if char == 0 else _residue(value, char)
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.char != self.char:
-                raise CharMismatch("cannot mix char %s and char %s" % (self.char, other.char))
-            return other
-        return Scalar(other, self.char)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.val + other.val, self.char)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.val - other.val, self.char)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Scalar(self.val * other.val, self.char)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero scalar")
-        if self.char == 0:
-            return Scalar(self.val / other.val, 0)
-        return Scalar(self.val * pow(other.val, -1, self.char), self.char)
-
-    def __neg__(self):
-        return Scalar(-self.val, self.char)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.char == other.char and self.val == other.val
-        return self.val == (Fraction(other) if self.char == 0 else other % self.char)
-
-    def __hash__(self):
-        return hash((self.char, self.val))
-
-    def __repr__(self):
-        if self.char == 0:
-            return "Scalar(%s)" % self.val
-        return "Scalar(%d mod %d)" % (self.val, self.char)
-
-
-class Matrix:
-    """Dense matrix of Scalars sharing one characteristic."""
-
-    __slots__ = ("rows", "cols", "char", "entries")
-
-    def __init__(self, entries, char=0):
-        self.entries = [[Scalar(e, char) for e in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(row) != self.cols for row in self.entries):
-            raise ValueError("ragged matrix")
-        self.char = char
-
-    def raw(self):
-        """Entries as plain ints/Fractions."""
-        return [[e.val for e in row] for row in self.entries]
 
 
 def _bareiss_ref(rows, ncols):
@@ -153,117 +70,88 @@ def _bareiss_ref(rows, ncols):
     return pivots
 
 
-def _kernel_from_ref(rows, ncols, pivots):
-    """Kernel basis (lists of Fractions) from an integer REF."""
-    pivot_cols = [pc for _, pc in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            pr, pc = pivots[i]
-            s = Fraction(0)
-            row = rows[pr]
-            for j in range(pc + 1, ncols):
-                if vec[j]:
-                    s += row[j] * vec[j]
-            vec[pc] = -s / row[pc]
-        basis.append(vec)
-    return basis
+def _echelon_mod_p(rows, ncols, p):
+    """Row echelon form over F_p of rows with entries in [0, p), in place.
 
-
-def _kernel_mod_p(rows, ncols, p):
-    """Kernel basis over F_p by Gauss-Jordan; rows is a list of int lists."""
-    rows = [[x % p for x in row] for row in rows]
+    Forward elimination only, nothing is reduced above a pivot.  Returns the
+    list of pivot (row, col) pairs.
+    """
     pr = 0
     pivots = []
+    nrows = len(rows)
     for pc in range(ncols):
         pivot = None
-        for i in range(pr, len(rows)):
+        for i in range(pr, nrows):
             if rows[i][pc]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = pow(rows[pr][pc], -1, p)
-        rows[pr] = [x * inv % p for x in rows[pr]]
-        for i in range(len(rows)):
-            if i != pr and rows[i][pc]:
-                f = rows[i][pc]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[pr])]
+        rp = rows[pr]
+        inv = pow(rp[pc], -1, p)
+        for i in range(pr + 1, nrows):
+            if rows[i][pc]:
+                f = rows[i][pc] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rp)]
         pivots.append((pr, pc))
         pr += 1
-        if pr == len(rows):
+        if pr == nrows:
             break
-    pivot_cols = [pc for _, pc in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    return pivots
+
+
+def _kernel_from_ref(rows, ncols, pivots, p=0):
+    """Kernel basis from a row echelon form, over Q (p = 0) or F_p.
+
+    One vector per free column, in ascending order, scaled so its first
+    nonzero entry is 1: Fractions over Q, residues in [0, p) over F_p.
+    """
+    pivot_cols = {pc for _, pc in pivots}
     basis = []
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for pr, pc in pivots:
-            vec[pc] = -rows[pr][f] % p
-        basis.append(vec)
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [0 if p else Fraction(0)] * ncols
+        vec[f] = 1 if p else Fraction(1)
+        solved = []
+        for pr, pc in reversed(pivots):
+            # the row vanishes left of pc; right of it only f and the
+            # pivot columns already solved can be nonzero in vec
+            row = rows[pr]
+            s = row[f] + sum(row[c] * vec[c] for c in solved)
+            vec[pc] = -s * pow(row[pc], -1, p) % p if p else Fraction(-s, row[pc])
+            solved.append(pc)
+        lead = next(x for x in vec if x)
+        if p:
+            inv = pow(lead, -1, p)
+            basis.append([x * inv % p for x in vec])
+        else:
+            basis.append([x / lead for x in vec])
     return basis
 
 
-def nullspace(M):
-    """Exact basis of the right kernel of a Matrix.
+def nullspace(int_rows, ncols, char=0):
+    """Exact basis of the right kernel of an integer matrix, over Q or F_char.
 
-    Basis vectors are scaled so the first nonzero entry is 1; order follows
-    ascending free column, which is deterministic for fixed input.
+    Bareiss over Q, forward elimination over F_p; see `_kernel_from_ref` for
+    the order and scaling of the basis, which are deterministic.
     """
-    if M.cols == 0:
-        return []
-    out = []
-    if M.char == 0:
-        # clear denominators row by row so Bareiss sees integers
-        rows = []
-        for row in M.entries:
-            den = 1
-            for e in row:
-                den = den * e.val.denominator // gcd(den, e.val.denominator)
-            rows.append([int(e.val * den) for e in row])
-        pivots = _bareiss_ref(rows, M.cols)
-        for vec in _kernel_from_ref(rows, M.cols, pivots):
-            lead = next(x for x in vec if x)
-            out.append([Scalar(x / lead, 0) for x in vec])
+    if char:
+        rows = [[x % char for x in row] for row in int_rows]
+        pivots = _echelon_mod_p(rows, ncols, char)
     else:
-        p = M.char
-        for vec in _kernel_mod_p([[e.val for e in row] for row in M.entries], M.cols, p):
-            lead = next(x for x in vec if x)
-            inv = pow(lead, -1, p)
-            out.append([Scalar(x * inv, p) for x in vec])
-    return out
+        rows = [list(row) for row in int_rows]
+        pivots = _bareiss_ref(rows, ncols)
+    return _kernel_from_ref(rows, ncols, pivots, char)
 
 
 def rank_mod_p(int_rows, p):
     """Rank of an integer matrix reduced mod p."""
-    rows = [[x % p for x in row] for row in int_rows]
-    if not rows:
+    if not int_rows:
         return 0
-    ncols = len(rows[0])
-    pr = 0
-    for pc in range(ncols):
-        pivot = None
-        for i in range(pr, len(rows)):
-            if rows[i][pc]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = pow(rows[pr][pc], -1, p)
-        for i in range(pr + 1, len(rows)):
-            if rows[i][pc]:
-                f = rows[i][pc] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[pr])]
-        pr += 1
-        if pr == len(rows):
-            break
-    return pr
+    rows = [[x % p for x in row] for row in int_rows]
+    return len(_echelon_mod_p(rows, len(rows[0]), p))
 
 
 def rational_rank(int_rows):

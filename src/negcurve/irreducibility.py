@@ -11,7 +11,6 @@ factor subsets constrained by Minkowski summands of the Newton polygon.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 import sympy
@@ -189,6 +188,24 @@ def _mul_univariate(fs, p):
     return tuple(sorted(prod.items()))
 
 
+def _distinct_combinations(items, size, start=0):
+    """Index tuples of the distinct size-element sub-multisets of sorted items.
+
+    Each sub-multiset comes once, as the first index tuple that
+    `combinations(range(len(items)), size)` meets for it: a later copy of an
+    item is chosen only right after its previous copy.  Nothing else is
+    enumerated, so the work is the number of distinct sub-multisets.
+    """
+    if size == 0:
+        yield ()
+        return
+    for i in range(start, len(items) - size + 1):
+        if i > start and items[i] == items[i - 1]:
+            continue
+        for rest in _distinct_combinations(items, size - 1, i + 1):
+            yield (i,) + rest
+
+
 def factor_mod_p(phi, budget=2 ** 14):
     """Complete factorization over F_p, up to a unit."""
     if phi.char == 0:
@@ -209,13 +226,9 @@ def factor_mod_p(phi, budget=2 ** 14):
         if allowed is not None and not allowed:
             break  # indecomposable polygon: cur is the last factor
         hit = None
-        seen = set()
         for size in range(1, len(univ)):
-            for idx in combinations(range(len(univ)), size):
+            for idx in _distinct_combinations(univ, size):
                 key = tuple(univ[i] for i in idx)
-                if key in seen:
-                    continue
-                seen.add(key)
                 work += 1
                 if work > budget:
                     raise FactorBudgetError("recombination budget exhausted")

@@ -237,10 +237,6 @@ def pick_counts(P):
     return B, len(lattice_points(P)) - B
 
 
-def interior_count(P):
-    return pick_counts(P)[1]
-
-
 def dilate(P, d):
     """Vertices scaled by the positive integer d."""
     if d <= 0:

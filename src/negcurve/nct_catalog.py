@@ -76,8 +76,9 @@ def is_nct(phi, r):
         A = area2(P)
     else:
         B, I, A = len(pts), 0, 0
+    mult = multiplicity_at_one(phi)
     checks = [
-        ("multiplicity", multiplicity_at_one(phi) == r),
+        ("multiplicity", mult == r),
         ("irreducible", cert.verdict != "Factored"),
         ("area", A < r * r),
         ("lattice_count", len(pts) <= r * (r + 1) // 2 + 1),
@@ -85,7 +86,7 @@ def is_nct(phi, r):
     if r >= 2:
         checks.append(("collinear", max_collinear(P) <= r))
     checks.append(("kernel", nullity(jet_matrix(Support(pts), r, phi.char)) == 1))
-    return NctReport(r, A, B, I, len(pts), multiplicity_at_one(phi), cert, checks)
+    return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 
 
 def nct_to_json(report):

@@ -7,7 +7,7 @@ from .herzog_semigroup import herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, edges, lattice_points, pick_counts
 from .laurent_poly import serialize
 from .nct_catalog import is_nct, nct_to_json
-from .symbolic_power import Support, jet_matrix, kernel_polynomials, nullity
+from .symbolic_power import Support, jet_matrix, kernel_polynomials
 
 
 def is_negative_pair(a, b, c, r, d):
@@ -90,7 +90,7 @@ def _report(triple, char, r, d, phi, dP):
     checks = [
         ("irreducible", nct.certificate.verdict != "Factored"),
         ("edge_touching", edge_ok),
-        ("jet_membership", True),  # kernel element by construction
+        ("jet_membership", nct.multiplicity >= r),
         ("area", is_negative_pair(a, b, c, r, d)),
     ]
     genus = _interior_of_hull(lattice_points(dP)) - r * (r - 1) // 2
@@ -104,9 +104,7 @@ def find(a, b, c, char, r, d):
     if not pts:
         return None
     jm = jet_matrix(Support(pts), r, char)
-    # nullity runs the two-prime modular prefilter before any rational kernel
-    if nullity(jm) == 0:
-        return None
+    # the kernel runs the two-prime modular prefilter before any rational one
     for phi in kernel_polynomials(jm):
         report = _report((a, b, c), char, r, d, phi, dP)
         if report.accepted:

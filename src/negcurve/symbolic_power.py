@@ -7,20 +7,15 @@ dimension of the degree-d piece is then |dP| minus the rank of that system.
 Ehrhart counting of the dilations gives the other side of the ledger.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import Matrix, binomial, nullspace, rank_mod_p, rational_rank
+from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
 from .lattice_geom import IntegralPolygon, area2, boundary_count, dilate, lattice_points
 from .laurent_poly import LaurentPoly
 
-# fixed stock of 30-bit primes for the modular rank prefilter
-_PRIMES = (634227673, 637935209, 689122289, 735148451, 736773397, 740776679,
-           862645547, 1016396681, 1022022193, 1022609759, 1036858913,
-           1047717799)
-
-_RNG = random.Random(0x5eed)
+# the two 30-bit primes of the modular rank prefilter
+_PRIMES = (634227673, 637935209)
 
 
 class Support:
@@ -72,9 +67,24 @@ def jet_matrix(S, r, char=0):
     return JetMatrix(r, char, S, rows)
 
 
+def _reaches_rank_mod_p(rows, full):
+    """Whether some prefilter prime gives rank `full`, trying them in turn.
+
+    Rank can only drop mod p, so reaching the ceiling is conclusive over Q.
+    """
+    return any(rank_mod_p(rows, p) == full for p in _PRIMES)
+
+
 def kernel(jm):
-    """Kernel basis as plain coefficient vectors, one per basis element."""
-    return [[s.val for s in vec] for vec in nullspace(Matrix(jm.rows, jm.char))]
+    """Kernel basis as plain coefficient vectors, one per basis element.
+
+    In char 0 a prime showing full column rank settles an empty kernel
+    without any rational elimination.
+    """
+    n = len(jm.support)
+    if not jm.char and len(jm.rows) >= n and _reaches_rank_mod_p(jm.rows, n):
+        return []
+    return nullspace(jm.rows, n, jm.char)
 
 
 def kernel_polynomials(jm):
@@ -86,7 +96,7 @@ def kernel_polynomials(jm):
     return out
 
 
-def matrix_rank(jm, rng=None):
+def matrix_rank(jm):
     """Rank of the jet matrix; in char 0 a modular prefilter may settle it."""
     m, n = len(jm.rows), len(jm.support)
     if n == 0 or m == 0:
@@ -94,15 +104,13 @@ def matrix_rank(jm, rng=None):
     if jm.char:
         return rank_mod_p(jm.rows, jm.char)
     full = min(m, n)
-    for p in (rng or _RNG).sample(_PRIMES, 2):
-        # rank can only drop mod p, so hitting the ceiling is conclusive
-        if rank_mod_p(jm.rows, p) == full:
-            return full
+    if _reaches_rank_mod_p(jm.rows, full):
+        return full
     return rational_rank(jm.rows)
 
 
-def nullity(jm, rng=None):
-    return len(jm.support) - matrix_rank(jm, rng)
+def nullity(jm):
+    return len(jm.support) - matrix_rank(jm)
 
 
 def symbolic_dim(P, d, r, char=0):

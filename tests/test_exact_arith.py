@@ -1,11 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
 from negcurve.exact_arith import (
-    CharMismatch,
-    Matrix,
-    Scalar,
     binomial,
     det2,
     mat_mul,
@@ -48,43 +43,37 @@ def test_binomial_pascal_spot():
             assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
-def test_scalar_char_checks():
-    a = Scalar(Fraction(1, 2), 0)
-    b = Scalar(3, 7)
-    with pytest.raises(CharMismatch):
-        a + b
-    assert (b + Scalar(5, 7)).val == 1
-    assert (b * b).val == 2
-    assert (Scalar(1, 7) / b).val == 5  # 3*5 = 15 = 1 mod 7
-    assert (a * Scalar(Fraction(4), 0)).val == 2
-
-
 def test_nullspace_trivial():
-    assert nullspace(Matrix([[1, 0], [0, 1]])) == []
-    basis = nullspace(Matrix([[0, 0, 0], [0, 0, 0]]))
-    assert [[s.val for s in v] for v in basis] == [
+    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert nullspace([[0, 0, 0], [0, 0, 0]], 3) == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[]], 0) == []
 
 
 def test_nullspace_rational():
-    basis = nullspace(Matrix([[1, 1, 1, 1]]))
-    vecs = [[s.val for s in v] for v in basis]
+    vecs = nullspace([[1, 1, 1, 1]], 4)
     assert vecs == [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1]]
-    basis = nullspace(Matrix([[1, 2], [2, 4]]))
-    assert [[s.val for s in v] for v in basis] == [[1, Fraction(-1, 2)]]
+    assert all(isinstance(x, Fraction) for v in vecs for x in v)
+    assert nullspace([[1, 2], [2, 4]], 2) == [[1, Fraction(-1, 2)]]
     # every basis vector actually lies in the kernel
     M = [[2, 3, 5], [7, 11, 13], [9, 14, 18]]
-    for v in nullspace(Matrix(M)):
+    basis = nullspace(M, 3)
+    assert len(basis) == 1
+    for v in basis:
         for row in M:
-            assert sum(c * s.val for c, s in zip(row, v)) == 0
+            assert sum(c * x for c, x in zip(row, v)) == 0
 
 
 def test_nullspace_mod_p():
-    basis = nullspace(Matrix([[1, 1, 1]], char=2))
-    assert [[s.val for s in v] for v in basis] == [[1, 1, 0], [1, 0, 1]]
+    assert nullspace([[1, 1, 1]], 3, 2) == [[1, 1, 0], [1, 0, 1]]
     # x + 2y = 0 over F_5 has kernel spanned by (1, 2)
-    basis = nullspace(Matrix([[1, 2]], char=5))
-    assert [[s.val for s in v] for v in basis] == [[1, 2]]
+    assert nullspace([[1, 2]], 2, 5) == [[1, 2]]
+    # entries are reduced mod p first: 7x + 3y = 0 over F_5 is 2x - 2y = 0
+    assert nullspace([[7, 3]], 2, 5) == [[1, 1]]
+    # the rank drops mod 3 but not over Q
+    assert nullspace([[1, 2], [2, 1]], 2) == []
+    assert nullspace([[1, 2], [2, 1]], 2, 3) == [[1, 1]]
 
 
 def test_rank_mod_p():

@@ -5,6 +5,7 @@ from negcurve.lattice_geom import dilate, lattice_points, pick_counts
 from negcurve.laurent_poly import newton_polygon, parse
 from negcurve.nct_catalog import canonical_form
 from negcurve.negcurve_search import (
+    _report,
     find,
     genus_payload,
     is_negative_pair,
@@ -105,6 +106,23 @@ def test_report_json():
     assert (doc["r"], doc["d"]) == (3, 100)
     assert doc["status"] == "accepted" and doc["genus"] == 0
     assert ["edge_touching", True] in doc["checks"]
+    assert ["jet_membership", True] in doc["checks"]
+
+
+def test_report_jet_membership_is_computed():
+    # phi2 vanishes to order 2 only, so it is no member of the order-3 piece
+    phi = parse("-v^2*w - vw^2 + 3vw - 1")
+    rep = _report((9, 10, 13), 0, 3, 100, phi, newton_polygon(phi))
+    assert rep.nct.multiplicity == 2
+    doc = negcurve_to_json(rep)
+    assert ["jet_membership", False] in doc["checks"]
+    assert doc["status"] == "rejected"
+
+
+def test_find_factoring_probe_finishes():
+    # 47 Kronecker factors, 25 of them copies of 1 + t: the recombination
+    # must count distinct factor subsets, not every index combination
+    assert find(9, 10, 13, 2, 11, 372) is None
 
 
 @pytest.mark.long

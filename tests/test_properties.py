@@ -1,11 +1,13 @@
 """Randomized invariant checks tying the modules against each other."""
 
 import functools
+from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from negcurve.exact_arith import (binomial, mat_mul, rank_mod_p,
+from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
+from negcurve.irreducibility import _distinct_combinations
 from negcurve.lattice_geom import (area2, convex_hull, max_collinear,
                                    normalize, omega_contains, pick_counts,
                                    sqrt_sum_leq)
@@ -88,6 +90,69 @@ def test_jet_kernel_round_trip(pts, r, char):
        st.sampled_from((2, 3, 5, 7)))
 def test_modular_rank_never_exceeds_rational(rows, p):
     assert rank_mod_p(rows, p) <= rational_rank(rows)
+
+
+def _kernel_mod_p(rows, ncols, p):
+    """Reference F_p kernel by Gauss-Jordan, first nonzero entry scaled to 1."""
+    rows = [[x % p for x in row] for row in rows]
+    pr = 0
+    pivots = []
+    for pc in range(ncols):
+        pivot = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        inv = pow(rows[pr][pc], -1, p)
+        rows[pr] = [x * inv % p for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][pc]:
+                f = rows[i][pc]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[pr])]
+        pivots.append((pr, pc))
+        pr += 1
+        if pr == len(rows):
+            break
+    pivot_cols = [pc for _, pc in pivots]
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for pr, pc in pivots:
+            vec[pc] = -rows[pr][f] % p
+        inv = pow(next(x for x in vec if x), -1, p)
+        basis.append([x * inv % p for x in vec])
+    return basis
+
+
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(st.integers(-30, 30), min_size=ncols,
+                                  max_size=ncols), max_size=6)), ncols
+
+
+@given(int_matrices(), st.sampled_from((2, 3, 5, 7, 634227673)))
+def test_mod_p_kernel_matches_gauss_jordan(case, p):
+    rows, ncols = case
+    assert nullspace(rows, ncols, p) == _kernel_mod_p(rows, ncols, p)
+
+
+@given(st.lists(st.integers(0, 3), max_size=9).map(sorted), st.integers(0, 10))
+def test_distinct_combinations_match_filtered(items, size):
+    seen = set()
+    expected = []
+    for idx in combinations(range(len(items)), size):
+        key = tuple(items[i] for i in idx)
+        if key not in seen:
+            seen.add(key)
+            expected.append(idx)
+    assert list(_distinct_combinations(items, size)) == expected
 
 
 @st.composite

@@ -167,3 +167,20 @@ def test_matrix_rank_prefilter_agrees():
     jm = jet_matrix(S, 2)
     from negcurve.exact_arith import rational_rank
     assert matrix_rank(jm) == rational_rank(jm.rows)
+
+
+def test_full_rank_square_kernel_skips_elimination(monkeypatch):
+    # the order-r system on the triangle a + b < r is square and invertible
+    r = 4
+    S = Support([(a, b) for a in range(r) for b in range(r - a)])
+    jm = jet_matrix(S, r)
+    assert len(jm.rows) == len(S)
+    from negcurve import exact_arith, symbolic_power
+    bareiss = exact_arith.nullspace(jm.rows, len(S))
+
+    def no_elimination(*args):
+        raise AssertionError("the prefilter should have settled this kernel")
+
+    monkeypatch.setattr(symbolic_power, "nullspace", no_elimination)
+    assert kernel(jm) == bareiss == []
+    assert nullity(jm) == 0
