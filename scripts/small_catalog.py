@@ -1,4 +1,4 @@
-"""Enumerate all nct classes for r <= 3 up to equivalence; r=3 takes a while."""
+"""Enumerate all nct classes for r <= 3 up to equivalence."""
 
 import sys
 import time
@@ -20,7 +20,7 @@ def main():
             print("  %-60s area2=%d B=%d I=%d" %
                   (to_text(phi), rep.area2, rep.B, rep.I))
     if rmax < 3:
-        print("(pass --r3 for the r=3 enumeration, ~20s)")
+        print("(pass --r3 for the r=3 enumeration)")
 
 
 if __name__ == "__main__":

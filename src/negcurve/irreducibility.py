@@ -1,17 +1,18 @@
 """Irreducibility certificates for Laurent polynomials.
 
-Three mechanisms, cheapest first: an indecomposable Newton polygon certifies
-irreducibility over every field, reduction mod p certifies it over the
-rationals, and an actual factorization refutes it.  The outcome is always a
-typed certificate; when every mechanism is exhausted the verdict is an honest
-Inconclusive, never a guess.  Factoring over F_p goes through the Kronecker
-substitution w = v^M, sympy's univariate factorization, and recombination of
-factor subsets constrained by Minkowski summands of the Newton polygon.
+An indecomposable Newton polygon certifies irreducibility over every field.
+Past that, char 0 and char p part ways.  Over the rationals one reduction
+mod p can still certify irreducibility cheaply, and otherwise sympy's
+complete factorization over ZZ[v, w] settles the question either way.  Over
+F_p, which sympy cannot factor in two variables, factoring goes through the
+Kronecker substitution w = v^M, sympy's univariate factorization, and
+recombination of factor subsets constrained by Minkowski summands of the
+Newton polygon; only there can an exhausted budget end Inconclusive.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 
@@ -28,14 +29,17 @@ class FactorBudgetError(RuntimeError):
 
 @dataclass
 class IrreducibilityCertificate:
-    verdict: str  # IrreduciblePolytope | IrreducibleModP | Factored | Inconclusive
+    # IrreduciblePolytope | IrreducibleModP | IrreducibleOverQ | Factored
+    # | Inconclusive (char p only)
+    verdict: str
     details: str
     p: int = 0
     factors: list = field(default_factory=list)
     unit: LaurentPoly = None
 
     def is_irreducible(self):
-        return self.verdict in ("IrreduciblePolytope", "IrreducibleModP")
+        return self.verdict in ("IrreduciblePolytope", "IrreducibleModP",
+                                "IrreducibleOverQ")
 
 
 def cert_to_json(cert):
@@ -100,14 +104,6 @@ def exact_divide(f, g, max_steps=20000):
     return None
 
 
-def _primes():
-    n = 2
-    while True:
-        if all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            yield n
-        n += 1
-
-
 def _segment_length(P):
     """Lattice length when the hull is a segment, else None."""
     if len(P.vertices) != 2:
@@ -153,7 +149,7 @@ def _univariate_factors(phi, M):
                                    t, modulus=p).factor_list()
     out = []
     for f, mult in facs:
-        d = {e[0]: c % p for e, c in f.as_dict().items()}
+        d = {e[0]: int(c) % p for e, c in f.as_dict().items()}
         if len(d) == 1:
             continue  # power of t, a unit after decoding
         out.extend([tuple(sorted(d.items()))] * mult)
@@ -252,7 +248,10 @@ def factor_mod_p(phi, budget=2 ** 14):
 
 
 def certify(phi, budget=2 ** 14):
-    """Typed irreducibility certificate for a nonzero nonunit phi."""
+    """Typed irreducibility certificate for a nonzero nonunit phi.
+
+    budget bounds the recombination work in char p; char 0 needs none.
+    """
     if not phi:
         raise ValueError("zero polynomial")
     if len(phi.terms) == 1:
@@ -281,66 +280,45 @@ def certify(phi, budget=2 ** 14):
                 "IrreducibleModP", "no splitting over the ground field",
                 p=phi.char)
         return _factored(phi, facs)
-    return _certify_char0(phi, body, budget)
+    return _certify_char0(phi, body)
 
 
-def _certify_char0(phi, body, budget):
-    coeffs = list(body.terms.values())
-    good = []
-    gen = _primes()
-    while len(good) < 10:
-        p = next(gen)
-        if all(c.numerator % p and c.denominator % p for c in coeffs):
-            good.append(p)
-    tried = []
-    for p in good:
-        try:
-            facs = factor_mod_p(body.reduce_mod(p), budget)
-        except FactorBudgetError:
-            continue
-        if len(facs) == 1:
-            return IrreducibilityCertificate(
-                "IrreducibleModP",
-                "irreducible after reduction, support preserved", p=p)
-        tried.append((p, facs))
-    # trial rational lift of the modular factors
-    for p, facs in tried:
-        found = _lift_split(body, facs, p)
-        if found:
-            return _factored(phi, found, note="via mod %d lift" % p)
-    return IrreducibilityCertificate(
-        "Inconclusive", "no polytope, modular, or lifted certificate")
-
-
-def _lift_split(body, facs, p):
-    """Greedy division by symmetric lifts of mod-p factors, all scalings."""
-    cur = body
+def _certify_char0(phi, body):
+    """One support-preserving reduction mod p, else a complete factorization."""
+    den = lcm(*(c.denominator for c in body.terms.values()))
+    ints = {e: int(c * den) for e, c in body.terms.items()}
+    content = gcd(*ints.values())
+    ints = {e: c // content for e, c in ints.items()}
+    p = 2
+    while any(c % p == 0 for c in ints.values()):
+        p = sympy.nextprime(p)
+    # w = v^M with M one past the v-spread is injective on the support box,
+    # so a proper factor mod p stays a proper factor of the image
+    M = 1 + max(a for a, _ in ints)
+    image = LaurentPoly({e: c % p for e, c in ints.items()}, p)
+    if len(_univariate_factors(image, M)) == 1:
+        return IrreducibilityCertificate(
+            "IrreducibleModP",
+            "irreducible after reduction, support preserved", p=p)
+    v, w = sympy.symbols("v w")
+    _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
+    # body is divisible by neither v nor w, so every factor is a nonunit
+    if len(facs) == 1 and facs[0][1] == 1:
+        return IrreducibilityCertificate(
+            "IrreducibleOverQ", "no factor over the integers")
     found = []
-    for g in facs:
-        if len(cur.terms) == 1:
-            break
-        for lam in range(1, p):
-            lifted = LaurentPoly({
-                e: Fraction(v if v <= p // 2 else v - p)
-                for e, v in ((e, c * lam % p) for e, c in g.terms.items())}, 0)
-            q = exact_divide(cur, lifted)
-            if q is not None and len(lifted.terms) > 1:
-                cur = q
-                found.append(lifted)
-                break
-    if found and len(cur.terms) > 1:
-        found.append(cur)
-    return found if len(found) > 1 else None
+    for f, mult in facs:
+        found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
+    return _factored(phi, found)
 
 
-def _factored(phi, facs, note=""):
+def _factored(phi, facs):
     prod = LaurentPoly({(0, 0): 1}, phi.char)
     for f in facs:
         prod = prod * f
     unit = exact_divide(phi, prod)
-    assert unit is not None and len(unit.terms) == 1
-    details = "split into %d factors" % len(facs)
-    if note:
-        details += " " + note
-    return IrreducibilityCertificate("Factored", details,
-                                     factors=facs, unit=unit)
+    if unit is None or len(unit.terms) != 1:
+        raise RuntimeError("factors do not multiply back to the polynomial")
+    return IrreducibilityCertificate(
+        "Factored", "split into %d factors" % len(facs),
+        factors=facs, unit=unit)

@@ -67,22 +67,21 @@ def _on_edge(A, B, p):
     return lo <= p[1] <= hi
 
 
-def _interior_of_hull(pts):
-    if len(pts) < 3:
-        return 0
-    return pick_counts(convex_hull(pts))[1]
+def _genus(pts, r):
+    """Interior lattice count of the hull of pts, less r(r-1)/2."""
+    interior = pick_counts(convex_hull(pts))[1] if len(pts) >= 3 else 0
+    return interior - r * (r - 1) // 2
 
 
 def genus_payload(a, b, c, r, d):
     """Arithmetic genus from the interior count of the degree-d slice."""
-    pts = lattice_points(dilate(triangle(herzog_data(a, b, c)), d))
-    p_a = _interior_of_hull(pts) - r * (r - 1) // 2
+    p_a = _genus(lattice_points(dilate(triangle(herzog_data(a, b, c)), d)), r)
     if p_a < 0:
         raise ValueError("interior count falls below r(r-1)/2")
     return p_a
 
 
-def _report(triple, char, r, d, phi, dP):
+def _report(triple, char, r, d, phi, dP, pts):
     a, b, c = triple
     nct = is_nct(phi, r)
     edge_ok = all(any(_on_edge(A, B, p) for p in phi.support())
@@ -93,8 +92,8 @@ def _report(triple, char, r, d, phi, dP):
         ("jet_membership", nct.multiplicity >= r),
         ("area", is_negative_pair(a, b, c, r, d)),
     ]
-    genus = _interior_of_hull(lattice_points(dP)) - r * (r - 1) // 2
-    return NegativeCurveReport(triple, char, r, d, phi, checks, nct, genus)
+    return NegativeCurveReport(triple, char, r, d, phi, checks, nct,
+                               _genus(pts, r))
 
 
 def find(a, b, c, char, r, d):
@@ -106,7 +105,7 @@ def find(a, b, c, char, r, d):
     jm = jet_matrix(Support(pts), r, char)
     # the kernel runs the two-prime modular prefilter before any rational one
     for phi in kernel_polynomials(jm):
-        report = _report((a, b, c), char, r, d, phi, dP)
+        report = _report((a, b, c), char, r, d, phi, dP, pts)
         if report.accepted:
             return phi, report
     return None

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from negcurve.irreducibility import (
-    FactorBudgetError,
+    _factored,
     cert_to_json,
     certify,
     exact_divide,
@@ -64,6 +66,32 @@ def test_certify_segments():
     cert = certify(parse("v^2 - 1"))
     assert cert.verdict == "Factored"
     assert sorted(f.terms[(0, 0)] for f in cert.factors) == [-1, 1]
+
+
+def test_certify_over_q():
+    # mod 2, the first prime that keeps the support, v^2 + 1 = (v + 1)^2,
+    # so the factorization over the integers decides
+    cert = certify(parse("v^2 + 1"))
+    assert cert.verdict == "IrreducibleOverQ" and cert.is_irreducible()
+    assert cert.factors == []
+    # Sophie Germain: v^4 + 4 = (v^2 - 2v + 2)(v^2 + 2v + 2)
+    cert = certify(parse("v^4 + 4"))
+    assert cert.verdict == "Factored" and len(cert.factors) == 2
+    assert cert.unit * cert.factors[0] * cert.factors[1] == parse("v^4 + 4")
+
+
+def test_certify_rational_coefficients():
+    half = Fraction(1, 2)
+    phi = LaurentPoly({(2, 1): half, (0, 1): -half}, 0)
+    cert = certify(phi)
+    assert cert.verdict == "Factored" and len(cert.factors) == 2
+    assert cert.unit * cert.factors[0] * cert.factors[1] == phi
+
+
+def test_factored_checks_the_product():
+    # a real exception, so the check also runs under python -O
+    with pytest.raises(RuntimeError):
+        _factored(parse("v^2 - 1"), [parse("v - 1")])
 
 
 def test_certify_errors():

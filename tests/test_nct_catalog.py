@@ -160,7 +160,6 @@ def test_classify_guard():
         classify(4, experimental=True)
 
 
-@pytest.mark.long
 def test_classify_r3_two_classes():
     reps = classify(3, experimental=True)
     assert len(reps) == 2

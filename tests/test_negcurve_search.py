@@ -112,7 +112,8 @@ def test_report_json():
 def test_report_jet_membership_is_computed():
     # phi2 vanishes to order 2 only, so it is no member of the order-3 piece
     phi = parse("-v^2*w - vw^2 + 3vw - 1")
-    rep = _report((9, 10, 13), 0, 3, 100, phi, newton_polygon(phi))
+    P = newton_polygon(phi)
+    rep = _report((9, 10, 13), 0, 3, 100, phi, P, lattice_points(P))
     assert rep.nct.multiplicity == 2
     doc = negcurve_to_json(rep)
     assert ["jet_membership", False] in doc["checks"]

@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
-from negcurve.irreducibility import _distinct_combinations
+from negcurve.irreducibility import _distinct_combinations, certify
 from negcurve.lattice_geom import (area2, convex_hull, max_collinear,
                                    normalize, omega_contains, pick_counts,
                                    sqrt_sum_leq)
-from negcurve.laurent_poly import (LaurentPoly, multiplicity_at_one, multiply,
-                                   newton_polygon)
+from negcurve.laurent_poly import (LaurentPoly, apply_gl2z, multiplicity_at_one,
+                                   multiply, newton_polygon, unit_multiply)
 from negcurve.nct_catalog import classify, ggk_prime_family, is_nct, phi_family
 from negcurve.symbolic_power import (Support, jet_matrix, kernel_polynomials,
                                      lemma_eu_check, nullity)
@@ -30,10 +30,10 @@ def polygons(draw):
     return P
 
 
-def laurent(char):
+def laurent(char, min_size=1):
     coeff = st.integers(-9, 9).filter(lambda c: c and (char == 0 or c % char))
     pts = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    return st.dictionaries(pts, coeff, min_size=1, max_size=6).map(
+    return st.dictionaries(pts, coeff, min_size=min_size, max_size=6).map(
         lambda d: LaurentPoly(d, char))
 
 
@@ -153,6 +153,40 @@ def test_distinct_combinations_match_filtered(items, size):
             seen.add(key)
             expected.append(idx)
     assert list(_distinct_combinations(items, size)) == expected
+
+
+@settings(max_examples=15)
+@given(laurent(0, min_size=2), laurent(0, min_size=2))
+def test_certify_finds_planted_factors(f, g):
+    phi = multiply(f, g)
+    cert = certify(phi)
+    assert cert.verdict == "Factored" and len(cert.factors) >= 2
+    prod = cert.unit
+    for h in cert.factors:
+        prod = multiply(prod, h)
+    assert prod == phi
+
+
+@settings(max_examples=30)
+@given(laurent(0, min_size=2))
+def test_certify_char0_is_never_inconclusive(phi):
+    assert certify(phi).verdict != "Inconclusive"
+
+
+GL2Z = (((1, 2), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1)), ((-1, 0), (0, 1)))
+
+
+@settings(max_examples=20)
+@given(laurent(0, min_size=2), st.sampled_from(GL2Z),
+       st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5))
+def test_certify_invariant_under_symmetries(phi, m, alpha, beta, c):
+    # the mechanism may change (a reduction mod p need not survive a
+    # change of coordinates), the verdict and the factor count may not
+    base = certify(phi)
+    for psi in (apply_gl2z(phi, m), unit_multiply(phi, c, alpha, beta)):
+        cert = certify(psi)
+        assert cert.is_irreducible() == base.is_irreducible()
+        assert len(cert.factors) == len(base.factors)
 
 
 @st.composite
