@@ -4,10 +4,14 @@ Points are plain (x, y) tuples of ints (lattice) or Fractions (rational).
 Polygons store a minimal counterclockwise vertex list plus a dimension flag
 (0 point, 1 segment, 2 polygon); degenerate hulls are first-class values and
 the operations that need dimension 2 raise DegeneratePolygonError.
+
+Lattice counting uses only integers: every polygon, segment or point becomes
+integer half-planes nx*x + ny*y >= c, scanned column by column.  Fractions
+appear only in rational vertices and in the exact bounds of inward_normals.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact_arith import det2
 
@@ -114,10 +118,11 @@ def edges(P):
 
 def _primitive(v):
     """Primitive integer vector parallel to v (v integer or rational, nonzero)."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    a, b = int(x * den), int(y * den)
-    g = gcd(abs(a), abs(b))
+    x, y = v
+    den = lcm(x.denominator, y.denominator)
+    a = x.numerator * (den // x.denominator)
+    b = y.numerator * (den // y.denominator)
+    g = gcd(a, b)
     return (a // g, b // g)
 
 
@@ -134,50 +139,12 @@ def inward_normals(P):
     return out
 
 
-def polygon_contains(P, pt):
-    """Exact membership test, boundary inclusive."""
-    if P.dim == 0:
-        return tuple(pt) == P.vertices[0]
-    if P.dim == 1:
-        a, b = P.vertices
-        if _cross(a, b, pt) != 0:
-            return False
-        return min(a, b) <= tuple(pt) <= max(a, b)
-    return all(n[0] * pt[0] + n[1] * pt[1] >= bound for n, bound in inward_normals(P))
-
-
 def _ceil(x):
-    x = Fraction(x)
     return -((-x.numerator) // x.denominator)
 
 
 def _floor(x):
-    x = Fraction(x)
     return x.numerator // x.denominator
-
-
-def _line_lattice_points(a, b):
-    """Lattice points on the closed segment [a, b] with rational endpoints."""
-    # integer line equation <n, p> = gamma through a and b
-    d = (Fraction(b[0]) - Fraction(a[0]), Fraction(b[1]) - Fraction(a[1]))
-    if d == (0, 0):
-        x, y = Fraction(a[0]), Fraction(a[1])
-        return [(int(x), int(y))] if x.denominator == 1 and y.denominator == 1 else []
-    n = _primitive((-d[1], d[0]))
-    gamma = Fraction(a[0]) * n[0] + Fraction(a[1]) * n[1]
-    if gamma.denominator != 1:
-        return []
-    g, x0, y0 = _ext_gcd(n[0], n[1])
-    base = (x0 * int(gamma), y0 * int(gamma))  # g == 1 for a primitive normal
-    step = _primitive(d)
-    # base + k*step runs over all integer solutions; clamp k to the segment
-    def param(p):
-        if step[0]:
-            return (Fraction(p[0]) - base[0]) / step[0]
-        return (Fraction(p[1]) - base[1]) / step[1]
-    t0, t1 = sorted((param(a), param(b)))
-    return [(base[0] + k * step[0], base[1] + k * step[1])
-            for k in range(_ceil(t0), _floor(t1) + 1)]
 
 
 def _ext_gcd(a, b):
@@ -194,47 +161,61 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
+def _halfplanes(P):
+    """Integer triples (nx, ny, c): the lattice points of P are exactly the
+    integer solutions of nx*x + ny*y >= c for every triple."""
+    if P.dim == 2:
+        return [(n[0], n[1], _ceil(bound)) for n, bound in inward_normals(P)]
+    a, b = P.vertices[0], P.vertices[-1]
+    if P.dim == 1:
+        # the line through a and b taken both ways, capped at a and at b
+        n = _primitive((a[1] - b[1], b[0] - a[0]))
+        s = _primitive((b[0] - a[0], b[1] - a[1]))
+    else:
+        # a point: both coordinates pinned from above and below
+        n, s = (1, 0), (0, 1)
+    na = n[0] * a[0] + n[1] * a[1]
+    sa, sb = s[0] * a[0] + s[1] * a[1], s[0] * b[0] + s[1] * b[1]
+    return [(n[0], n[1], _ceil(na)), (-n[0], -n[1], -_floor(na)),
+            (s[0], s[1], _ceil(sa)), (-s[0], -s[1], -_floor(sb))]
+
+
 def lattice_points(P):
     """All lattice points of P, sorted lex."""
-    if P.dim == 0:
-        return _line_lattice_points(P.vertices[0], P.vertices[0])
-    if P.dim == 1:
-        return sorted(_line_lattice_points(*P.vertices))
-    ys = [Fraction(v[1]) for v in P.vertices]
+    lower, upper, sides = [], [], []
+    for nx, ny, c in _halfplanes(P):
+        if ny > 0:
+            lower.append((nx, ny, c))
+        elif ny < 0:
+            upper.append((nx, -ny, c))
+        else:
+            sides.append((nx, c))
+    xs = [v[0] for v in P.vertices]
     out = []
-    es = edges(P)
-    for y in range(_ceil(min(ys)), _floor(max(ys)) + 1):
-        xs = []
-        for (a, b) in es:
-            ay, by = Fraction(a[1]), Fraction(b[1])
-            if ay == by:
-                if ay == y:
-                    xs.append(Fraction(a[0]))
-                    xs.append(Fraction(b[0]))
-                continue
-            if min(ay, by) <= y <= max(ay, by):
-                t = Fraction(y - ay, by - ay)
-                xs.append(Fraction(a[0]) + t * (Fraction(b[0]) - Fraction(a[0])))
-        if not xs:
+    # one column per integer x, bottom to top, so the list comes out lex
+    for x in range(_ceil(min(xs)), _floor(max(xs)) + 1):
+        if any(nx * x < c for nx, c in sides):
             continue
-        out.extend((x, y) for x in range(_ceil(min(xs)), _floor(max(xs)) + 1))
-    return sorted(out)
+        lo = max(-((nx * x - c) // ny) for nx, ny, c in lower)
+        hi = min((nx * x - c) // ny for nx, ny, c in upper)
+        out.extend((x, y) for y in range(lo, hi + 1))
+    return out
+
+
+def pick_counts(P):
+    """(B, I): boundary and interior lattice point counts (B = all if dim < 2)."""
+    pts = lattice_points(P)
+    if P.dim < 2:
+        return len(pts), 0
+    normals = inward_normals(P)
+    B = sum(1 for x, y in pts
+            if any(n[0] * x + n[1] * y == bound for n, bound in normals))
+    return B, len(pts) - B
 
 
 def boundary_count(P):
     """Number of lattice points on the boundary (all points if dim < 2)."""
-    if P.dim < 2:
-        return len(lattice_points(P))
-    pts = set()
-    for a, c in edges(P):
-        pts.update(_line_lattice_points(a, c))
-    return len(pts)
-
-
-def pick_counts(P):
-    """(B, I): boundary and interior lattice point counts."""
-    B = boundary_count(P)
-    return B, len(lattice_points(P)) - B
+    return pick_counts(P)[0]
 
 
 def dilate(P, d):
@@ -250,10 +231,6 @@ def _angle_key(v):
     x, y = v
     half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
     return (half, 0 if y == 0 else 1, Fraction(-x, y) if y else Fraction(0))
-
-
-def _sort_by_angle(vecs):
-    return sorted(vecs, key=_angle_key)
 
 
 def halfplane_polygon(constraints):
@@ -344,10 +321,6 @@ class UnimodularAffineMap:
         w = UnimodularAffineMap(inv)
         return UnimodularAffineMap(inv, (-w.apply(self.t)[0], -w.apply(self.t)[1]))
 
-    @staticmethod
-    def identity():
-        return UnimodularAffineMap(((1, 0), (0, 1)))
-
     def __eq__(self, other):
         return isinstance(other, UnimodularAffineMap) and self.m == other.m and self.t == other.t
 
@@ -413,7 +386,8 @@ def normalized_maps(P, r):
     winners = []
     for f in _base_maps(P):
         Q = IntegralPolygon([f.apply(v) for v in P.vertices])
-        assert all(omega_contains(v, r) for v in Q.vertices), "image escapes Omega"
+        if not all(omega_contains(v, r) for v in Q.vertices):
+            raise RuntimeError("base position %s escapes Omega" % (Q.vertices,))
         if best is None or Q.vertices < best.vertices:
             best = Q
             winners = [f]
@@ -430,7 +404,7 @@ def normalize(P, r):
 
 def _walk(edge_vectors):
     """Close an edge-vector multiset into a polygon (translated to lex-min 0)."""
-    vecs = _sort_by_angle(edge_vectors)
+    vecs = sorted(edge_vectors, key=_angle_key)
     pts = [(0, 0)]
     for v in vecs:
         pts.append((pts[-1][0] + v[0], pts[-1][1] + v[1]))

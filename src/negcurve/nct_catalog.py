@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .exact_arith import det2
 from .irreducibility import IrreducibilityCertificate, cert_to_json, certify
 from .lattice_geom import (
     DegeneratePolygonError,
@@ -206,10 +207,6 @@ def canonical_form(phi, r):
     return min(cands, key=_rep_key)
 
 
-def _xp(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _normalized_polygons(r):
     """Convex lattice polygons in base position inside Omega, r-pruned."""
     r2 = r * r
@@ -229,11 +226,11 @@ def _normalized_polygons(r):
     def rec(chain, last_key):
         vk = chain[-1]
         ek = (vk[0] - chain[-2][0], vk[1] - chain[-2][1])
-        if vk[1] > vk[0] >= 0 and _xp(ek, (-vk[0], -vk[1])) > 0:
+        if vk[1] > vk[0] >= 0 and det2(ek, (-vk[0], -vk[1])) > 0:
             out.append(IntegralPolygon(chain))
         for w in grid:
             e = (w[0] - vk[0], w[1] - vk[1])
-            if e == (0, 0) or _xp(ek, e) <= 0 or _angle_key(e) <= last_key:
+            if e == (0, 0) or det2(ek, e) <= 0 or _angle_key(e) <= last_key:
                 continue
             nxt = chain + [w]
             if fits(nxt):

@@ -27,6 +27,7 @@ class NegativeCurveReport:
     checks: list
     nct: object
     genus: int
+    nullity: int
 
     @property
     def accepted(self):
@@ -52,6 +53,7 @@ def negcurve_to_json(report):
         "checks": [[name, bool(ok)] for name, ok in report.checks],
         "nct": nct_to_json(report.nct),
         "genus": report.genus,
+        "nullity": report.nullity,
     }
 
 
@@ -81,7 +83,7 @@ def genus_payload(a, b, c, r, d):
     return p_a
 
 
-def _report(triple, char, r, d, phi, dP, pts):
+def _report(triple, char, r, d, phi, dP, pts, nullity):
     a, b, c = triple
     nct = is_nct(phi, r)
     edge_ok = all(any(_on_edge(A, B, p) for p in phi.support())
@@ -93,7 +95,7 @@ def _report(triple, char, r, d, phi, dP, pts):
         ("area", is_negative_pair(a, b, c, r, d)),
     ]
     return NegativeCurveReport(triple, char, r, d, phi, checks, nct,
-                               _genus(pts, r))
+                               _genus(pts, r), nullity)
 
 
 def find(a, b, c, char, r, d):
@@ -104,8 +106,9 @@ def find(a, b, c, char, r, d):
         return None
     jm = jet_matrix(Support(pts), r, char)
     # the kernel runs the two-prime modular prefilter before any rational one
-    for phi in kernel_polynomials(jm):
-        report = _report((a, b, c), char, r, d, phi, dP, pts)
+    basis = kernel_polynomials(jm)
+    for phi in basis:
+        report = _report((a, b, c), char, r, d, phi, dP, pts, len(basis))
         if report.accepted:
             return phi, report
     return None

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from negcurve import lattice_geom
 from negcurve.lattice_geom import (
     EmptyRegionError,
     IntegralPolygon,
@@ -75,6 +76,13 @@ def test_lattice_points_low_dim():
     seg = convex_hull([(0, 0), (3, 3)])
     assert lattice_points(seg) == [(0, 0), (1, 1), (2, 2), (3, 3)]
     assert lattice_points(convex_hull([(2, 5)])) == [(2, 5)]
+    # rational ends: the line y = x + 1/3 misses the lattice, its 3-dilate does
+    # not, and a non-integral point has no lattice point
+    R = RationalPolygon([(Fraction(1, 3), Fraction(2, 3)),
+                         (Fraction(13, 3), Fraction(14, 3))])
+    assert lattice_points(R) == []
+    assert lattice_points(dilate(R, 3)) == [(x, x + 1) for x in range(1, 14)]
+    assert lattice_points(RationalPolygon([(Fraction(1, 2), 3)])) == []
 
 
 def test_lattice_points_rational():
@@ -169,6 +177,13 @@ def test_normalized_maps_all_agree():
     assert len(maps) >= 1
     for m in maps:
         assert m.apply_polygon(P).vertices == Q.vertices
+
+
+def test_normalized_maps_omega_check_raises(monkeypatch):
+    # a plain exception, so the check still runs under python -O
+    monkeypatch.setattr(lattice_geom, "omega_contains", lambda pt, r: False)
+    with pytest.raises(RuntimeError, match="Omega"):
+        normalized_maps(convex_hull(TRI2), 2)
 
 
 def test_unimodular_map_algebra():

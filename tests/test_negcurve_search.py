@@ -25,7 +25,7 @@ def test_find_char2_curve():
     phi, rep = find(9, 10, 13, 2, 3, 100)
     assert rep.accepted and rep.status == "accepted"
     assert rep.nct.accepted
-    assert rep.genus == 0
+    assert rep.genus == 0 and rep.nullity == 1
     phi3p = parse("-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3", char=2)
     assert canonical_form(phi, 3) == canonical_form(phi3p, 3)
 
@@ -41,7 +41,7 @@ def test_find_pentagon():
     assert len(P.vertices) == 5
     assert pick_counts(P) == (9, 36)
     assert len(lattice_points(P)) == 45
-    assert rep.accepted and rep.genus == 0
+    assert rep.accepted and rep.genus == 0 and rep.nullity == 1
 
 
 def test_found_dim_is_one():
@@ -105,6 +105,7 @@ def test_report_json():
     assert doc["triple"] == [9, 10, 13] and doc["char"] == 2
     assert (doc["r"], doc["d"]) == (3, 100)
     assert doc["status"] == "accepted" and doc["genus"] == 0
+    assert doc["nullity"] == 1
     assert ["edge_touching", True] in doc["checks"]
     assert ["jet_membership", True] in doc["checks"]
 
@@ -113,7 +114,7 @@ def test_report_jet_membership_is_computed():
     # phi2 vanishes to order 2 only, so it is no member of the order-3 piece
     phi = parse("-v^2*w - vw^2 + 3vw - 1")
     P = newton_polygon(phi)
-    rep = _report((9, 10, 13), 0, 3, 100, phi, P, lattice_points(P))
+    rep = _report((9, 10, 13), 0, 3, 100, phi, P, lattice_points(P), 1)
     assert rep.nct.multiplicity == 2
     doc = negcurve_to_json(rep)
     assert ["jet_membership", False] in doc["checks"]

@@ -1,14 +1,17 @@
 """Randomized invariant checks tying the modules against each other."""
 
 import functools
+from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor
 
 from hypothesis import assume, given, settings, strategies as st
 
 from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
 from negcurve.irreducibility import _distinct_combinations, certify
-from negcurve.lattice_geom import (area2, convex_hull, max_collinear,
+from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
+                                   convex_hull, lattice_points, max_collinear,
                                    normalize, omega_contains, pick_counts,
                                    sqrt_sum_leq)
 from negcurve.laurent_poly import (LaurentPoly, apply_gl2z, multiplicity_at_one,
@@ -41,6 +44,52 @@ def laurent(char, min_size=1):
 def test_pick_identity(P):
     B, I = pick_counts(P)
     assert area2(P) == 2 * I + B - 2
+
+
+@st.composite
+def point_hulls(draw):
+    """Hull of 1-6 points, integral or with denominators up to 7, often collinear."""
+    rational = draw(st.booleans())
+    coord = st.builds(Fraction, st.integers(-20, 20) if rational else st.integers(-5, 5),
+                      st.integers(1, 7) if rational else st.just(1))
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        base = draw(st.tuples(coord, coord))
+        d = draw(st.tuples(coord, coord))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        pts = [(base[0] + t * d[0], base[1] + t * d[1]) for t in ts]
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k))
+    return RationalPolygon(pts) if rational else IntegralPolygon(pts)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _brute_force_points(P):
+    """(lattice points, boundary points) of P from its bounding box."""
+    vs = P.vertices
+    box = [(x, y)
+           for x in range(floor(min(v[0] for v in vs)), ceil(max(v[0] for v in vs)) + 1)
+           for y in range(floor(min(v[1] for v in vs)), ceil(max(v[1] for v in vs)) + 1)]
+    if P.dim < 2:
+        # on the line through both ends and lex between them; a point is
+        # the segment from a vertex to itself
+        a, b = vs[0], vs[-1]
+        inside = [q for q in box if _cross(a, b, q) == 0 and a <= q <= b]
+        return inside, inside
+    sides = list(zip(vs, vs[1:] + vs[:1]))
+    inside = [q for q in box if all(_cross(a, b, q) >= 0 for a, b in sides)]
+    return inside, [q for q in inside if any(_cross(a, b, q) == 0 for a, b in sides)]
+
+
+@settings(max_examples=100)
+@given(point_hulls())
+def test_lattice_points_match_brute_force(P):
+    inside, boundary = _brute_force_points(P)
+    assert lattice_points(P) == inside
+    assert pick_counts(P) == (len(boundary), len(inside) - len(boundary))
 
 
 @given(polygons(), polygons())
