@@ -19,7 +19,7 @@ from .lattice_geom import (
 )
 from .laurent_poly import ParseError, from_json, newton_polygon, parse, serialize
 from .nct_catalog import catalog_to_json, ggk_prime_family, is_nct, nct_to_json
-from .negcurve_search import negcurve_to_json, scan
+from .negcurve_search import cell_region, negcurve_to_json, scan
 from .symbolic_power import ehrhart_polynomial, hilbert_numerator
 from .toric_surface import DiagramContradiction, class_group, thm36_report, thm36_to_json
 
@@ -110,12 +110,8 @@ def cmd_search(args, config):
     d_filter = None
     if args.d:
         d_filter = {int(x) for x in args.d.split(",")}
-    from math import isqrt
-
-    cells = 0
-    for r in range(1, args.rmax + 1):
-        top = isqrt(args.a * args.b * args.c * r * r - 1)
-        cells += top if d_filter is None else len([d for d in d_filter if 1 <= d <= top])
+    cells = sum(len(ds) for _, ds in
+                cell_region(args.a, args.b, args.c, args.rmax, d_filter))
     if cells > SCAN_CELL_BUDGET and not config.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     state = {"n": 0}

@@ -271,17 +271,17 @@ def max_collinear(P):
     pts = lattice_points(P)
     if P.dim < 2 or len(pts) < 2:
         return len(pts)
-    lines = {}
-    n = len(pts)
-    for i in range(n):
-        xi, yi = pts[i]
-        for j in range(i + 1, n):
-            d = _primitive((pts[j][0] - xi, pts[j][1] - yi))
-            if d < (0, 0) or (d[0] < 0 and d[1] == 0):
-                d = (-d[0], -d[1])
-            key = (d, d[0] * yi - d[1] * xi)
-            lines.setdefault(key, set()).update((i, j))
-    return max(len(s) for s in lines.values())
+    best = 2
+    for i, (xi, yi) in enumerate(pts[:-1]):
+        # pts ascend in lex order, so the directions to later points are
+        # lex-positive and each line is counted from its least point
+        dirs = {}
+        for x, y in pts[i + 1:]:
+            g = gcd(x - xi, y - yi)
+            d = ((x - xi) // g, (y - yi) // g)
+            dirs[d] = dirs.get(d, 1) + 1
+        best = max(best, max(dirs.values()))
+    return best
 
 
 class UnimodularAffineMap:
@@ -358,7 +358,8 @@ def _base_maps(P):
             third = vs[(i - 1) % n] if other == vs[(i + 1) % n] else vs[(i + 1) % n]
             e = _primitive((other[0] - V[0], other[1] - V[1]))
             g, fx, fy = _ext_gcd(e[0], e[1])
-            assert g == 1
+            if g != 1:
+                raise RuntimeError("edge direction %s is not primitive" % (e,))
             # e*m0 = (1, 0): m0 inverts the unimodular matrix with rows e, (-fy, fx)
             m0 = ((fx, -e[1]), (fy, e[0]))
             d = (third[0] - V[0], third[1] - V[1])
@@ -408,7 +409,8 @@ def _walk(edge_vectors):
     pts = [(0, 0)]
     for v in vecs:
         pts.append((pts[-1][0] + v[0], pts[-1][1] + v[1]))
-    assert pts[-1] == (0, 0), "edge multiset does not close up"
+    if pts[-1] != (0, 0):
+        raise RuntimeError("edge multiset does not close up")
     base = min(pts)
     return IntegralPolygon([(x - base[0], y - base[1]) for x, y in pts[:-1]])
 

@@ -9,7 +9,6 @@ negative exponents too since binomial(a, i) is an integer for every a.
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import CharMismatch, _residue, binomial, parse_rat, rat_str
@@ -88,20 +87,6 @@ class LaurentPoly:
         if self.char != 0:
             raise CharMismatch("already at char %s" % self.char)
         return LaurentPoly(dict(self.terms), p)
-
-
-@dataclass
-class JetVector:
-    """Jet entries of total order < r at v = w = 1, indexed by (i, j)."""
-
-    r: int
-    entries: dict
-
-    def __post_init__(self):
-        assert len(self.entries) == self.r * (self.r + 1) // 2
-
-    def is_zero(self):
-        return not any(self.entries.values())
 
 
 def monomial(a, b, c=1, char=0):
@@ -248,22 +233,6 @@ def apply_gl2z(phi, m):
                         for (a, b), c in phi.terms.items()}, phi.char)
 
 
-def jet(phi, r):
-    """All jet entries of order (i, j) with i + j < r."""
-    if r < 1:
-        raise ValueError("jet order must be at least 1")
-    entries = {}
-    for i in range(r):
-        for j in range(r - i):
-            val = 0
-            for (a, b), c in phi.terms.items():
-                val += c * binomial(a, i) * binomial(b, j)
-            if phi.char:
-                val %= phi.char
-            entries[(i, j)] = val
-    return JetVector(r, entries)
-
-
 def _order_vanishes(phi, s):
     for i in range(s + 1):
         j = s - i
@@ -288,7 +257,8 @@ def multiplicity_at_one(phi):
     s = 0
     while _order_vanishes(phi, s):
         s += 1
-        assert s <= bound, "multiplicity exceeded the degree bound"
+        if s > bound:
+            raise RuntimeError("multiplicity exceeded the degree bound")
     return s
 
 

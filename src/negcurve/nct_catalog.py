@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .exact_arith import det2
@@ -21,7 +22,6 @@ from .lattice_geom import (
     pick_counts,
 )
 from .laurent_poly import (
-    LaurentPoly,
     apply_gl2z,
     monomial,
     multiplicity_at_one,
@@ -151,10 +151,10 @@ def ggk_prime_family(r):
     pts = lattice_points(P)
     if len(pts) != r * (r + 1) // 2 + 1:
         raise RuntimeError("lattice count %d is off at r = %d" % (len(pts), r))
-    jm = jet_matrix(Support(pts), r)
-    if nullity(jm) != 1:
+    basis = kernel_polynomials(jet_matrix(Support(pts), r))
+    if len(basis) != 1:
         raise RuntimeError("jet kernel dimension is not 1 at r = %d" % r)
-    psi = kernel_polynomials(jm)[0]
+    psi = basis[0]
     # nonzero vertex coefficients pin the newton polygon to the full tetragon
     for v in P.vertices:
         if not psi.terms.get(v):
@@ -247,16 +247,19 @@ def _normalized_polygons(r):
 
 def _polygon_class(P, r, char):
     """Kernel generator on the lattice points of P when the kernel is a line."""
-    jm = jet_matrix(Support(lattice_points(P)), r, char)
-    if nullity(jm) != 1:
-        return None
-    return kernel_polynomials(jm)[0]
+    basis = kernel_polynomials(jet_matrix(Support(lattice_points(P)), r, char))
+    return basis[0] if len(basis) == 1 else None
 
 
-def _chain_worker(args):
-    verts, r, char = args
-    psi = _polygon_class(IntegralPolygon(verts), r, char)
-    return None if psi is None else dict(psi.terms)
+def imap_jobs(fn, items, jobs):
+    """fn over items, in order, across `jobs` worker processes when jobs > 1."""
+    if not jobs or jobs < 2:
+        yield from map(fn, items)
+        return
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        yield from pool.imap(fn, items)
 
 
 def catalog(r, char=0, experimental=False, jobs=None):
@@ -273,16 +276,9 @@ def catalog(r, char=0, experimental=False, jobs=None):
         S = Support([(0, 0), (1, 0)])
         psis.append(kernel_polynomials(jet_matrix(S, 1, char))[0])
     else:
-        polys = _normalized_polygons(r)
-        if jobs and jobs > 1:
-            from multiprocessing import Pool
-
-            with Pool(jobs) as pool:
-                hits = pool.map(_chain_worker, [(P.vertices, r, char) for P in polys])
-            psis = [LaurentPoly(t, char) for t in hits if t is not None]
-        else:
-            psis = [p for p in (_polygon_class(P, r, char) for P in polys)
-                    if p is not None]
+        classes = imap_jobs(partial(_polygon_class, r=r, char=char),
+                            _normalized_polygons(r), jobs)
+        psis = [psi for psi in classes if psi is not None]
     entries = {}
     for psi in psis:
         rep = canonical_form(psi, r)

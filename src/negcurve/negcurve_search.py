@@ -6,7 +6,7 @@ from math import isqrt
 from .herzog_semigroup import herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, edges, lattice_points, pick_counts
 from .laurent_poly import serialize
-from .nct_catalog import is_nct, nct_to_json
+from .nct_catalog import imap_jobs, is_nct, nct_to_json
 from .symbolic_power import Support, jet_matrix, kernel_polynomials
 
 
@@ -105,7 +105,7 @@ def find(a, b, c, char, r, d):
     if not pts:
         return None
     jm = jet_matrix(Support(pts), r, char)
-    # the kernel runs the two-prime modular prefilter before any rational one
+    # the kernel runs the one-prime modular prefilter before any rational one
     basis = kernel_polynomials(jm)
     for phi in basis:
         report = _report((a, b, c), char, r, d, phi, dP, pts, len(basis))
@@ -117,34 +117,30 @@ def find(a, b, c, char, r, d):
 def _cell_worker(args):
     a, b, c, char, r, d = args
     hit = find(a, b, c, char, r, d)
-    return None if hit is None else (r, d, hit[1])
+    return r, d, None if hit is None else hit[1]
+
+
+def cell_region(a, b, c, r_max, d_filter=None):
+    """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2."""
+    if r_max < 1:
+        raise ValueError("r_max must be positive")
+    region = []
+    for r in range(1, r_max + 1):
+        ds = range(1, isqrt(a * b * c * r * r - 1) + 1)
+        if d_filter is not None:
+            ds = sorted(d for d in d_filter if d in ds)
+        region.append((r, ds))
+    return region
 
 
 def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):
     """All hits with r up to r_max and d below the negativity threshold."""
-    if r_max < 1:
-        raise ValueError("r_max must be positive")
-    cells = []
-    for r in range(1, r_max + 1):
-        for d in range(1, isqrt(a * b * c * r * r - 1) + 1):
-            if d_filter is None or d in d_filter:
-                cells.append((a, b, c, char, r, d))
-    if jobs and jobs > 1:
-        from multiprocessing import Pool
-
-        out = []
-        with Pool(jobs) as pool:
-            for cell, hit in zip(cells, pool.imap(_cell_worker, cells)):
-                if progress:
-                    progress(cell[4], cell[5])
-                if hit is not None:
-                    out.append(hit)
-        return out
+    cells = [(a, b, c, char, r, d)
+             for r, ds in cell_region(a, b, c, r_max, d_filter) for d in ds]
     out = []
-    for cell in cells:
+    for r, d, report in imap_jobs(_cell_worker, cells, jobs):
         if progress:
-            progress(cell[4], cell[5])
-        hit = _cell_worker(cell)
-        if hit is not None:
-            out.append(hit)
+            progress(r, d)
+        if report is not None:
+            out.append((r, d, report))
     return out

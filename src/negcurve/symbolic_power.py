@@ -3,19 +3,21 @@
 A Laurent polynomial supported on S lies in (v-1, w-1)^r exactly when the
 r(r+1)/2 jet entries of order below r vanish; each is a linear form in the
 coefficients with entry C(a, i) * C(b, j) at the support point (a, b).  The
-dimension of the degree-d piece is then |dP| minus the rank of that system.
+dimension of the degree-d piece is then |dP| minus the rank of that system,
+read off as the length of one exact kernel basis; in char 0 a rank check
+modulo one prime settles full column rank before any rational elimination.
 Ehrhart counting of the dilations gives the other side of the ledger.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
+from .exact_arith import binomial, nullspace, rank_mod_p
 from .lattice_geom import IntegralPolygon, area2, boundary_count, dilate, lattice_points
 from .laurent_poly import LaurentPoly
 
-# the two 30-bit primes of the modular rank prefilter
-_PRIMES = (634227673, 637935209)
+# the 30-bit prime of the modular rank prefilter
+_PRIMES = (634227673,)
 
 
 class Support:
@@ -67,22 +69,16 @@ def jet_matrix(S, r, char=0):
     return JetMatrix(r, char, S, rows)
 
 
-def _reaches_rank_mod_p(rows, full):
-    """Whether some prefilter prime gives rank `full`, trying them in turn.
-
-    Rank can only drop mod p, so reaching the ceiling is conclusive over Q.
-    """
-    return any(rank_mod_p(rows, p) == full for p in _PRIMES)
-
-
 def kernel(jm):
     """Kernel basis as plain coefficient vectors, one per basis element.
 
     In char 0 a prime showing full column rank settles an empty kernel
-    without any rational elimination.
+    without any rational elimination: rank can only drop mod p, so reaching
+    the ceiling is conclusive over Q.  Otherwise the exact path decides.
     """
     n = len(jm.support)
-    if not jm.char and len(jm.rows) >= n and _reaches_rank_mod_p(jm.rows, n):
+    if not jm.char and len(jm.rows) >= n and any(
+            rank_mod_p(jm.rows, p) == n for p in _PRIMES):
         return []
     return nullspace(jm.rows, n, jm.char)
 
@@ -96,21 +92,8 @@ def kernel_polynomials(jm):
     return out
 
 
-def matrix_rank(jm):
-    """Rank of the jet matrix; in char 0 a modular prefilter may settle it."""
-    m, n = len(jm.rows), len(jm.support)
-    if n == 0 or m == 0:
-        return 0
-    if jm.char:
-        return rank_mod_p(jm.rows, jm.char)
-    full = min(m, n)
-    if _reaches_rank_mod_p(jm.rows, full):
-        return full
-    return rational_rank(jm.rows)
-
-
 def nullity(jm):
-    return len(jm.support) - matrix_rank(jm)
+    return len(kernel(jm))
 
 
 def symbolic_dim(P, d, r, char=0):

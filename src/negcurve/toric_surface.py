@@ -151,17 +151,17 @@ def _insert_ray(a, b):
     _, fx, fy = _ext_gcd(a[0], a[1])
     p0 = b[0] * fx + b[1] * fy
     p = p0 % q
-    assert p != 0, "b would be an a-multiple, impossible for primitive rays"
+    if p == 0:
+        raise RuntimeError("b is an a-multiple, impossible for primitive rays")
     k = (p - p0) // q
     # (1,1) pulled back through the shear and the Bezout matrix
     return ((1 - k) * a[0] - fy, (1 - k) * a[1] + fx)
 
 
 def _refine(rays, coeffs):
+    # each insertion trades a determinant q for two with a smaller positive
+    # product, so the product of all determinants drops and the loop ends
     rays, coeffs = list(rays), list(coeffs)
-    prod = 1
-    for i in range(len(rays)):
-        prod *= det2(rays[i], rays[(i + 1) % len(rays)])
     i = 0
     while i < len(rays):
         n = len(rays)
@@ -172,14 +172,13 @@ def _refine(rays, coeffs):
             continue
         new = _insert_ray(a, b)
         da, db = det2(a, new), det2(new, b)
-        assert 0 < da * db < q, "determinant product must drop"
+        if not 0 < da * db < q:
+            raise RuntimeError("determinant product must drop")
         # new = lam*a + mu*b fixes the canonical pullback coefficient
         lam, mu = Fraction(db, q), Fraction(da, q)
         cnew = lam * coeffs[i] + mu * coeffs[(i + 1) % n]
         rays.insert(i + 1, new)
         coeffs.insert(i + 1, cnew)
-        prod = prod // q * (da * db)
-        assert prod >= 1
     return rays, coeffs
 
 
@@ -187,8 +186,10 @@ def smooth_refine(fan):
     """Insert rays until all consecutive determinants are 1; keeps P_{-K}."""
     rays, _ = _refine(fan.rays, [Fraction(1)] * len(fan.rays))
     out = Fan2D(rays)
-    assert out.is_smooth()
-    assert minus_k_polygon(out).vertices == minus_k_polygon(fan).vertices
+    if not out.is_smooth():
+        raise RuntimeError("refinement left a singular cone")
+    if minus_k_polygon(out).vertices != minus_k_polygon(fan).vertices:
+        raise RuntimeError("refinement changed the anticanonical polygon")
     return out
 
 

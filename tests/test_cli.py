@@ -135,6 +135,7 @@ def test_usage_errors_exit_1(capsys):
 def test_long_gate(capsys):
     rc, _, err = run(capsys, "search", "5", "33", "49", "--rmax", "18", "--jobs", "1")
     assert rc == 1 and "--long" in err
+    assert "15365 cells" in err  # sum of isqrt(8085 r^2 - 1) over r <= 18
 
 
 def test_deterministic_output(capsys):

@@ -142,6 +142,9 @@ def test_max_collinear():
     assert max_collinear(convex_hull(TRI3)) == 3
     assert max_collinear(convex_hull(TET3)) == 3
     assert max_collinear(convex_hull([(2, 5)])) == 1
+    # the 31 points of the hypotenuse, out of 496
+    big = convex_hull([(0, 0), (30, 0), (0, 30)])
+    assert len(lattice_points(big)) == 496 and max_collinear(big) == 31
 
 
 def test_normalize_examples():
@@ -184,6 +187,17 @@ def test_normalized_maps_omega_check_raises(monkeypatch):
     monkeypatch.setattr(lattice_geom, "omega_contains", lambda pt, r: False)
     with pytest.raises(RuntimeError, match="Omega"):
         normalized_maps(convex_hull(TRI2), 2)
+
+
+def test_base_maps_gcd_check_raises(monkeypatch):
+    monkeypatch.setattr(lattice_geom, "_primitive", lambda v: (2 * v[0], 2 * v[1]))
+    with pytest.raises(RuntimeError, match="not primitive"):
+        lattice_geom._base_maps(convex_hull(TRI2))
+
+
+def test_walk_closure_check_raises():
+    with pytest.raises(RuntimeError, match="close up"):
+        lattice_geom._walk([(1, 0), (0, 1)])
 
 
 def test_unimodular_map_algebra():

@@ -5,11 +5,9 @@ import pytest
 from negcurve.exact_arith import CharMismatch
 from negcurve.lattice_geom import area2
 from negcurve.laurent_poly import (
-    JetVector,
     LaurentPoly,
     ParseError,
     apply_gl2z,
-    jet,
     log_derivative_v,
     monomial,
     multiplicity_at_one,
@@ -20,6 +18,7 @@ from negcurve.laurent_poly import (
     to_text,
     unit_multiply,
 )
+from negcurve.symbolic_power import jet_matrix
 
 PHI3P = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
 
@@ -113,21 +112,29 @@ def test_apply_gl2z():
     assert apply_gl2z(q, prod) == apply_gl2z(apply_gl2z(q, m1), m2)
 
 
+def _jet(phi, r):
+    """Jet entries of order (i, j), i + j < r: jet_matrix rows times coefficients."""
+    jm = jet_matrix(phi.support(), r, phi.char)
+    coeffs = [phi.terms[pt] for pt in jm.support.points]
+    keys = [(i, j) for i in range(r) for j in range(r - i)]
+    vals = [sum(e * c for e, c in zip(row, coeffs)) for row in jm.rows]
+    return {k: v % phi.char if phi.char else v for k, v in zip(keys, vals)}
+
+
 def test_jet_examples():
-    j = jet(parse("vw - 1"), 2)
-    assert j.entries == {(0, 0): 0, (1, 0): 1, (0, 1): 1}
-    assert isinstance(j, JetVector) and j.r == 2
-    assert jet(phi(2), 2).is_zero()
-    assert jet(parse("v^-1 - 1"), 1).entries == {(0, 0): 0}
-    assert jet(parse("v^-1 - 1"), 2).entries[(1, 0)] == -1
+    assert _jet(parse("vw - 1"), 2) == {(0, 0): 0, (1, 0): 1, (0, 1): 1}
+    assert not any(_jet(phi(2), 2).values())
+    assert _jet(parse("v^-1 - 1"), 1) == {(0, 0): 0}
+    assert _jet(parse("v^-1 - 1"), 2)[(1, 0)] == -1
 
 
 def test_jet_mod_p_is_reduction():
     p0 = parse(PHI3P)
     p2 = p0.reduce_mod(2)
-    j0, j2 = jet(p0, 4), jet(p2, 4)
-    for key, val in j0.entries.items():
-        assert j2.entries[key] == val % 2
+    j0, j2 = _jet(p0, 4), _jet(p2, 4)
+    assert len(j0) == len(j2) == 10
+    for key, val in j0.items():
+        assert j2[key] == val % 2
 
 
 def test_multiplicity():
@@ -139,6 +146,14 @@ def test_multiplicity():
     assert multiplicity_at_one(parse("3")) == 0
     with pytest.raises(ValueError):
         multiplicity_at_one(parse("0"))
+
+
+def test_multiplicity_bound_check_raises(monkeypatch):
+    # an order test that never stops must trip the degree bound, even under -O
+    from negcurve import laurent_poly
+    monkeypatch.setattr(laurent_poly, "_order_vanishes", lambda phi, s: True)
+    with pytest.raises(RuntimeError):
+        multiplicity_at_one(phi(2))
 
 
 def test_multiplicity_invariance():

@@ -6,6 +6,7 @@ from negcurve.laurent_poly import newton_polygon, parse
 from negcurve.nct_catalog import canonical_form
 from negcurve.negcurve_search import (
     _report,
+    cell_region,
     find,
     genus_payload,
     is_negative_pair,
@@ -72,6 +73,10 @@ def test_scan_d_filter_and_order():
     assert scan(9, 10, 13, 2, 3, d_filter={99}) == []
     with pytest.raises(ValueError):
         scan(9, 10, 13, 2, 0)
+    # abc = 1170: d runs up to 34 at r = 1 and up to 68 at r = 2
+    region = cell_region(9, 10, 13, 2, {0, 30, 40, 1000})
+    assert [(r, list(ds)) for r, ds in region] == [(1, [30]), (2, [30, 40])]
+    assert [len(ds) for _, ds in cell_region(9, 10, 13, 2)] == [34, 68]
 
 
 def test_scan_parallel_agrees():

@@ -15,7 +15,8 @@ from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    normalize, omega_contains, pick_counts,
                                    sqrt_sum_leq)
 from negcurve.laurent_poly import (LaurentPoly, apply_gl2z, multiplicity_at_one,
-                                   multiply, newton_polygon, unit_multiply)
+                                   multiply, newton_polygon, to_text,
+                                   unit_multiply)
 from negcurve.nct_catalog import classify, ggk_prime_family, is_nct, phi_family
 from negcurve.symbolic_power import (Support, jet_matrix, kernel_polynomials,
                                      lemma_eu_check, nullity)
@@ -127,7 +128,8 @@ def test_jet_kernel_round_trip(pts, r, char):
     S = Support(pts)
     jm = jet_matrix(S, r, char)
     polys = kernel_polynomials(jm)
-    assert len(polys) == nullity(jm)
+    rank = rank_mod_p(jm.rows, char) if char else rational_rank(jm.rows)
+    assert len(polys) == nullity(jm) == len(S) - rank
     for phi in polys:
         assert phi.char == char
         assert set(phi.support()) <= set(S.points)
@@ -293,6 +295,24 @@ def test_normalize_preserves_lattice_invariants(P):
         assert omega_contains(v, r)
 
 
+def _max_collinear_reference(pts):
+    """Most points of pts on one line through two of them, by cross products."""
+    best = min(len(pts), 2)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            on = sum(1 for s in pts
+                     if (q[0] - p[0]) * (s[1] - p[1]) == (q[1] - p[1]) * (s[0] - p[0]))
+            best = max(best, on)
+    return best
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+               min_size=1, max_size=6))
+def test_max_collinear_matches_brute_force(vertices):
+    P = convex_hull(vertices)
+    assert max_collinear(P) == _max_collinear_reference(lattice_points(P))
+
+
 @given(polygons())
 def test_selfintersection_matches_refinement(P):
     fan = normal_fan(P)
@@ -334,7 +354,7 @@ def test_condition_diagram_consistent_on_pool():
                 continue
             for q in targets:
                 if rep.conditions[q][0] is False:
-                    violations.append((phi.to_text(), p, q))
+                    violations.append((to_text(phi), p, q))
     assert violations == []
 
 

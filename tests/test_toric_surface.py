@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from negcurve import toric_surface
 from negcurve.lattice_geom import area2, convex_hull
 from negcurve.laurent_poly import parse
 from negcurve.toric_surface import (
@@ -167,6 +168,23 @@ def test_smooth_refine_deep():
         assert minus_k_polygon(out).vertices == minus_k_polygon(fan).vertices
         # pulling -K_X back to the refinement must reproduce its square
         assert k2_via_refinement(fan) == intersection_numbers(fan)["K2"]
+
+
+def test_refinement_checks_raise(monkeypatch):
+    # plain exceptions, so the self-checks still run under python -O
+    with pytest.raises(RuntimeError, match="a-multiple"):
+        toric_surface._insert_ray((1, 0), (2, 2))
+    fan = Fan2D([(1, 0), (1, 2), (-1, -1)])
+    with monkeypatch.context() as m:
+        m.setattr(toric_surface, "_insert_ray", lambda a, b: a)
+        with pytest.raises(RuntimeError, match="must drop"):
+            smooth_refine(fan)
+    for rays, message in ((fan.rays, "singular"),
+                          (((1, 0), (0, 1), (-1, -1)), "anticanonical")):
+        with monkeypatch.context() as m:
+            m.setattr(toric_surface, "_refine", lambda r, c, rays=rays: (list(rays), c))
+            with pytest.raises(RuntimeError, match=message):
+                smooth_refine(fan)
 
 
 def test_blowup_numbers():
