@@ -266,12 +266,18 @@ def halfplane_polygon(constraints):
     return RationalPolygon(candidates)
 
 
-def max_collinear(P):
-    """Maximum number of lattice points of P on one affine line."""
+def collinear_exceeds(P, k):
+    """True when some affine line holds more than k lattice points of P.
+
+    The scan stops at the first line past k.  A polygon whose lines all stay
+    within k has few lattice points, on the order of k^2, so only small
+    inputs are scanned in full.
+    """
     pts = lattice_points(P)
-    if P.dim < 2 or len(pts) < 2:
-        return len(pts)
-    best = 2
+    if len(pts) <= k:
+        return False
+    if k < 2:
+        return True  # one point, or two, always lie on a line
     for i, (xi, yi) in enumerate(pts[:-1]):
         # pts ascend in lex order, so the directions to later points are
         # lex-positive and each line is counted from its least point
@@ -279,9 +285,11 @@ def max_collinear(P):
         for x, y in pts[i + 1:]:
             g = gcd(x - xi, y - yi)
             d = ((x - xi) // g, (y - yi) // g)
-            dirs[d] = dirs.get(d, 1) + 1
-        best = max(best, max(dirs.values()))
-    return best
+            n = dirs.get(d, 1) + 1
+            if n > k:
+                return True
+            dirs[d] = n
+    return False
 
 
 class UnimodularAffineMap:

@@ -3,13 +3,14 @@
 Coefficients are plain Fractions at char 0 and residues in [1, p) at char p;
 the zero coefficient is never stored.  The jet of phi at the point v = w = 1
 is taken in coordinates s = v - 1, t = w - 1: the entry of order (i, j) is
-sum_{(a,b)} c_{(a,b)} * binomial(a, i) * binomial(b, j), which is exact for
-negative exponents too since binomial(a, i) is an integer for every a.
+sum_{(a,b)} c_{(a,b)} * binomial(a, i) * binomial(b, j).  Multiplicities are
+read on the centred support, where every exponent is nonnegative.
 """
 
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from .exact_arith import CharMismatch, _residue, binomial, parse_rat, rat_str
 from .lattice_geom import convex_hull
@@ -233,29 +234,34 @@ def apply_gl2z(phi, m):
                         for (a, b), c in phi.terms.items()}, phi.char)
 
 
-def _order_vanishes(phi, s):
+def _order_vanishes(terms, s, char):
     for i in range(s + 1):
-        j = s - i
-        val = 0
-        for (a, b), c in phi.terms.items():
-            val += c * binomial(a, i) * binomial(b, j)
-        if phi.char:
-            val %= phi.char
+        val = sum(c * binomial(a, i) * binomial(b, s - i) for a, b, c in terms)
+        if char:
+            val %= char
         if val:
             return False
     return True
 
 
 def multiplicity_at_one(phi):
-    """Largest r with phi in (v-1, w-1)^r."""
+    """Largest r with phi in (v-1, w-1)^r.
+
+    The order of vanishing is unchanged by a unit v^alpha w^beta and by a
+    nonzero scalar, so the jets are those of the integer multiple of phi on
+    its centred support, the one whose bounding box starts at (0, 0).
+    """
     if not phi.terms:
         raise ValueError("zero polynomial has infinite multiplicity")
-    avals = [a for a, _ in phi.terms]
-    bvals = [b for _, b in phi.terms]
-    # after clearing denominators by a unit, total degree bounds the multiplicity
-    bound = (max(avals) - min(avals)) + (max(bvals) - min(bvals))
+    a0 = min(a for a, _ in phi.terms)
+    b0 = min(b for _, b in phi.terms)
+    den = lcm(*(c.denominator for c in phi.terms.values()))
+    terms = [(a - a0, b - b0, c.numerator * (den // c.denominator))
+             for (a, b), c in phi.terms.items()]
+    # total degree bounds the multiplicity of a polynomial
+    bound = max(a for a, _, _ in terms) + max(b for _, b, _ in terms)
     s = 0
-    while _order_vanishes(phi, s):
+    while _order_vanishes(terms, s, phi.char):
         s += 1
         if s > bound:
             raise RuntimeError("multiplicity exceeded the degree bound")

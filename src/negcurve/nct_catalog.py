@@ -14,9 +14,9 @@ from .lattice_geom import (
     _ext_gcd,
     _primitive,
     area2,
+    collinear_exceeds,
     convex_hull,
     lattice_points,
-    max_collinear,
     normalized_maps,
     omega_contains,
     pick_counts,
@@ -31,7 +31,13 @@ from .laurent_poly import (
     serialize,
     unit_multiply,
 )
-from .symbolic_power import Support, jet_matrix, kernel_polynomials, nullity
+from .symbolic_power import (
+    Support,
+    jet_matrix,
+    kernel_polynomials,
+    modular_nullity,
+    nullity,
+)
 
 
 @dataclass
@@ -85,8 +91,15 @@ def is_nct(phi, r):
         ("lattice_count", len(pts) <= r * (r + 1) // 2 + 1),
     ]
     if r >= 2:
-        checks.append(("collinear", max_collinear(P) <= r))
-    checks.append(("kernel", nullity(jet_matrix(Support(pts), r, phi.char)) == 1))
+        checks.append(("collinear", not collinear_exceeds(P, r)))
+    # the modular nullity is exact in char p; in char 0 it bounds the one
+    # over Q from above, which is at least 1 once mult >= r puts phi in the
+    # kernel, so only the other cases need the exact rank
+    jm = jet_matrix(Support(pts), r, phi.char)
+    null = modular_nullity(jm)
+    if not phi.char and null and (null > 1 or mult < r):
+        null = nullity(jm)
+    checks.append(("kernel", null == 1))
     return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 
 
@@ -221,7 +234,7 @@ def _normalized_polygons(r):
             return False
         if len(lattice_points(hull)) > bound:
             return False
-        return not (r >= 2 and max_collinear(hull) > r)
+        return not (r >= 2 and collinear_exceeds(hull, r))
 
     def rec(chain, last_key):
         vk = chain[-1]

@@ -2,22 +2,26 @@
 
 A Laurent polynomial supported on S lies in (v-1, w-1)^r exactly when the
 r(r+1)/2 jet entries of order below r vanish; each is a linear form in the
-coefficients with entry C(a, i) * C(b, j) at the support point (a, b).  The
-dimension of the degree-d piece is then |dP| minus the rank of that system,
-read off as the length of one exact kernel basis; in char 0 a rank check
-modulo one prime settles full column rank before any rational elimination.
-Ehrhart counting of the dilations gives the other side of the ledger.
+coefficients.  The entries are taken on the centred support, the one whose
+bounding box starts at (0, 0): C(a - a0, i) * C(b - b0, j) at the support
+point (a, b).  Centring multiplies by the unit v^-a0 w^-b0, which maps jets
+by an integer unipotent triangular matrix, so the row space, every rank and
+the normalised kernel basis are those of the uncentred system, while the
+entries stay small.  The dimension of the degree-d piece is |dP| minus the
+rank of that system; in char 0 a rank modulo one prime settles it whenever
+it is full, before any rational elimination.  Ehrhart counting of the
+dilations gives the other side of the ledger.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import binomial, nullspace, rank_mod_p
+from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
 from .lattice_geom import IntegralPolygon, area2, boundary_count, dilate, lattice_points
 from .laurent_poly import LaurentPoly
 
 # the 30-bit prime of the modular rank prefilter
-_PRIMES = (634227673,)
+_PRIME = 634227673
 
 
 class Support:
@@ -52,33 +56,45 @@ class JetMatrix:
     rows: list
 
 
+def _binomial_rows(values, r):
+    """[C(x, 0), ..., C(x, r-1)] for each x, one table per distinct value."""
+    table = {x: [binomial(x, i) for i in range(r)] for x in set(values)}
+    return [table[x] for x in values]
+
+
 def jet_matrix(S, r, char=0):
-    """Rows (i, j) with i+j < r; entry C(a, i)*C(b, j) at column (a, b)."""
+    """Rows (i, j) with i+j < r; entry C(a-a0, i)*C(b-b0, j) at column (a, b).
+
+    (a0, b0) is the least corner of the support's bounding box, so the
+    entries are those of the centred support, read from one binomial table
+    per column; the columns keep the labels of S.
+    """
     if r < 1:
         raise ValueError("jet order must be at least 1")
     if not isinstance(S, Support):
         S = Support(S)
+    a0 = min((a for a, _ in S.points), default=0)
+    b0 = min((b for _, b in S.points), default=0)
+    ca = _binomial_rows([a - a0 for a, _ in S.points], r)
+    cb = _binomial_rows([b - b0 for _, b in S.points], r)
     rows = []
     for i in range(r):
         for j in range(r - i):
-            row = []
-            for a, b in S.points:
-                e = binomial(a, i) * binomial(b, j)
-                row.append(e % char if char else e)
-            rows.append(row)
+            row = [x[i] * y[j] for x, y in zip(ca, cb)]
+            rows.append([e % char for e in row] if char else row)
     return JetMatrix(r, char, S, rows)
 
 
 def kernel(jm):
     """Kernel basis as plain coefficient vectors, one per basis element.
 
-    In char 0 a prime showing full column rank settles an empty kernel
-    without any rational elimination: rank can only drop mod p, so reaching
-    the ceiling is conclusive over Q.  Otherwise the exact path decides.
+    In char 0 the prefilter prime showing full column rank settles an empty
+    kernel without any rational elimination: rank can only drop mod p, so
+    reaching the ceiling is conclusive over Q.  Otherwise the exact path
+    decides.
     """
     n = len(jm.support)
-    if not jm.char and len(jm.rows) >= n and any(
-            rank_mod_p(jm.rows, p) == n for p in _PRIMES):
+    if not jm.char and len(jm.rows) >= n and modular_nullity(jm) == 0:
         return []
     return nullspace(jm.rows, n, jm.char)
 
@@ -92,8 +108,26 @@ def kernel_polynomials(jm):
     return out
 
 
+def modular_nullity(jm):
+    """|S| less the rank mod the characteristic, or mod the prefilter prime.
+
+    Exact in char p.  In char 0 it bounds the nullity over Q from above,
+    since rank can only drop mod p.
+    """
+    return len(jm.support) - rank_mod_p(jm.rows, jm.char or _PRIME)
+
+
 def nullity(jm):
-    return len(kernel(jm))
+    """Dimension of the kernel, |S| less the rank; no basis is built.
+
+    A modular rank that reaches min(rows, |S|) is the rank over Q too, so
+    only a deficient one in char 0 falls back to the rational rank.
+    """
+    n = len(jm.support)
+    null_p = modular_nullity(jm)
+    if jm.char or null_p == max(n - len(jm.rows), 0):
+        return null_p
+    return n - rational_rank(jm.rows)
 
 
 def symbolic_dim(P, d, r, char=0):

@@ -11,11 +11,11 @@ from negcurve.lattice_geom import (
     UnimodularAffineMap,
     area2,
     boundary_count,
+    collinear_exceeds,
     convex_hull,
     dilate,
     halfplane_polygon,
     lattice_points,
-    max_collinear,
     minkowski_decompositions,
     normalize,
     normalized_maps,
@@ -136,15 +136,37 @@ def test_halfplane_degenerate_segment():
     assert D.vertices == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
-def test_max_collinear():
-    assert max_collinear(convex_hull([(0, 0), (3, 3)])) == 4
-    assert max_collinear(convex_hull(TRI2)) == 2
-    assert max_collinear(convex_hull(TRI3)) == 3
-    assert max_collinear(convex_hull(TET3)) == 3
-    assert max_collinear(convex_hull([(2, 5)])) == 1
+def _most_collinear(P):
+    """The least k such that no line holds more than k lattice points of P."""
+    k = 0
+    while collinear_exceeds(P, k):
+        k += 1
+    return k
+
+
+def test_collinear_exceeds():
+    assert _most_collinear(convex_hull([(0, 0), (3, 3)])) == 4
+    assert _most_collinear(convex_hull(TRI2)) == 2
+    assert _most_collinear(convex_hull(TRI3)) == 3
+    assert _most_collinear(convex_hull(TET3)) == 3
+    assert _most_collinear(convex_hull([(2, 5)])) == 1
     # the 31 points of the hypotenuse, out of 496
     big = convex_hull([(0, 0), (30, 0), (0, 30)])
-    assert len(lattice_points(big)) == 496 and max_collinear(big) == 31
+    assert len(lattice_points(big)) == 496 and _most_collinear(big) == 31
+
+
+def test_collinear_exceeds_stops_at_the_first_long_line(monkeypatch):
+    # 4186 lattice points; the first column already holds 91 of them
+    huge = convex_hull([(0, 0), (90, 0), (0, 90)])
+    pts = lattice_points(huge)
+    assert len(pts) == 4186
+    monkeypatch.setattr(lattice_geom, "lattice_points", lambda P: pts)
+    calls = []
+    real_gcd = lattice_geom.gcd
+    monkeypatch.setattr(lattice_geom, "gcd",
+                        lambda a, b: calls.append(1) or real_gcd(a, b))
+    assert collinear_exceeds(huge, 3)
+    assert len(calls) == 3  # (0, 1), (0, 2), (0, 3) seen from (0, 0)
 
 
 def test_normalize_examples():
@@ -171,7 +193,7 @@ def test_normalize_invariance():
     # invariants survive normalization
     assert area2(Q) == area2(P)
     assert pick_counts(Q) == pick_counts(P)
-    assert max_collinear(Q) == max_collinear(P)
+    assert _most_collinear(Q) == _most_collinear(P)
 
 
 def test_normalized_maps_all_agree():

@@ -22,6 +22,7 @@ from negcurve.nct_catalog import (
     nct_to_json,
     phi_family,
 )
+from negcurve.negcurve_search import find
 
 PHI2_CANON = parse("-1 - v + 3*v*w - v^2*w^3")
 
@@ -48,6 +49,35 @@ def test_rejects_square_of_unit_shift():
 def test_rejects_wrong_multiplicity():
     rep = is_nct(phi_family(2), 3)
     assert rep.status == "rejected" and not dict(rep.checks)["multiplicity"]
+
+
+@pytest.mark.parametrize("a, b, c, char, r, d", [(9, 10, 13, 2, 3, 100),
+                                                  (8, 15, 43, 0, 9, 645)])
+def test_kernel_check_settled_by_one_modular_rank(a, b, c, char, r, d, monkeypatch):
+    # phi of multiplicity r is in the kernel, so a modular nullity of 1 is exact
+    phi, _ = find(a, b, c, char, r, d)
+    from negcurve import symbolic_power
+
+    def no_elimination(*args):
+        raise AssertionError("the modular rank should have settled the kernel")
+
+    monkeypatch.setattr(symbolic_power, "nullspace", no_elimination)
+    monkeypatch.setattr(symbolic_power, "rational_rank", no_elimination)
+    rep = is_nct(phi, r)
+    assert rep.multiplicity == r
+    assert dict(rep.checks)["kernel"] and rep.accepted
+
+
+def test_kernel_check_without_phi_in_kernel_is_exact(monkeypatch):
+    # the lattice points of phi_2's triangle carry a kernel line at r = 2,
+    # but this phi has multiplicity 0, so the exact nullity has to tell
+    from negcurve import nct_catalog
+    real, calls = nct_catalog.nullity, []
+    monkeypatch.setattr(nct_catalog, "nullity",
+                        lambda jm: calls.append(1) or real(jm))
+    rep = is_nct(parse("1 + v^2*w + vw^2 + vw"), 2)
+    assert rep.multiplicity == 0 and len(calls) == 1
+    assert dict(rep.checks)["kernel"] and not rep.accepted
 
 
 def test_report_invariant():

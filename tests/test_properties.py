@@ -11,15 +11,16 @@ from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
 from negcurve.irreducibility import _distinct_combinations, certify
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
-                                   convex_hull, lattice_points, max_collinear,
-                                   normalize, omega_contains, pick_counts,
-                                   sqrt_sum_leq)
+                                   collinear_exceeds, convex_hull,
+                                   lattice_points, normalize, omega_contains,
+                                   pick_counts, sqrt_sum_leq)
 from negcurve.laurent_poly import (LaurentPoly, apply_gl2z, multiplicity_at_one,
                                    multiply, newton_polygon, to_text,
                                    unit_multiply)
 from negcurve.nct_catalog import classify, ggk_prime_family, is_nct, phi_family
-from negcurve.symbolic_power import (Support, jet_matrix, kernel_polynomials,
-                                     lemma_eu_check, nullity)
+from negcurve.symbolic_power import (Support, jet_matrix, kernel,
+                                     kernel_polynomials, lemma_eu_check,
+                                     nullity)
 from negcurve.toric_surface import (IMPLICATIONS, divisor_square,
                                     k2_via_refinement, normal_fan,
                                     thm36_report)
@@ -128,12 +129,54 @@ def test_jet_kernel_round_trip(pts, r, char):
     S = Support(pts)
     jm = jet_matrix(S, r, char)
     polys = kernel_polynomials(jm)
-    rank = rank_mod_p(jm.rows, char) if char else rational_rank(jm.rows)
-    assert len(polys) == nullity(jm) == len(S) - rank
+    assert len(polys) == len(kernel(jm)) == nullity(jm)
     for phi in polys:
         assert phi.char == char
         assert set(phi.support()) <= set(S.points)
         assert multiplicity_at_one(phi) >= r
+
+
+def _uncentred_rows(S, r, char):
+    """Jet rows with the raw entries C(a, i) * C(b, j), negative a and b too."""
+    rows = [[binomial(a, i) * binomial(b, j) for a, b in S.points]
+            for i in range(r) for j in range(r - i)]
+    return [[e % char for e in row] for row in rows] if char else rows
+
+
+@given(st.sets(points, min_size=1, max_size=10), st.integers(1, 3),
+       st.sampled_from((0, 2, 3)),
+       st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_jet_matrix_translation_invariant(pts, r, char, shift):
+    # multiplying by v^alpha w^beta moves the support and nothing else
+    S = Support(pts)
+    T = Support([(a + shift[0], b + shift[1]) for a, b in pts])
+    jm, jt = jet_matrix(S, r, char), jet_matrix(T, r, char)
+    assert jt.rows == jm.rows
+    assert kernel(jt) == kernel(jm)
+    # the raw entries, before centring, give the same kernel
+    assert kernel(jm) == nullspace(_uncentred_rows(S, r, char), len(S), char)
+
+
+def _multiplicity_reference(phi):
+    """Order of vanishing from the raw jets, on the uncentred support."""
+    def jet(i, j):
+        val = sum(c * binomial(a, i) * binomial(b, j)
+                  for (a, b), c in phi.terms.items())
+        return val % phi.char if phi.char else val
+
+    s = 0
+    while all(jet(i, s - i) == 0 for i in range(s + 1)):
+        s += 1
+    return s
+
+
+@given(poly_pairs(), st.integers(-3, 3), st.integers(-3, 3),
+       st.integers(1, 6))
+def test_multiplicity_matches_raw_jets(pair, alpha, beta, den):
+    f, g = pair
+    scale = 1 if f.char else Fraction(1, den)
+    phi = unit_multiply(multiply(f, g), scale, alpha, beta)
+    assert multiplicity_at_one(phi) == _multiplicity_reference(phi)
 
 
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
@@ -289,10 +332,19 @@ def test_normalize_preserves_lattice_invariants(P):
     Q, f = normalize(P, r)
     assert area2(Q) == area2(P)
     assert pick_counts(Q) == pick_counts(P)
-    assert max_collinear(Q) == max_collinear(P)
+    m = _most_collinear(P)
+    assert collinear_exceeds(Q, m - 1) and not collinear_exceeds(Q, m)
     assert f.apply_polygon(P).vertices == Q.vertices
     for v in Q.vertices:
         assert omega_contains(v, r)
+
+
+def _most_collinear(P):
+    """The least k such that no line holds more than k lattice points of P."""
+    k = 0
+    while collinear_exceeds(P, k):
+        k += 1
+    return k
 
 
 def _max_collinear_reference(pts):
@@ -308,9 +360,12 @@ def _max_collinear_reference(pts):
 
 @given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
                min_size=1, max_size=6))
-def test_max_collinear_matches_brute_force(vertices):
+def test_collinear_exceeds_matches_brute_force(vertices):
     P = convex_hull(vertices)
-    assert max_collinear(P) == _max_collinear_reference(lattice_points(P))
+    pts = lattice_points(P)
+    most = _max_collinear_reference(pts)
+    for k in range(len(pts) + 1):
+        assert collinear_exceeds(P, k) == (most > k)
 
 
 @given(polygons())

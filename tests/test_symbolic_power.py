@@ -5,7 +5,6 @@ import pytest
 
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import convex_hull, dilate, lattice_points
-from negcurve.exact_arith import rational_rank
 from negcurve.laurent_poly import multiplicity_at_one, parse
 from negcurve.symbolic_power import (
     Support,
@@ -38,6 +37,18 @@ def test_jet_matrix_order_one():
     assert nullity(jm) == 3
     with pytest.raises(ValueError):
         jet_matrix(SQUARE, 0)
+
+
+def test_jet_matrix_centred_entries():
+    # entries of the support shifted to the origin, columns on the true points
+    S = Support([(-3, 5), (-2, 5), (-3, 6)])
+    jm = jet_matrix(S, 2)
+    assert jm.support == S
+    assert jm.rows == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+    assert kernel_polynomials(jm) == [] and nullity(jm) == 0
+    empty = jet_matrix(Support([]), 3)
+    assert empty.rows == [[]] * 6
+    assert kernel(empty) == [] and nullity(empty) == 0
 
 
 def test_row_count():
@@ -167,7 +178,7 @@ def test_nullity_prefilter_agrees():
                  (Support(lattice_points(P_PHI3P)), 4),
                  (Support([(x, 0) for x in range(6)]), 3)):
         jm = jet_matrix(S, r)
-        assert nullity(jm) == len(S) - rational_rank(jm.rows)
+        assert nullity(jm) == len(kernel(jm))
 
 
 def test_failed_prefilter_costs_one_modular_rank(monkeypatch):
@@ -196,3 +207,27 @@ def test_full_rank_square_kernel_skips_elimination(monkeypatch):
     monkeypatch.setattr(symbolic_power, "nullspace", no_elimination)
     assert kernel(jm) == bareiss == []
     assert nullity(jm) == 0
+
+
+def test_nullity_builds_no_basis(monkeypatch):
+    # six collinear points: the prefilter falls short, the rank decides
+    jm = jet_matrix(Support([(x, 0) for x in range(6)]), 3)
+    from negcurve import symbolic_power
+
+    def no_basis(*args):
+        raise AssertionError("nullity should not build a kernel basis")
+
+    monkeypatch.setattr(symbolic_power, "nullspace", no_basis)
+    assert nullity(jm) == 3
+    assert nullity(jet_matrix(jm.support, 3, char=2)) == 3
+
+
+def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
+    # mod 2 the (9,10,13) cell (3,100) has a kernel line that Q lacks
+    from negcurve import symbolic_power
+    monkeypatch.setattr(symbolic_power, "_PRIME", 2)
+    T = triangle(herzog_data(9, 10, 13))
+    jm = jet_matrix(Support(lattice_points(dilate(T, 100))), 3)
+    assert symbolic_power.modular_nullity(jm) == 1
+    assert nullity(jm) == len(kernel(jm)) == 0
+    assert symbolic_dim(T, 100, 3) == 0
