@@ -6,8 +6,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .exact_arith import rat_str
 from .herzog_semigroup import herzog_data, herzog_to_json
 from .lattice_geom import (
@@ -26,6 +24,15 @@ from .toric_surface import DiagramContradiction, class_group, thm36_report, thm3
 SCAN_CELL_BUDGET = 500
 
 
+def _is_char(value):
+    """0 or a prime; sympy is loaded only to test a nonzero value."""
+    if value == 0:
+        return True
+    from sympy import isprime
+
+    return isprime(value)
+
+
 @dataclass
 class Config:
     characteristic: int = 0
@@ -34,7 +41,7 @@ class Config:
     long: bool = False
 
     def __post_init__(self):
-        if self.characteristic != 0 and not isprime(self.characteristic):
+        if not _is_char(self.characteristic):
             raise ValueError("characteristic must be 0 or prime")
 
 
@@ -47,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _char(text):
     value = int(text)
-    if value != 0 and not isprime(value):
+    if not _is_char(value):
         raise argparse.ArgumentTypeError("characteristic must be 0 or a prime")
     return value
 
@@ -119,11 +126,16 @@ def cmd_search(args, config):
     def progress(r, d):
         state["n"] += 1
         if state["n"] % 25 == 1:
-            print("scan %d/%d (r=%d d=%d)" % (state["n"], cells, r, d),
-                  file=sys.stderr)
+            print("scan %d visited of %d cells (r=%d d=%d)"
+                  % (state["n"], cells, r, d), file=sys.stderr)
 
+    counts = {}
     hits = scan(args.a, args.b, args.c, config.characteristic, args.rmax,
-                d_filter=d_filter, jobs=config.jobs, progress=progress)
+                d_filter=d_filter, jobs=config.jobs, progress=progress,
+                counts=counts)
+    print("scan done: %(region)d cells in region, %(visited)d visited, "
+          "%(stopped)d skipped after an empty kernel, %(empty_degrees)d "
+          "degrees without lattice points" % counts, file=sys.stderr)
     return {
         "triple": [args.a, args.b, args.c],
         "char": config.characteristic,

@@ -1,20 +1,19 @@
 """Irreducibility certificates for Laurent polynomials.
 
 An indecomposable Newton polygon certifies irreducibility over every field.
-Past that, char 0 and char p part ways.  Over the rationals one reduction
-mod p can still certify irreducibility cheaply, and otherwise sympy's
-complete factorization over ZZ[v, w] settles the question either way.  Over
-F_p, which sympy cannot factor in two variables, factoring goes through the
-Kronecker substitution w = v^M, sympy's univariate factorization, and
-recombination of factor subsets constrained by Minkowski summands of the
-Newton polygon; only there can an exhausted budget end Inconclusive.
+Past that, char 0 and char p part ways.  Over the rationals sympy's
+complete factorization over ZZ[v, w] settles the question, and one
+reduction mod p then labels an irreducible input by whether it stays
+irreducible there.  Over F_p, which sympy cannot factor in two variables,
+factoring goes through the Kronecker substitution w = v^M, sympy's
+univariate factorization, and recombination of factor subsets constrained
+by Minkowski summands of the Newton polygon; only there can an exhausted
+budget end Inconclusive.  sympy is imported only where it is called.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-
-import sympy
 
 from .lattice_geom import (
     DegeneratePolygonError,
@@ -140,6 +139,8 @@ def _fits(psi, allowed):
 
 def _univariate_factors(phi, M):
     """Kronecker image factored over F_p, t-power and scalar dropped."""
+    import sympy
+
     p = phi.char
     enc = {}
     for (a, b), c in phi.terms.items():
@@ -284,32 +285,40 @@ def certify(phi, budget=2 ** 14):
 
 
 def _certify_char0(phi, body):
-    """One support-preserving reduction mod p, else a complete factorization."""
+    """A complete factorization over ZZ; one reduction mod p labels a lone factor.
+
+    The reduction is by the first prime dividing no coefficient, so every
+    factor keeps its Newton polygon mod p, and w = v^M with M one past the
+    v-spread is injective on the support box: a reducible body always has at
+    least two image factors.  Reading sympy first therefore gives the same
+    certificate as reading the image first, and skips the image whenever
+    the body splits.
+    """
+    import sympy
+
     den = lcm(*(c.denominator for c in body.terms.values()))
     ints = {e: int(c * den) for e, c in body.terms.items()}
     content = gcd(*ints.values())
     ints = {e: c // content for e, c in ints.items()}
+    v, w = sympy.symbols("v w")
+    _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
+    # body is divisible by neither v nor w, so every factor is a nonunit
+    if len(facs) > 1 or facs[0][1] > 1:
+        found = []
+        for f, mult in facs:
+            found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
+        return _factored(phi, found)
     p = 2
     while any(c % p == 0 for c in ints.values()):
         p = sympy.nextprime(p)
-    # w = v^M with M one past the v-spread is injective on the support box,
-    # so a proper factor mod p stays a proper factor of the image
     M = 1 + max(a for a, _ in ints)
     image = LaurentPoly({e: c % p for e, c in ints.items()}, p)
     if len(_univariate_factors(image, M)) == 1:
         return IrreducibilityCertificate(
             "IrreducibleModP",
             "irreducible after reduction, support preserved", p=p)
-    v, w = sympy.symbols("v w")
-    _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
-    # body is divisible by neither v nor w, so every factor is a nonunit
-    if len(facs) == 1 and facs[0][1] == 1:
-        return IrreducibilityCertificate(
-            "IrreducibleOverQ", "no factor over the integers")
-    found = []
-    for f, mult in facs:
-        found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
-    return _factored(phi, found)
+    return IrreducibilityCertificate(
+        "IrreducibleOverQ", "no factor over the integers")
 
 
 def _factored(phi, facs):

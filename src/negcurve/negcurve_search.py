@@ -1,6 +1,7 @@
 """Search for negative curves in symbolic powers of the three-variable primes."""
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 
 from .herzog_semigroup import herzog_data, triangle
@@ -98,26 +99,41 @@ def _report(triple, char, r, d, phi, dP, pts, nullity):
                                _genus(pts, r), nullity)
 
 
-def find(a, b, c, char, r, d):
-    """First kernel generator at (r, d) passing the four curve conditions."""
-    dP = dilate(triangle(herzog_data(a, b, c)), d)
+def _degree_cells(triple, char, T, degree):
+    """Visited cells (r, report or None) of degree = (d, rs), r ascending.
+
+    The support is the lattice points of dT whatever r is, and the order-r
+    jet rows are a subset of the order-(r+1) rows, so the kernel can only
+    shrink as r grows: the walk stops at the first r with an empty kernel,
+    in every characteristic.  A degree with no lattice points visits none.
+    """
+    d, rs = degree
+    dP = dilate(T, d)
     pts = lattice_points(dP)
     if not pts:
-        return None
-    jm = jet_matrix(Support(pts), r, char)
-    # the kernel runs the one-prime modular prefilter before any rational one
-    basis = kernel_polynomials(jm)
-    for phi in basis:
-        report = _report((a, b, c), char, r, d, phi, dP, pts, len(basis))
-        if report.accepted:
-            return phi, report
-    return None
+        return []
+    S = Support(pts)
+    cells = []
+    for r in rs:
+        # the kernel runs the one-prime modular prefilter before any rational one
+        basis = kernel_polynomials(jet_matrix(S, r, char))
+        hit = None
+        for phi in basis:
+            report = _report(triple, char, r, d, phi, dP, pts, len(basis))
+            if report.accepted:
+                hit = report
+                break
+        cells.append((r, hit))
+        if not basis:
+            break
+    return cells
 
 
-def _cell_worker(args):
-    a, b, c, char, r, d = args
-    hit = find(a, b, c, char, r, d)
-    return r, d, None if hit is None else hit[1]
+def find(a, b, c, char, r, d):
+    """First kernel generator at (r, d) passing the four curve conditions."""
+    cells = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)), (d, [r]))
+    report = cells[0][1] if cells else None
+    return None if report is None else (report.phi, report)
 
 
 def cell_region(a, b, c, r_max, d_filter=None):
@@ -133,14 +149,37 @@ def cell_region(a, b, c, r_max, d_filter=None):
     return region
 
 
-def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):
-    """All hits with r up to r_max and d below the negativity threshold."""
-    cells = [(a, b, c, char, r, d)
-             for r, ds in cell_region(a, b, c, r_max, d_filter) for d in ds]
+def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None,
+         counts=None):
+    """All hits with r up to r_max and d below the negativity threshold.
+
+    Degree-major: each degree of the region builds its lattice points once
+    and walks r upward to its first empty kernel (`_degree_cells`); `jobs`
+    workers split the degrees.  Hits come back sorted by (r, d).
+    `progress(r, d)` is called once per visited cell.  A `counts` dict
+    receives the cells in the region, the cells visited, the cells skipped
+    after an empty kernel and the degrees with no lattice points.
+    """
+    rs_of = {}
+    for r, ds in cell_region(a, b, c, r_max, d_filter):
+        for d in ds:
+            rs_of.setdefault(d, []).append(r)
+    degrees = sorted(rs_of.items())
+    walk = partial(_degree_cells, (a, b, c), char, triangle(herzog_data(a, b, c)))
+    tally = dict.fromkeys(("region", "visited", "stopped", "empty_degrees"), 0)
     out = []
-    for r, d, report in imap_jobs(_cell_worker, cells, jobs):
-        if progress:
-            progress(r, d)
-        if report is not None:
-            out.append((r, d, report))
-    return out
+    for (d, rs), cells in zip(degrees, imap_jobs(walk, degrees, jobs)):
+        tally["region"] += len(rs)
+        tally["visited"] += len(cells)
+        if cells:
+            tally["stopped"] += len(rs) - len(cells)
+        else:
+            tally["empty_degrees"] += 1
+        for r, report in cells:
+            if progress:
+                progress(r, d)
+            if report is not None:
+                out.append((r, d, report))
+    if counts is not None:
+        counts.update(tally)
+    return sorted(out, key=lambda hit: hit[:2])

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import negcurve
 from negcurve.cli import Config, main
+from negcurve.negcurve_search import negcurve_to_json, scan
 
 PHI2_DOC = {"char": 0, "terms": [
     {"a": 0, "b": 0, "c": "-1"}, {"a": 1, "b": 1, "c": "3"},
@@ -31,6 +37,42 @@ def test_search_command(capsys):
     doc = json.loads(out)
     assert [(h["r"], h["d"]) for h in doc["hits"]] == [(3, 100)]
     assert "scan" in err  # progress stays on stderr
+
+
+def test_search_walk_accounting(capsys):
+    rc, out, err = run(capsys, "search", "9", "10", "13", "--char", "2",
+                       "--rmax", "3", "--jobs", "1")
+    assert rc == 0
+    # stdout is the hits alone; the walk's accounting goes to stderr
+    hits = [negcurve_to_json(rep) for _, _, rep in scan(9, 10, 13, 2, 3)]
+    assert out == json.dumps({"triple": [9, 10, 13], "char": 2, "rmax": 3,
+                              "hits": hits}, indent=2) + "\n"
+    lines = err.splitlines()
+    assert lines[0].startswith("scan 1 visited of 204 cells")
+    assert lines[-1] == ("scan done: 204 cells in region, 84 visited, "
+                         "66 skipped after an empty kernel, "
+                         "18 degrees without lattice points")
+    _, out2, _ = run(capsys, "search", "9", "10", "13", "--char", "2",
+                     "--rmax", "3", "--jobs", "2")
+    assert out2 == out
+
+
+SYMPY_LOADED = "import sys, negcurve.cli; %s; print('sympy' in sys.modules)"
+
+
+@pytest.mark.parametrize("call", [
+    "pass",
+    "negcurve.cli.main(['--jobs', '1', 'search', '8', '15', '43', "
+    "'--rmax', '9', '--d', '645'])",
+], ids=["import", "search"])
+def test_char0_search_never_loads_sympy(call):
+    src = str(pathlib.Path(negcurve.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_search_none_found_is_success(capsys):

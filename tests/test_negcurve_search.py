@@ -1,5 +1,10 @@
-import pytest
+from math import gcd
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from negcurve import negcurve_search
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import dilate, lattice_points, pick_counts
 from negcurve.laurent_poly import newton_polygon, parse
@@ -13,7 +18,7 @@ from negcurve.negcurve_search import (
     negcurve_to_json,
     scan,
 )
-from negcurve.symbolic_power import symbolic_dim
+from negcurve.symbolic_power import Support, jet_matrix, kernel, symbolic_dim
 
 
 def test_is_negative_pair():
@@ -83,6 +88,89 @@ def test_scan_parallel_agrees():
     serial = scan(9, 10, 13, 2, 3, d_filter=set(range(90, 103)))
     par = scan(9, 10, 13, 2, 3, d_filter=set(range(90, 103)), jobs=2)
     assert [(r, d) for r, d, _ in serial] == [(r, d) for r, d, _ in par]
+
+
+def _exhaustive(a, b, c, char, r_max, hit, d_filter=None):
+    """Cells of the whole region, r-major, where hit(r, d) holds."""
+    return [(r, d) for r, ds in cell_region(a, b, c, r_max, d_filter)
+            for d in ds if hit(r, d)]
+
+
+coprime_triples = st.tuples(st.integers(2, 9), st.integers(2, 11),
+                            st.integers(2, 13)).filter(
+    lambda t: len(set(t)) == 3 and all(gcd(x, y) == 1 for x in t for y in t
+                                       if x != y))
+
+
+@settings(max_examples=12)
+@given(coprime_triples, st.integers(1, 3), st.sampled_from((0, 2)))
+def test_scan_matches_exhaustive_find(triple, r_max, char):
+    a, b, c = triple
+    expected = _exhaustive(a, b, c, char, r_max,
+                           lambda r, d: find(a, b, c, char, r, d) is not None)
+    assert [(r, d) for r, d, _ in scan(a, b, c, char, r_max)] == expected
+
+
+def test_scan_walk_counts(monkeypatch):
+    calls = {"herzog_data": 0, "triangle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(negcurve_search, "herzog_data",
+                        counted("herzog_data", herzog_data))
+    monkeypatch.setattr(negcurve_search, "triangle", counted("triangle", triangle))
+    counts = {}
+    hits = scan(8, 15, 43, 0, 9, counts=counts)
+    assert [(r, d) for r, d, _ in hits] == [(9, 645)]
+    assert calls == {"herzog_data": 1, "triangle": 1}
+    # 646 degrees; 37 have no lattice points, the rest stop at an empty kernel
+    assert counts == {"region": 3227, "visited": 609, "stopped": 2285,
+                      "empty_degrees": 37}
+
+
+def test_scan_jobs_agree_across_r(monkeypatch):
+    # accept every kernel element, so that every visited cell with a kernel
+    # is a hit: the walk must reach each of them under any job count
+    monkeypatch.setattr(negcurve_search, "_report",
+                        lambda *args: SimpleNamespace(accepted=True))
+    T = triangle(herzog_data(2, 3, 5))
+    expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: kernel(jet_matrix(
+        Support(lattice_points(dilate(T, d))), r, 0)))
+    assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
+    runs = []
+    for jobs in (1, 2):
+        seen, counts = [], {}
+        hits = scan(2, 3, 5, 0, 3, jobs=jobs, counts=counts,
+                    progress=lambda r, d: seen.append((r, d)))
+        assert [(r, d) for r, d, _ in hits] == expected
+        runs.append((seen, counts))
+    # degree-major, and each degree with a kernel goes on to an empty one:
+    # (2, 5) after (1, 5), (3, 10) after (2, 10); d = 1 has no lattice point
+    assert runs[0] == runs[1] == (
+        [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (2, 7), (2, 8),
+         (2, 9), (2, 10), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14),
+         (3, 15), (3, 16)],
+        {"region": 31, "visited": 17, "stopped": 11, "empty_degrees": 1})
+
+
+def _every_cell(triple, char, T, degree):
+    """A stand-in walk that visits every r of the degree and hits each."""
+    d, rs = degree
+    return [(r, (r, d)) for r in rs]
+
+
+def test_scan_sorts_hits_by_r(monkeypatch):
+    # the walk is degree-major; the hits must still come back r-major
+    monkeypatch.setattr(negcurve_search, "_degree_cells", _every_cell)
+    ds = set(range(30, 41))  # r = 1 reaches d = 34, r = 2 and 3 all of them
+    expected = [(r, d) for r, dr in cell_region(9, 10, 13, 3, ds) for d in dr]
+    for jobs in (1, 2):
+        hits = scan(9, 10, 13, 2, 3, d_filter=ds, jobs=jobs)
+        assert [(r, d) for r, d, _ in hits] == expected
 
 
 def test_scan_progress():

@@ -3,13 +3,16 @@
 import functools
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
-from negcurve.irreducibility import _distinct_combinations, certify
+from negcurve.irreducibility import (IrreducibilityCertificate, _certify_char0,
+                                     _distinct_combinations, _factored,
+                                     _to_origin, _univariate_factors, certify)
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    collinear_exceeds, convex_hull,
                                    lattice_points, normalize, omega_contains,
@@ -136,6 +139,15 @@ def test_jet_kernel_round_trip(pts, r, char):
         assert multiplicity_at_one(phi) >= r
 
 
+@given(st.sets(points, min_size=1, max_size=10), st.sampled_from((0, 2, 3)))
+def test_kernel_never_grows_with_r(pts, char):
+    # the order-r jet rows are among the order-(r+1) rows on a fixed support,
+    # which is what lets a scan stop a degree at its first empty kernel
+    S = Support(pts)
+    dims = [len(kernel(jet_matrix(S, r, char))) for r in range(1, 6)]
+    assert dims == sorted(dims, reverse=True)
+
+
 def _uncentred_rows(S, r, char):
     """Jet rows with the raw entries C(a, i) * C(b, j), negative a and b too."""
     rows = [[binomial(a, i) * binomial(b, j) for a, b in S.points]
@@ -259,6 +271,42 @@ def test_certify_finds_planted_factors(f, g):
     for h in cert.factors:
         prod = multiply(prod, h)
     assert prod == phi
+
+
+def _certify_char0_image_first(phi, body):
+    """The char-0 certificate as it was computed before sympy went first:
+    the Kronecker image mod p, then sympy only when the image splits."""
+    den = lcm(*(c.denominator for c in body.terms.values()))
+    ints = {e: int(c * den) for e, c in body.terms.items()}
+    content = gcd(*ints.values())
+    ints = {e: c // content for e, c in ints.items()}
+    p = 2
+    while any(c % p == 0 for c in ints.values()):
+        p = sympy.nextprime(p)
+    M = 1 + max(a for a, _ in ints)
+    image = LaurentPoly({e: c % p for e, c in ints.items()}, p)
+    if len(_univariate_factors(image, M)) == 1:
+        return IrreducibilityCertificate(
+            "IrreducibleModP",
+            "irreducible after reduction, support preserved", p=p)
+    v, w = sympy.symbols("v w")
+    _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
+    if len(facs) == 1 and facs[0][1] == 1:
+        return IrreducibilityCertificate(
+            "IrreducibleOverQ", "no factor over the integers")
+    found = []
+    for f, mult in facs:
+        found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
+    return _factored(phi, found)
+
+
+@settings(max_examples=20)
+@given(st.one_of(laurent(0, min_size=2),
+                 st.builds(multiply, laurent(0, min_size=2),
+                           laurent(0, min_size=2))))
+def test_certify_char0_matches_image_first_order(phi):
+    body = _to_origin(phi)[0]
+    assert _certify_char0(phi, body) == _certify_char0_image_first(phi, body)
 
 
 @settings(max_examples=30)
