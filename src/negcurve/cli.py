@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .exact_arith import rat_str
@@ -117,25 +118,28 @@ def cmd_search(args, config):
     d_filter = None
     if args.d:
         d_filter = {int(x) for x in args.d.split(",")}
-    cells = sum(len(ds) for _, ds in
-                cell_region(args.a, args.b, args.c, args.rmax, d_filter))
+    region = cell_region(args.a, args.b, args.c, args.rmax, d_filter)
+    cells = sum(len(ds) for _, ds in region)
     if cells > SCAN_CELL_BUDGET and not config.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     state = {"n": 0}
+    walked = set()  # degrees with a visited cell
 
     def progress(r, d):
         state["n"] += 1
+        walked.add(d)
         if state["n"] % 25 == 1:
             print("scan %d visited of %d cells (r=%d d=%d)"
                   % (state["n"], cells, r, d), file=sys.stderr)
 
-    counts = {}
     hits = scan(args.a, args.b, args.c, config.characteristic, args.rmax,
-                d_filter=d_filter, jobs=config.jobs, progress=progress,
-                counts=counts)
-    print("scan done: %(region)d cells in region, %(visited)d visited, "
-          "%(stopped)d skipped after an empty kernel, %(empty_degrees)d "
-          "degrees without lattice points" % counts, file=sys.stderr)
+                d_filter=d_filter, jobs=config.jobs, progress=progress)
+    # every degree with lattice points visits a cell, so the others have none
+    empty = Counter(d for _, ds in region for d in ds if d not in walked)
+    print("scan done: %d cells in region, %d visited, %d skipped after an "
+          "empty kernel, %d degrees without lattice points"
+          % (cells, state["n"], cells - state["n"] - sum(empty.values()),
+             len(empty)), file=sys.stderr)
     return {
         "triple": [args.a, args.b, args.c],
         "char": config.characteristic,

@@ -149,16 +149,15 @@ def cell_region(a, b, c, r_max, d_filter=None):
     return region
 
 
-def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None,
-         counts=None):
+def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):
     """All hits with r up to r_max and d below the negativity threshold.
 
     Degree-major: each degree of the region builds its lattice points once
     and walks r upward to its first empty kernel (`_degree_cells`); `jobs`
     workers split the degrees.  Hits come back sorted by (r, d).
-    `progress(r, d)` is called once per visited cell.  A `counts` dict
-    receives the cells in the region, the cells visited, the cells skipped
-    after an empty kernel and the degrees with no lattice points.
+    `progress(r, d)` is called once per visited cell.  A degree with lattice
+    points visits at least its least r, so the degrees it never names are
+    the ones without lattice points.
     """
     rs_of = {}
     for r, ds in cell_region(a, b, c, r_max, d_filter):
@@ -166,20 +165,11 @@ def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None,
             rs_of.setdefault(d, []).append(r)
     degrees = sorted(rs_of.items())
     walk = partial(_degree_cells, (a, b, c), char, triangle(herzog_data(a, b, c)))
-    tally = dict.fromkeys(("region", "visited", "stopped", "empty_degrees"), 0)
     out = []
-    for (d, rs), cells in zip(degrees, imap_jobs(walk, degrees, jobs)):
-        tally["region"] += len(rs)
-        tally["visited"] += len(cells)
-        if cells:
-            tally["stopped"] += len(rs) - len(cells)
-        else:
-            tally["empty_degrees"] += 1
+    for (d, _), cells in zip(degrees, imap_jobs(walk, degrees, jobs)):
         for r, report in cells:
             if progress:
                 progress(r, d)
             if report is not None:
                 out.append((r, d, report))
-    if counts is not None:
-        counts.update(tally)
     return sorted(out, key=lambda hit: hit[:2])

@@ -123,13 +123,14 @@ def test_scan_walk_counts(monkeypatch):
     monkeypatch.setattr(negcurve_search, "herzog_data",
                         counted("herzog_data", herzog_data))
     monkeypatch.setattr(negcurve_search, "triangle", counted("triangle", triangle))
-    counts = {}
-    hits = scan(8, 15, 43, 0, 9, counts=counts)
+    seen = []
+    hits = scan(8, 15, 43, 0, 9, progress=lambda r, d: seen.append((r, d)))
     assert [(r, d) for r, d, _ in hits] == [(9, 645)]
     assert calls == {"herzog_data": 1, "triangle": 1}
-    # 646 degrees; 37 have no lattice points, the rest stop at an empty kernel
-    assert counts == {"region": 3227, "visited": 609, "stopped": 2285,
-                      "empty_degrees": 37}
+    # 646 degrees; 37 have no lattice points, each of the others stops at
+    # the empty kernel of its least r
+    assert len(seen) == 609 and len({d for _, d in seen}) == 609
+    assert len({d for _, ds in cell_region(8, 15, 43, 9) for d in ds}) == 646
 
 
 def test_scan_jobs_agree_across_r(monkeypatch):
@@ -143,18 +144,17 @@ def test_scan_jobs_agree_across_r(monkeypatch):
     assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
     runs = []
     for jobs in (1, 2):
-        seen, counts = [], {}
-        hits = scan(2, 3, 5, 0, 3, jobs=jobs, counts=counts,
+        seen = []
+        hits = scan(2, 3, 5, 0, 3, jobs=jobs,
                     progress=lambda r, d: seen.append((r, d)))
         assert [(r, d) for r, d, _ in hits] == expected
-        runs.append((seen, counts))
+        runs.append(seen)
     # degree-major, and each degree with a kernel goes on to an empty one:
     # (2, 5) after (1, 5), (3, 10) after (2, 10); d = 1 has no lattice point
-    assert runs[0] == runs[1] == (
-        [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (2, 7), (2, 8),
-         (2, 9), (2, 10), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14),
-         (3, 15), (3, 16)],
-        {"region": 31, "visited": 17, "stopped": 11, "empty_degrees": 1})
+    assert runs[0] == runs[1] == [
+        (1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (2, 7), (2, 8),
+        (2, 9), (2, 10), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14),
+        (3, 15), (3, 16)]
 
 
 def _every_cell(triple, char, T, degree):
