@@ -5,7 +5,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .exact_arith import rat_str
 from .herzog_semigroup import herzog_data, herzog_to_json
@@ -25,27 +24,6 @@ from .toric_surface import DiagramContradiction, class_group, thm36_report, thm3
 SCAN_CELL_BUDGET = 500
 
 
-def _is_char(value):
-    """0 or a prime; sympy is loaded only to test a nonzero value."""
-    if value == 0:
-        return True
-    from sympy import isprime
-
-    return isprime(value)
-
-
-@dataclass
-class Config:
-    characteristic: int = 0
-    format: str = "json"
-    jobs: int = 1
-    long: bool = False
-
-    def __post_init__(self):
-        if not _is_char(self.characteristic):
-            raise ValueError("characteristic must be 0 or prime")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for diagram contradictions
     def error(self, message):
@@ -54,9 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _char(text):
+    """0 or a prime; sympy is loaded only to test a nonzero value."""
     value = int(text)
-    if not _is_char(value):
-        raise argparse.ArgumentTypeError("characteristic must be 0 or a prime")
+    if value:
+        from sympy import isprime
+
+        if not isprime(value):
+            raise argparse.ArgumentTypeError("characteristic must be 0 or a prime")
     return value
 
 
@@ -110,17 +92,18 @@ def _emit(doc, fmt):
         print("\n".join(_text_lines(doc)))
 
 
-def cmd_herzog(args, config):
+def cmd_herzog(args):
     return herzog_to_json(herzog_data(args.a, args.b, args.c))
 
 
-def cmd_search(args, config):
+def cmd_search(args):
     d_filter = None
     if args.d:
         d_filter = {int(x) for x in args.d.split(",")}
-    region = cell_region(args.a, args.b, args.c, args.rmax, d_filter)
-    cells = sum(len(ds) for _, ds in region)
-    if cells > SCAN_CELL_BUDGET and not config.long:
+    # counted pair by pair, so a refusal holds no more than one degree range
+    cells = sum(len(ds) for _, ds in cell_region(args.a, args.b, args.c,
+                                                 args.rmax, d_filter))
+    if cells > SCAN_CELL_BUDGET and not args.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     state = {"n": 0}
     walked = set()  # degrees with a visited cell
@@ -132,38 +115,40 @@ def cmd_search(args, config):
             print("scan %d visited of %d cells (r=%d d=%d)"
                   % (state["n"], cells, r, d), file=sys.stderr)
 
-    hits = scan(args.a, args.b, args.c, config.characteristic, args.rmax,
-                d_filter=d_filter, jobs=config.jobs, progress=progress)
+    hits = scan(args.a, args.b, args.c, args.char, args.rmax,
+                d_filter=d_filter, jobs=args.jobs, progress=progress)
     # every degree with lattice points visits a cell, so the others have none
-    empty = Counter(d for _, ds in region for d in ds if d not in walked)
+    empty = Counter(d for _, ds in cell_region(args.a, args.b, args.c,
+                                               args.rmax, d_filter)
+                    for d in ds if d not in walked)
     print("scan done: %d cells in region, %d visited, %d skipped after an "
           "empty kernel, %d degrees without lattice points"
           % (cells, state["n"], cells - state["n"] - sum(empty.values()),
              len(empty)), file=sys.stderr)
     return {
         "triple": [args.a, args.b, args.c],
-        "char": config.characteristic,
+        "char": args.char,
         "rmax": args.rmax,
         "hits": [negcurve_to_json(rep) for _, _, rep in hits],
     }
 
 
-def cmd_check_nct(args, config):
-    phi = _load_poly(args.file, config.characteristic)
+def cmd_check_nct(args):
+    phi = _load_poly(args.file, args.char)
     return nct_to_json(is_nct(phi, args.r))
 
 
-def cmd_thm36(args, config):
-    phi = _load_poly(args.file, config.characteristic)
+def cmd_thm36(args):
+    phi = _load_poly(args.file, args.char)
     return thm36_to_json(thm36_report(phi, args.r))
 
 
-def cmd_classify(args, config):
-    return catalog_to_json(args.r, config.characteristic,
-                           experimental=args.experimental, jobs=config.jobs)
+def cmd_classify(args):
+    return catalog_to_json(args.r, args.char,
+                           experimental=args.experimental, jobs=args.jobs)
 
 
-def cmd_ggk(args, config):
+def cmd_ggk(args):
     g = ggk_prime_family(args.r)
     P = newton_polygon(g)
     B, I = pick_counts(P)
@@ -177,7 +162,7 @@ def cmd_ggk(args, config):
     }
 
 
-def cmd_ehrhart(args, config):
+def cmd_ehrhart(args):
     with open(args.file) as fh:
         P = polygon_from_json(json.load(fh))
     doc = {
@@ -196,7 +181,7 @@ def cmd_ehrhart(args, config):
     return doc
 
 
-def cmd_classgroup(args, config):
+def cmd_classgroup(args):
     rays = []
     for ray in args.rays.replace(";", " ").split():
         x, y = ray.split(",")
@@ -281,18 +266,15 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config(characteristic=getattr(args, "char", 0),
-                        format=args.format,
-                        jobs=args.jobs if args.jobs else _default_jobs(),
-                        long=getattr(args, "long", False))
-        doc = args.func(args, config)
+        args.jobs = args.jobs or _default_jobs()
+        doc = args.func(args)
     except DiagramContradiction as exc:
         print("contradiction: %s" % exc, file=sys.stderr)
         return 2
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    _emit(doc, config.format)
+    _emit(doc, args.format)
     return 0
 
 

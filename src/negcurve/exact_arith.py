@@ -267,15 +267,6 @@ def parse_rat(s):
     return Fraction(str(s))
 
 
-def mat_mul(A, B):
-    """Integer matrix product."""
-    if not A or not B:
-        return []
-    m = len(B)
-    return [[sum(row[k] * B[k][j] for k in range(m)) for j in range(len(B[0]))]
-            for row in A]
-
-
 def det2(u, v):
     """Determinant of the 2x2 matrix with rows u, v."""
     return u[0] * v[1] - u[1] * v[0]

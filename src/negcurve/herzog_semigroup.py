@@ -13,7 +13,7 @@ from itertools import permutations
 from math import gcd
 
 from .exact_arith import rat_str
-from .lattice_geom import area2, dilate, halfplane_polygon, lattice_points
+from .lattice_geom import area2, halfplane_polygon
 from .toric_surface import Fan2D
 
 
@@ -137,15 +137,6 @@ def triangle(data):
         ((-d.t, d.t3), -d.j0),
         ((d.u2, -d.u), 0),
     ])
-
-
-def graded_dimension(data, d):
-    """Number of lattice points of d * triangle(data)."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return 1
-    return len(lattice_points(dilate(triangle(data), d)))
 
 
 def fan_rays(data):

@@ -36,10 +36,6 @@ class IrreducibilityCertificate:
     factors: list = field(default_factory=list)
     unit: LaurentPoly = None
 
-    def is_irreducible(self):
-        return self.verdict in ("IrreduciblePolytope", "IrreducibleModP",
-                                "IrreducibleOverQ")
-
 
 def cert_to_json(cert):
     doc = {"verdict": cert.verdict, "details": cert.details}
@@ -111,30 +107,24 @@ def _segment_length(P):
     return gcd(abs(x2 - x1), abs(y2 - y1))
 
 
+def _shape(P):
+    """Sorted vertices of P translated so both coordinate minima are zero."""
+    x0 = min(x for x, _ in P.vertices)
+    y0 = min(y for _, y in P.vertices)
+    return tuple(sorted((x - x0, y - y0) for x, y in P.vertices))
+
+
 def _translated_summands(P):
-    """Newton polygons a proper factor may have, translated to the origin."""
+    """Shapes of the Newton polygons a proper factor may have."""
     try:
         decs = minkowski_decompositions(P)
     except DegeneratePolygonError:
         return None  # segment: no pruning
-    allowed = set()
-    for Q1, Q2 in decs:
-        for Q in (Q1, Q2):
-            xs = [x for x, _ in Q.vertices]
-            ys = [y for _, y in Q.vertices]
-            allowed.add(tuple(sorted((x - min(xs), y - min(ys))
-                                     for x, y in Q.vertices)))
-    return allowed
+    return {_shape(Q) for pair in decs for Q in pair}
 
 
 def _fits(psi, allowed):
-    if allowed is None:
-        return True
-    P = newton_polygon(psi)
-    xs = [x for x, _ in P.vertices]
-    ys = [y for _, y in P.vertices]
-    key = tuple(sorted((x - min(xs), y - min(ys)) for x, y in P.vertices))
-    return key in allowed
+    return allowed is None or _shape(newton_polygon(psi)) in allowed
 
 
 def _univariate_factors(phi, M):

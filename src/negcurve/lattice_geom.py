@@ -213,11 +213,6 @@ def pick_counts(P):
     return B, len(pts) - B
 
 
-def boundary_count(P):
-    """Number of lattice points on the boundary (all points if dim < 2)."""
-    return pick_counts(P)[0]
-
-
 def dilate(P, d):
     """Vertices scaled by the positive integer d."""
     if d <= 0:
@@ -300,43 +295,13 @@ class UnimodularAffineMap:
     def __init__(self, m, t=(0, 0)):
         self.m = ((int(m[0][0]), int(m[0][1])), (int(m[1][0]), int(m[1][1])))
         self.t = (int(t[0]), int(t[1]))
-        if abs(self.det()) != 1:
+        if abs(det2(*self.m)) != 1:
             raise ValueError("matrix is not unimodular")
-
-    def det(self):
-        return self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
 
     def apply(self, p):
         x, y = p
         return (x * self.m[0][0] + y * self.m[1][0] + self.t[0],
                 x * self.m[0][1] + y * self.m[1][1] + self.t[1])
-
-    def apply_polygon(self, P):
-        cls = IntegralPolygon if isinstance(P, IntegralPolygon) else Polygon
-        return cls([self.apply(v) for v in P.vertices])
-
-    def compose(self, other):
-        """self followed by other."""
-        a, b = self.m, other.m
-        m = ((a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-             (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-        return UnimodularAffineMap(m, other.apply(self.t))
-
-    def inverse(self):
-        d = self.det()
-        (m11, m12), (m21, m22) = self.m
-        inv = ((m22 * d, -m12 * d), (-m21 * d, m11 * d))
-        w = UnimodularAffineMap(inv)
-        return UnimodularAffineMap(inv, (-w.apply(self.t)[0], -w.apply(self.t)[1]))
-
-    def __eq__(self, other):
-        return isinstance(other, UnimodularAffineMap) and self.m == other.m and self.t == other.t
-
-    def __hash__(self):
-        return hash((self.m, self.t))
-
-    def __repr__(self):
-        return "UnimodularAffineMap(m=%s, t=%s)" % (self.m, self.t)
 
 
 def omega_contains(pt, r):
@@ -354,34 +319,46 @@ def omega_contains(pt, r):
     return (x - y) ** 2 <= 2 * r2 * r2
 
 
+def _centred(m, V):
+    """The map p -> (p - V)*m, which takes V to the origin."""
+    return UnimodularAffineMap(m, (-(V[0] * m[0][0] + V[1] * m[1][0]),
+                                   -(V[0] * m[0][1] + V[1] * m[1][1])))
+
+
+def _edge_map(V, W):
+    """Map taking V to the origin and the primitive direction of W - V to (1, 0).
+
+    With W == V there is no direction, and the map is the translation by -V.
+    """
+    if V == W:
+        return _centred(((1, 0), (0, 1)), V)
+    e = _primitive((W[0] - V[0], W[1] - V[1]))
+    g, fx, fy = _ext_gcd(e[0], e[1])
+    if g != 1:
+        raise RuntimeError("edge direction %s is not primitive" % (e,))
+    # e*m = (1, 0): m inverts the unimodular matrix with rows e, (-fy, fx)
+    return _centred(((fx, -e[1]), (fy, e[0])), V)
+
+
 def _base_maps(P):
     """All 2n (vertex, adjacent edge) normalizing maps for a 2-dim polygon."""
     vs = P.vertices
     n = len(vs)
     maps = []
-    flip = ((1, 0), (0, -1))
     for i in range(n):
         V = vs[i]
-        for other in (vs[(i + 1) % n], vs[(i - 1) % n]):
-            third = vs[(i - 1) % n] if other == vs[(i + 1) % n] else vs[(i + 1) % n]
-            e = _primitive((other[0] - V[0], other[1] - V[1]))
-            g, fx, fy = _ext_gcd(e[0], e[1])
-            if g != 1:
-                raise RuntimeError("edge direction %s is not primitive" % (e,))
-            # e*m0 = (1, 0): m0 inverts the unimodular matrix with rows e, (-fy, fx)
-            m0 = ((fx, -e[1]), (fy, e[0]))
-            d = (third[0] - V[0], third[1] - V[1])
-            dm = (d[0] * m0[0][0] + d[1] * m0[1][0], d[0] * m0[0][1] + d[1] * m0[1][1])
+        for other, third in ((vs[(i + 1) % n], vs[(i - 1) % n]),
+                             (vs[(i - 1) % n], vs[(i + 1) % n])):
+            f = _edge_map(V, other)
+            m0, dm = f.m, f.apply(third)
             if dm[1] < 0:
                 m0 = ((m0[0][0], -m0[0][1]), (m0[1][0], -m0[1][1]))
                 dm = (dm[0], -dm[1])
             a2, b2 = _primitive(dm)
             k = -(a2 // b2)
-            shear = ((1, 0), (k, 1))
-            m = ((m0[0][0] + m0[0][1] * k, m0[0][1]),
-                 (m0[1][0] + m0[1][1] * k, m0[1][1]))
-            t = (-(V[0] * m[0][0] + V[1] * m[1][0]), -(V[0] * m[0][1] + V[1] * m[1][1]))
-            maps.append(UnimodularAffineMap(m, t))
+            # the shear (x, y) -> (x + k*y, y) puts the third vertex at 0 <= x/y < 1
+            maps.append(_centred(((m0[0][0] + m0[0][1] * k, m0[0][1]),
+                                 (m0[1][0] + m0[1][1] * k, m0[1][1])), V))
     return maps
 
 
@@ -403,12 +380,6 @@ def normalized_maps(P, r):
         elif Q.vertices == best.vertices:
             winners.append(f)
     return best, winners
-
-
-def normalize(P, r):
-    """Unimodular-affine image of P with the canonical base position inside Omega."""
-    Q, winners = normalized_maps(P, r)
-    return Q, winners[0]
 
 
 def _walk(edge_vectors):
@@ -464,24 +435,6 @@ def minkowski_decompositions(P):
         for c in range(counts[i] + 1):
             stack.append((i + 1, sx + c * prim[i][0], sy + c * prim[i][1], chosen + [c]))
     return [found[k] for k in sorted(found, key=lambda fs: sorted(fs))]
-
-
-def sqrt_sum_leq(a1, a2, a):
-    """Exact test of sqrt(a1) + sqrt(a2) <= sqrt(a) for nonnegative rationals."""
-    s = Fraction(a) - Fraction(a1) - Fraction(a2)
-    return s >= 0 and 4 * Fraction(a1) * Fraction(a2) <= s * s
-
-
-def polygon_to_json(P):
-    from .exact_arith import rat_str
-    out = []
-    for x, y in P.vertices:
-        fx, fy = Fraction(x), Fraction(y)
-        if fx.denominator == 1 and fy.denominator == 1:
-            out.append([int(fx), int(fy)])
-        else:
-            out.append([rat_str(fx), rat_str(fy)])
-    return {"vertices": out}
 
 
 def polygon_from_json(doc):

@@ -108,7 +108,7 @@ def _clean_text(text):
     text = text.translate(_SUP_TRANS)
     if re.search(r"\d\s+\d", text):
         raise ParseError("two numbers in a row in %r" % text)
-    return text.replace("−", "-").replace("–", "-").replace(" ", "")
+    return re.sub(r"\s+", "", text.replace("−", "-").replace("–", "-"))
 
 
 def _exponent(tok):
@@ -266,9 +266,3 @@ def multiplicity_at_one(phi):
         if s > bound:
             raise RuntimeError("multiplicity exceeded the degree bound")
     return s
-
-
-def log_derivative_v(phi):
-    """v * d(phi)/dv: the term (a, b): c maps to (a, b): a*c."""
-    return LaurentPoly({(a, b): a * c for (a, b), c in phi.terms.items()},
-                       phi.char)

@@ -11,8 +11,7 @@ from .lattice_geom import (
     DegeneratePolygonError,
     IntegralPolygon,
     _angle_key,
-    _ext_gcd,
-    _primitive,
+    _edge_map,
     area2,
     collinear_exceeds,
     convex_hull,
@@ -188,22 +187,6 @@ def _rep_key(phi):
     return tuple(sup), tuple(phi.terms[e] for e in sup)
 
 
-def _segment_forms(phi, P):
-    # one endpoint to the origin, the primitive direction to (1, 0)
-    forms = []
-    ends = P.vertices if len(P.vertices) == 2 else [P.vertices[0]] * 2
-    for V, W in (ends, ends[::-1]):
-        if V == W:
-            m = ((1, 0), (0, 1))
-        else:
-            d = _primitive((W[0] - V[0], W[1] - V[1]))
-            g, fx, fy = _ext_gcd(d[0], d[1])
-            m = ((fx, -d[1]), (fy, d[0]))
-        t = (-(V[0] * m[0][0] + V[1] * m[1][0]), -(V[0] * m[0][1] + V[1] * m[1][1]))
-        forms.append(_scaled(unit_multiply(apply_gl2z(phi, m), 1, t[0], t[1])))
-    return forms
-
-
 def canonical_form(phi, r):
     """Least (support, coefficients) representative of the equivalence class."""
     if not phi:
@@ -212,12 +195,13 @@ def canonical_form(phi, r):
     if P.dim < 2:
         if r >= 2:
             raise DegeneratePolygonError("no canonical form on a segment for r >= 2")
-        cands = _segment_forms(phi, P)
+        # either endpoint to the origin, the segment along the x-axis
+        V, W = P.vertices[0], P.vertices[-1]
+        maps = [_edge_map(V, W), _edge_map(W, V)]
     else:
-        _, winners = normalized_maps(P, r)
-        cands = [_scaled(unit_multiply(apply_gl2z(phi, f.m), 1, f.t[0], f.t[1]))
-                 for f in winners]
-    return min(cands, key=_rep_key)
+        _, maps = normalized_maps(P, r)
+    return min((_scaled(unit_multiply(apply_gl2z(phi, f.m), 1, f.t[0], f.t[1]))
+                for f in maps), key=_rep_key)
 
 
 def _normalized_polygons(r):

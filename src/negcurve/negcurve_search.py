@@ -76,14 +76,6 @@ def _genus(pts, r):
     return interior - r * (r - 1) // 2
 
 
-def genus_payload(a, b, c, r, d):
-    """Arithmetic genus from the interior count of the degree-d slice."""
-    p_a = _genus(lattice_points(dilate(triangle(herzog_data(a, b, c)), d)), r)
-    if p_a < 0:
-        raise ValueError("interior count falls below r(r-1)/2")
-    return p_a
-
-
 def _report(triple, char, r, d, phi, dP, pts, nullity):
     a, b, c = triple
     nct = is_nct(phi, r)
@@ -137,16 +129,18 @@ def find(a, b, c, char, r, d):
 
 
 def cell_region(a, b, c, r_max, d_filter=None):
-    """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2."""
+    """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2.
+
+    A generator, so that counting a large region holds one pair at a time.
+    """
     if r_max < 1:
         raise ValueError("r_max must be positive")
-    region = []
+    abc = a * b * c
     for r in range(1, r_max + 1):
-        ds = range(1, isqrt(a * b * c * r * r - 1) + 1)
+        ds = range(1, isqrt(abc * r * r - 1) + 1)
         if d_filter is not None:
             ds = sorted(d for d in d_filter if d in ds)
-        region.append((r, ds))
-    return region
+        yield r, ds
 
 
 def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):

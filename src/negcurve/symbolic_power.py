@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
-from .lattice_geom import IntegralPolygon, area2, boundary_count, dilate, lattice_points
+from .lattice_geom import IntegralPolygon, area2, dilate, lattice_points, pick_counts
 from .laurent_poly import LaurentPoly
 
 # the 30-bit prime of the modular rank prefilter
@@ -50,7 +50,6 @@ class Support:
 
 @dataclass
 class JetMatrix:
-    r: int
     char: int
     support: Support
     rows: list
@@ -82,7 +81,7 @@ def jet_matrix(S, r, char=0):
         for j in range(r - i):
             row = [x[i] * y[j] for x, y in zip(ca, cb)]
             rows.append([e % char for e in row] if char else row)
-    return JetMatrix(r, char, S, rows)
+    return JetMatrix(char, S, rows)
 
 
 def kernel(jm):
@@ -130,18 +129,6 @@ def nullity(jm):
     return n - rational_rank(jm.rows)
 
 
-def symbolic_dim(P, d, r, char=0):
-    """dim of the degree-d piece vanishing to order r at the torus point."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if r < 0:
-        raise ValueError("vanishing order must be nonnegative")
-    S = Support(lattice_points(dilate(P, d)))
-    if r == 0:
-        return len(S)
-    return nullity(jet_matrix(S, r, char))
-
-
 def lemma_eu_reduce(S, line, r):
     """Drop the r support points on the given line (two lattice points).
 
@@ -174,7 +161,7 @@ def ehrhart_polynomial(P):
     A = area2(P)
     if A == 0:
         raise ValueError("polygon is degenerate")
-    return (Fraction(A, 2), Fraction(boundary_count(P), 2), Fraction(1))
+    return (Fraction(A, 2), Fraction(pick_counts(P)[0], 2), Fraction(1))
 
 
 def hilbert_numerator(P, N=8):

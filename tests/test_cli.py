@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import negcurve
-from negcurve.cli import Config, main
+from negcurve.cli import main
 from negcurve.negcurve_search import negcurve_to_json, scan
 
 PHI2_DOC = {"char": 0, "terms": [
@@ -60,17 +60,21 @@ def test_search_walk_accounting(capsys):
 SYMPY_LOADED = "import sys, negcurve.cli; %s; print('sympy' in sys.modules)"
 
 
+def _child_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(pathlib.Path(negcurve.__file__).parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("call", [
     "pass",
     "negcurve.cli.main(['--jobs', '1', 'search', '8', '15', '43', "
     "'--rmax', '9', '--d', '645'])",
 ], ids=["import", "search"])
 def test_char0_search_never_loads_sympy(call):
-    src = str(pathlib.Path(negcurve.__file__).parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
@@ -92,9 +96,11 @@ def test_check_nct_command(tmp_path, capsys):
 
 def test_check_nct_text_file(tmp_path, capsys):
     f = tmp_path / "phi.txt"
-    f.write_text("vw - 1")
-    rc, out, _ = run(capsys, "check-nct", str(f), "--r", "1")
-    assert rc == 0 and json.loads(out)["status"] == "accepted"
+    # an editor's trailing newline, and a tab, are whitespace like a space
+    for text in ("vw - 1", "vw - 1\n", "vw\t- 1\n"):
+        f.write_text(text)
+        rc, out, err = run(capsys, "check-nct", str(f), "--r", "1")
+        assert rc == 0 and json.loads(out)["status"] == "accepted", err
 
 
 def test_thm36_command(tmp_path, capsys):
@@ -180,6 +186,25 @@ def test_long_gate(capsys):
     assert "15365 cells" in err  # sum of isqrt(8085 r^2 - 1) over r <= 18
 
 
+# VmHWM is the peak of this process alone; ru_maxrss can report the peak of
+# the test process that spawned it
+PEAK_RSS_KB = ("import sys, negcurve.cli; rc = negcurve.cli.main(sys.argv[1:]); "
+               "peak = [l for l in open('/proc/self/status') "
+               "if l.startswith('VmHWM')]; print(rc, peak[0].split()[1])")
+
+
+def test_long_gate_refusal_stays_small():
+    # 2e6 degree ranges, about 1.1e13 cells: the refusal counts them without
+    # holding them, where a built region took hundreds of MB
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_KB, "search", "2", "3",
+                           "5", "--rmax", "2000000"],
+                          capture_output=True, text=True, env=_child_env())
+    assert "pass --long" in proc.stderr
+    rc, peak_kb = proc.stdout.split()
+    assert rc == "1"
+    assert int(peak_kb) < 60 * 1024
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "herzog", "8", "15", "43")
     _, out2, _ = run(capsys, "herzog", "8", "15", "43")
@@ -194,7 +219,3 @@ def test_text_format(capsys):
     assert rc == 0 and "a: 9" in out_top
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(characteristic=6)
-    assert Config(characteristic=7).characteristic == 7

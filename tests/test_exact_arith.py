@@ -3,7 +3,6 @@ from fractions import Fraction
 from negcurve.exact_arith import (
     binomial,
     det2,
-    mat_mul,
     nullspace,
     parse_rat,
     rank_mod_p,
@@ -90,11 +89,15 @@ def test_rational_rank():
     assert rational_rank([[0, 0], [0, 0]]) == 0
 
 
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 def test_smith_normal_form_diag():
     M = [[2, -1], [-2, -1], [0, 1]]
     d, U, V = smith_normal_form(M)
     assert d == [1, 2]
-    prod = mat_mul(mat_mul(U, M), V)
+    prod = _mat_mul(_mat_mul(U, M), V)
     assert prod == [[1, 0], [0, 2], [0, 0]]
     assert abs(det_int(U)) == 1
     assert abs(det_int(V)) == 1
@@ -108,7 +111,7 @@ def test_smith_normal_form_diag():
     M = [[4, 6], [2, 8]]
     d, U, V = smith_normal_form(M)
     assert d == [2, 10]
-    prod = mat_mul(mat_mul(U, M), V)
+    prod = _mat_mul(_mat_mul(U, M), V)
     assert prod == [[2, 0], [0, 10]]
 
 
@@ -120,7 +123,7 @@ def test_smith_normal_form_divisibility():
             assert d[i + 1] % d[i] == 0
     assert abs(det_int(U)) == 1
     assert abs(det_int(V)) == 1
-    prod = mat_mul(mat_mul(U, M), V)
+    prod = _mat_mul(_mat_mul(U, M), V)
     for i, row in enumerate(prod):
         for j, x in enumerate(row):
             assert x == (d[i] if i == j and i < len(d) else 0)

@@ -10,20 +10,15 @@ from negcurve.lattice_geom import (
     UnboundedRegionError,
     UnimodularAffineMap,
     area2,
-    boundary_count,
     collinear_exceeds,
     convex_hull,
     dilate,
     halfplane_polygon,
     lattice_points,
     minkowski_decompositions,
-    normalize,
     normalized_maps,
     omega_contains,
     pick_counts,
-    polygon_from_json,
-    polygon_to_json,
-    sqrt_sum_leq,
 )
 
 TRI2 = [(0, 0), (2, 1), (1, 2)]
@@ -98,7 +93,7 @@ def test_lattice_points_rational():
                          (Fraction(-1, 2), Fraction(3, 2))])
     assert set(lattice_points(Q)) == {(0, 0), (1, 0), (0, 1)}
     # (1,0) and (0,1) sit on the edge x + y = 1
-    assert boundary_count(Q) == 2
+    assert pick_counts(Q)[0] == 2
 
 
 def test_dilate():
@@ -169,27 +164,30 @@ def test_collinear_exceeds_stops_at_the_first_long_line(monkeypatch):
     assert len(calls) == 3  # (0, 1), (0, 2), (0, 3) seen from (0, 0)
 
 
+def _image(f, P):
+    return convex_hull([f.apply(v) for v in P.vertices])
+
+
 def test_normalize_examples():
-    Q, m = normalize(convex_hull(TRI2), 2)
+    Q, maps = normalized_maps(convex_hull(TRI2), 2)
     assert Q.vertices == ((0, 0), (1, 0), (2, 3))
-    assert m.apply_polygon(convex_hull(TRI2)).vertices == Q.vertices
+    assert _image(maps[0], convex_hull(TRI2)) == Q
     assert all(omega_contains(v, 2) for v in lattice_points(Q))
     # unit square is already canonical
     S = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    QS, _ = normalize(S, 2)
+    QS, _ = normalized_maps(S, 2)
     assert QS.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 def test_normalize_invariance():
     P = convex_hull(TRI2)
-    Q, _ = normalize(P, 2)
+    Q, _ = normalized_maps(P, 2)
     shifted = convex_hull([(x + 5, y - 7) for x, y in P.vertices])
-    assert normalize(shifted, 2)[0].vertices == Q.vertices
-    g = UnimodularAffineMap(((2, 1), (1, 1)), (3, -2))
-    moved = g.apply_polygon(P)
-    Qg, mg = normalize(moved, 2)
-    assert Qg.vertices == Q.vertices
-    assert mg.apply_polygon(moved).vertices == Q.vertices
+    assert normalized_maps(shifted, 2)[0] == Q
+    moved = _image(UnimodularAffineMap(((2, 1), (1, 1)), (3, -2)), P)
+    Qg, maps = normalized_maps(moved, 2)
+    assert Qg == Q
+    assert _image(maps[0], moved) == Q
     # invariants survive normalization
     assert area2(Q) == area2(P)
     assert pick_counts(Q) == pick_counts(P)
@@ -201,7 +199,7 @@ def test_normalized_maps_all_agree():
     Q, maps = normalized_maps(P, 3)
     assert len(maps) >= 1
     for m in maps:
-        assert m.apply_polygon(P).vertices == Q.vertices
+        assert _image(m, P) == Q
 
 
 def test_normalized_maps_omega_check_raises(monkeypatch):
@@ -222,16 +220,6 @@ def test_walk_closure_check_raises():
         lattice_geom._walk([(1, 0), (0, 1)])
 
 
-def test_unimodular_map_algebra():
-    g = UnimodularAffineMap(((2, 1), (1, 1)), (3, -2))
-    inv = g.inverse()
-    assert inv.apply(g.apply((4, 9))) == (4, 9)
-    assert g.compose(inv).apply((4, 9)) == (4, 9)
-    h = UnimodularAffineMap(((0, -1), (1, 0)), (0, 0))
-    # compose applies self first, then other
-    assert g.compose(h).apply((1, 0)) == h.apply(g.apply((1, 0)))
-
-
 def test_minkowski_decompositions():
     S = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     decs = minkowski_decompositions(S)
@@ -248,18 +236,3 @@ def test_minkowski_decompositions():
     pent = convex_hull([(0, 0), (7, -4), (9, 1), (10, 4), (10, 5)])
     assert minkowski_decompositions(pent) == []
 
-
-def test_sqrt_sum_leq():
-    assert sqrt_sum_leq(Fraction(1), Fraction(1), Fraction(4))
-    assert not sqrt_sum_leq(Fraction(1), Fraction(1), Fraction(3))
-    assert sqrt_sum_leq(Fraction(2), Fraction(8), Fraction(18))
-    assert not sqrt_sum_leq(Fraction(2), Fraction(8), Fraction(17))
-
-
-def test_polygon_json_roundtrip():
-    P = convex_hull(TRI2)
-    assert polygon_from_json(polygon_to_json(P)).vertices == P.vertices
-    R = RationalPolygon([(Fraction(-1, 2), Fraction(0)), (Fraction(1), Fraction(0)),
-                         (Fraction(0), Fraction(2, 3))])
-    back = polygon_from_json(polygon_to_json(R))
-    assert back.vertices == R.vertices

@@ -8,7 +8,6 @@ from negcurve.laurent_poly import (
     LaurentPoly,
     ParseError,
     apply_gl2z,
-    log_derivative_v,
     monomial,
     multiplicity_at_one,
     multiply,
@@ -160,9 +159,3 @@ def test_multiplicity_invariance():
     p = phi(2)
     assert multiplicity_at_one(unit_multiply(p, -3, 2, -1)) == 2
     assert multiplicity_at_one(apply_gl2z(p, ((1, 1), (0, 1)))) == 2
-
-
-def test_log_derivative_v():
-    assert log_derivative_v(parse("vw - 1")) == parse("vw")
-    assert not log_derivative_v(parse("w^3 - 2w"))
-    assert multiplicity_at_one(log_derivative_v(phi(2))) == 1

@@ -8,19 +8,20 @@ from math import ceil, floor, gcd, lcm
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from negcurve.exact_arith import (binomial, mat_mul, nullspace, rank_mod_p,
+from negcurve.exact_arith import (binomial, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
 from negcurve.irreducibility import (IrreducibilityCertificate, _certify_char0,
                                      _distinct_combinations, _factored,
                                      _to_origin, _univariate_factors, certify)
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    collinear_exceeds, convex_hull,
-                                   lattice_points, normalize, omega_contains,
-                                   pick_counts, sqrt_sum_leq)
+                                   lattice_points, normalized_maps,
+                                   omega_contains, pick_counts)
 from negcurve.laurent_poly import (LaurentPoly, apply_gl2z, multiplicity_at_one,
                                    multiply, newton_polygon, to_text,
                                    unit_multiply)
-from negcurve.nct_catalog import classify, ggk_prime_family, is_nct, phi_family
+from negcurve.nct_catalog import (canonical_form, classify, ggk_prime_family,
+                                  is_nct, phi_family)
 from negcurve.symbolic_power import (Support, jet_matrix, kernel,
                                      kernel_polynomials, lemma_eu_check,
                                      nullity)
@@ -97,11 +98,24 @@ def test_lattice_points_match_brute_force(P):
     assert pick_counts(P) == (len(boundary), len(inside) - len(boundary))
 
 
+def _sqrt_sum_leq(a1, a2, a):
+    """Exact test of sqrt(a1) + sqrt(a2) <= sqrt(a) for nonnegative integers."""
+    s = a - a1 - a2
+    return s >= 0 and 4 * a1 * a2 <= s * s
+
+
+def test_sqrt_sum_leq():
+    assert _sqrt_sum_leq(1, 1, 4)
+    assert not _sqrt_sum_leq(1, 1, 3)
+    assert _sqrt_sum_leq(2, 8, 18)
+    assert not _sqrt_sum_leq(2, 8, 17)
+
+
 @given(polygons(), polygons())
 def test_brunn_minkowski(P, Q):
     total = convex_hull([(p[0] + q[0], p[1] + q[1])
                          for p in P.vertices for q in Q.vertices])
-    assert sqrt_sum_leq(area2(P), area2(Q), area2(total))
+    assert _sqrt_sum_leq(area2(P), area2(Q), area2(total))
 
 
 @st.composite
@@ -327,8 +341,30 @@ def test_certify_invariant_under_symmetries(phi, m, alpha, beta, c):
     base = certify(phi)
     for psi in (apply_gl2z(phi, m), unit_multiply(phi, c, alpha, beta)):
         cert = certify(psi)
-        assert cert.is_irreducible() == base.is_irreducible()
+        assert (cert.verdict == "Factored") == (base.verdict == "Factored")
         assert len(cert.factors) == len(base.factors)
+
+
+@st.composite
+def collinear_polys(draw):
+    """Terms at multiples of one direction: single points, primitive and
+    longer or gapped segments, at char 0, 2 and 5."""
+    char = draw(st.sampled_from((0, 2, 5)))
+    base = draw(points)
+    d = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, -2))))
+    ks = draw(st.sets(st.integers(0, 4), min_size=1, max_size=4))
+    coeff = st.integers(-9, 9).filter(lambda c: c and (char == 0 or c % char))
+    return LaurentPoly({(base[0] + k * d[0], base[1] + k * d[1]): draw(coeff)
+                        for k in ks}, char)
+
+
+@settings(max_examples=150)
+@given(collinear_polys(), st.sampled_from(GL2Z), st.integers(-3, 3),
+       st.integers(-3, 3), st.sampled_from((1, -1, 3)))
+def test_segment_canonical_form_invariant(phi, m, alpha, beta, c):
+    rep = canonical_form(phi, 1)
+    assert canonical_form(apply_gl2z(phi, m), 1) == rep
+    assert canonical_form(unit_multiply(phi, c, alpha, beta), 1) == rep
 
 
 @st.composite
@@ -356,6 +392,10 @@ def test_pascal_rule(a, k):
     assert binomial(a, k) == binomial(a - 1, k - 1) + binomial(a - 1, k)
 
 
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
                 min_size=2, max_size=4),
        st.randoms(use_true_random=False))
@@ -363,7 +403,7 @@ def test_smith_form_invariants(rows, rng):
     diag, U, V = smith_normal_form(rows)
     for i in range(len(diag) - 1):
         assert diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
-    prod = mat_mul(mat_mul(U, rows), V)
+    prod = _mat_mul(_mat_mul(U, rows), V)
     for i, row in enumerate(prod):
         for j, x in enumerate(row):
             assert x == (diag[i] if i == j and i < len(diag) else 0)
@@ -377,12 +417,13 @@ def test_normalize_preserves_lattice_invariants(P):
     r = 1
     while r * r <= area2(P):
         r += 1
-    Q, f = normalize(P, r)
+    Q, maps = normalized_maps(P, r)
     assert area2(Q) == area2(P)
     assert pick_counts(Q) == pick_counts(P)
     m = _most_collinear(P)
     assert collinear_exceeds(Q, m - 1) and not collinear_exceeds(Q, m)
-    assert f.apply_polygon(P).vertices == Q.vertices
+    for f in maps:
+        assert convex_hull([f.apply(v) for v in P.vertices]) == Q
     for v in Q.vertices:
         assert omega_contains(v, r)
 

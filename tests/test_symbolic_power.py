@@ -16,7 +16,6 @@ from negcurve.symbolic_power import (
     lemma_eu_check,
     lemma_eu_reduce,
     nullity,
-    symbolic_dim,
 )
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -78,27 +77,27 @@ def test_phi3p_kernel_both_chars():
             assert all(isinstance(c, int) for c in ker.terms.values())
 
 
+def _slice(T, d):
+    """Column set of the degree-d piece: the lattice points of dT."""
+    return Support(lattice_points(dilate(T, d)))
+
+
 def test_symbolic_dim_9_10_13():
     T = triangle(herzog_data(9, 10, 13))
-    assert symbolic_dim(T, 100, 3, char=2) == 1
-    assert symbolic_dim(T, 100, 3) == 0
-    assert symbolic_dim(T, 100, 0) == len(lattice_points(dilate(T, 100)))
-    with pytest.raises(ValueError):
-        symbolic_dim(T, 0, 1)
-    with pytest.raises(ValueError):
-        symbolic_dim(T, 1, -1)
+    assert nullity(jet_matrix(_slice(T, 100), 3, 2)) == 1
+    assert nullity(jet_matrix(_slice(T, 100), 3)) == 0
 
 
 def test_symbolic_dim_char0_window():
     # no element of order 3 in any degree small enough to go negative
     T = triangle(herzog_data(9, 10, 13))
     for d in range(1, 103):
-        assert symbolic_dim(T, d, 3) == 0
+        assert nullity(jet_matrix(_slice(T, d), 3)) == 0
 
 
 def test_symbolic_dim_monotone():
-    T = triangle(herzog_data(9, 10, 13))
-    dims = [symbolic_dim(T, 100, r, char=2) for r in range(0, 4)]
+    S = _slice(triangle(herzog_data(9, 10, 13)), 100)
+    dims = [len(S)] + [nullity(jet_matrix(S, r, 2)) for r in (1, 2, 3)]
     assert dims == sorted(dims, reverse=True)
 
 
@@ -230,4 +229,3 @@ def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
     jm = jet_matrix(Support(lattice_points(dilate(T, 100))), 3)
     assert symbolic_power.modular_nullity(jm) == 1
     assert nullity(jm) == len(kernel(jm)) == 0
-    assert symbolic_dim(T, 100, 3) == 0
