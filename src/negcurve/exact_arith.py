@@ -1,11 +1,12 @@
 """Exact linear algebra on plain integer rows, over Q or a prime field F_p.
 
 No floating point anywhere: rationals are `fractions.Fraction`, prime fields
-are ints in [0, p).  There is one elimination per field: fraction-free
-Bareiss over Q, so entries stay integral until the back-substitution, and
-forward elimination over F_p.  Both feed the same back-substitution.
-Pivoting is deterministic (first nonzero in row-major order), so kernel
-bases are reproducible across runs.
+are ints in [0, p).  One forward elimination, `_echelon`, serves both fields
+and differs between them only in how it updates a row below the pivot:
+Bareiss's fraction-free step over Q, so entries stay integral until the
+back-substitution, and plain elimination over F_p.  Pivoting is
+deterministic (first nonzero in row-major order), so kernel bases are
+reproducible across runs.
 """
 
 from fractions import Fraction
@@ -35,69 +36,35 @@ def _residue(value, p):
     return value % p
 
 
-def _bareiss_ref(rows, ncols):
-    """Fraction-free row echelon form of an integer matrix, in place.
+def _echelon(rows, ncols, p=0):
+    """Row echelon form over Q (p = 0) or F_p, in place; returns the pivots.
 
-    Returns the list of pivot (row, col) pairs.  Divisions are exact: every
-    working entry is a minor of the original matrix up to sign.
+    Rows below a pivot are zero left of its column pc, so only pc: is updated.
+    Over Q the update (piv*a - f*b) // prev is exact, every entry being a minor
+    of the input up to sign; it must reach rows with f = 0 too, as it scales
+    them by piv/prev.  Over F_p (entries in [0, p)) such rows are skipped.
     """
-    prev = 1
-    pr = 0
-    pivots = []
-    nrows = len(rows)
+    prev, pivots = 1, []
     for pc in range(ncols):
-        pivot = None
-        for i in range(pr, nrows):
-            if rows[i][pc]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != pr:
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        piv = rows[pr][pc]
-        for i in range(pr + 1, nrows):
-            ri = rows[i]
-            f = ri[pc]
-            rp = rows[pr]
-            for j in range(pc, ncols):
-                ri[j] = (piv * ri[j] - f * rp[j]) // prev
-        prev = piv
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
+        pr = len(pivots)
+        if pr == len(rows):
             break
-    return pivots
-
-
-def _echelon_mod_p(rows, ncols, p):
-    """Row echelon form over F_p of rows with entries in [0, p), in place.
-
-    Forward elimination only, nothing is reduced above a pivot.  Returns the
-    list of pivot (row, col) pairs.
-    """
-    pr = 0
-    pivots = []
-    nrows = len(rows)
-    for pc in range(ncols):
-        pivot = None
-        for i in range(pr, nrows):
-            if rows[i][pc]:
-                pivot = i
-                break
+        pivot = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
         if pivot is None:
             continue
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        rp = rows[pr]
-        inv = pow(rp[pc], -1, p)
-        for i in range(pr + 1, nrows):
-            if rows[i][pc]:
-                f = rows[i][pc] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rp)]
+        tail = rows[pr][pc:]
+        piv = tail[0]
+        inv = pow(piv, -1, p) if p else 0
+        for ri in rows[pr + 1:]:
+            f = ri[pc]
+            if not p:
+                ri[pc:] = [(piv * a - f * b) // prev for a, b in zip(ri[pc:], tail)]
+            elif f:
+                f = f * inv % p
+                ri[pc:] = [(a - f * b) % p for a, b in zip(ri[pc:], tail)]
+        prev = piv
         pivots.append((pr, pc))
-        pr += 1
-        if pr == nrows:
-            break
     return pivots
 
 
@@ -131,35 +98,35 @@ def _kernel_from_ref(rows, ncols, pivots, p=0):
     return basis
 
 
+def _reduced(int_rows, p, ncols=None):
+    """(rows, pivots) of `_echelon` on a copy of int_rows, reduced mod p if p.
+
+    ncols defaults to the width of the first row, or 0 with no rows.
+    """
+    if ncols is None:
+        ncols = len(int_rows[0]) if int_rows else 0
+    rows = [[x % p for x in row] if p else list(row) for row in int_rows]
+    return rows, _echelon(rows, ncols, p)
+
+
 def nullspace(int_rows, ncols, char=0):
     """Exact basis of the right kernel of an integer matrix, over Q or F_char.
 
-    Bareiss over Q, forward elimination over F_p; see `_kernel_from_ref` for
-    the order and scaling of the basis, which are deterministic.
+    See `_kernel_from_ref` for the order and scaling of the basis, which are
+    deterministic.
     """
-    if char:
-        rows = [[x % char for x in row] for row in int_rows]
-        pivots = _echelon_mod_p(rows, ncols, char)
-    else:
-        rows = [list(row) for row in int_rows]
-        pivots = _bareiss_ref(rows, ncols)
+    rows, pivots = _reduced(int_rows, char, ncols)
     return _kernel_from_ref(rows, ncols, pivots, char)
 
 
 def rank_mod_p(int_rows, p):
     """Rank of an integer matrix reduced mod p."""
-    if not int_rows:
-        return 0
-    rows = [[x % p for x in row] for row in int_rows]
-    return len(_echelon_mod_p(rows, len(rows[0]), p))
+    return len(_reduced(int_rows, p)[1])
 
 
 def rational_rank(int_rows):
-    """Rank over Q of an integer matrix (Bareiss)."""
-    if not int_rows:
-        return 0
-    rows = [list(r) for r in int_rows]
-    return len(_bareiss_ref(rows, len(rows[0])))
+    """Rank over Q of an integer matrix."""
+    return len(_reduced(int_rows, 0)[1])
 
 
 def _identity(n):
@@ -262,9 +229,10 @@ def rat_str(x):
 
 def parse_rat(s):
     """Parse "num/den" / "num" strings (ints pass through) to Fraction."""
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(s if isinstance(s, int) else str(s))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def det2(u, v):

@@ -107,13 +107,18 @@ def _completion(a, b, c):
     return None
 
 
-def herzog_data(a, b, c):
-    """Presentation data for the weights (a, b, c), permuting them if needed."""
+def _check_weights(a, b, c):
+    """Raise ValueError unless (a, b, c) are pairwise coprime positive ints."""
     for w in (a, b, c):
         if not isinstance(w, int) or w < 1:
             raise ValueError("weights must be positive integers")
     if gcd(a, b) > 1 or gcd(b, c) > 1 or gcd(a, c) > 1:
         raise ValueError("weights must be pairwise coprime")
+
+
+def herzog_data(a, b, c):
+    """Presentation data for the weights (a, b, c), permuting them if needed."""
+    _check_weights(a, b, c)
     triple = (a, b, c)
     for perm in permutations(range(3)):
         pa, pb, pc = (triple[i] for i in perm)

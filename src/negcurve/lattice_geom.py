@@ -439,7 +439,10 @@ def minkowski_decompositions(P):
 
 def polygon_from_json(doc):
     from .exact_arith import parse_rat
-    verts = [(parse_rat(x), parse_rat(y)) for x, y in doc["vertices"]]
+    try:
+        verts = [(parse_rat(x), parse_rat(y)) for x, y in doc["vertices"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("bad polygon JSON: %s" % exc) from None
     if all(v[0].denominator == 1 and v[1].denominator == 1 for v in verts):
         return IntegralPolygon([(int(x), int(y)) for x, y in verts])
     return RationalPolygon(verts)

@@ -156,9 +156,11 @@ def from_json(obj):
         terms = {}
         for t in obj["terms"]:
             key = (int(t["a"]), int(t["b"]))
+            if key != (t["a"], t["b"]):
+                raise ValueError("non-integral exponent %s" % ((t["a"], t["b"]),))
             c = parse_rat(str(t["c"]))
             terms[key] = terms.get(key, 0) + c
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("bad polynomial JSON: %s" % exc)
     try:
         return LaurentPoly(terms, char)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 
-from .herzog_semigroup import herzog_data, triangle
+from .herzog_semigroup import _check_weights, herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, edges, lattice_points, pick_counts
 from .laurent_poly import serialize
 from .nct_catalog import imap_jobs, is_nct, nct_to_json
@@ -132,7 +132,9 @@ def cell_region(a, b, c, r_max, d_filter=None):
     """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2.
 
     A generator, so that counting a large region holds one pair at a time.
+    The weights are checked before the first pair.
     """
+    _check_weights(a, b, c)
     if r_max < 1:
         raise ValueError("r_max must be positive")
     abc = a * b * c

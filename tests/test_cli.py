@@ -159,6 +159,33 @@ def test_ehrhart_rational_polygon(tmp_path, capsys):
     assert doc["ehrhart"] is None and doc["counts"][1] == 3
 
 
+BAD_PHI_DOC = {"char": 0, "terms": [{"a": 0, "b": 0, "c": "1/0"},
+                                     {"a": 1, "b": 1, "c": "1"}]}
+HALF_EXPONENT_DOC = {"char": 0, "terms": [{"a": 0.5, "b": 0, "c": "1"},
+                                          {"a": 1, "b": 1, "c": "-1"}]}
+INFINITE_EXPONENT_DOC = {"char": 0, "terms": [{"a": float("inf"), "b": 0, "c": "1"}]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("ehrhart", {}),
+    ("ehrhart", [1, 2]),
+    ("ehrhart", {"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}),
+    ("check-nct", BAD_PHI_DOC),
+    ("thm36", BAD_PHI_DOC),
+    ("check-nct", HALF_EXPONENT_DOC),
+    ("check-nct", INFINITE_EXPONENT_DOC),
+], ids=["empty-object", "list", "zero-denominator-vertex",
+        "check-nct-zero-denominator", "thm36-zero-denominator",
+        "non-integral-exponent", "infinite-exponent"])
+def test_malformed_file_is_one_error_line(tmp_path, capsys, command, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    extra = [] if command == "ehrhart" else ["--r", "1"]
+    rc, out, err = run(capsys, command, str(f), *extra)
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_classgroup_command(capsys):
     rc, out, _ = run(capsys, "classgroup", "2,-1 -2,-1 0,1")
     assert rc == 0
@@ -172,6 +199,11 @@ def test_classgroup_command(capsys):
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "herzog", "2", "4", "6")[0] == 1
     assert run(capsys, "thm36", "/nonexistent.json", "--r", "2")[0] == 1
+    # the weights are refused before the region is counted
+    rc, _, err = run(capsys, "search", "0", "1", "2", "--rmax", "1")
+    assert rc == 1 and "positive integers" in err
+    rc, _, err = run(capsys, "search", "2", "4", "5", "--rmax", "60")
+    assert rc == 1 and "pairwise coprime" in err
     for bad in (["search", "9", "10", "13", "--char", "4", "--rmax", "1"],
                 ["nonsense"]):
         with pytest.raises(SystemExit) as e:

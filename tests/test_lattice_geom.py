@@ -5,7 +5,6 @@ import pytest
 from negcurve import lattice_geom
 from negcurve.lattice_geom import (
     EmptyRegionError,
-    IntegralPolygon,
     RationalPolygon,
     UnboundedRegionError,
     UnimodularAffineMap,

@@ -5,7 +5,6 @@ import pytest
 from negcurve.exact_arith import CharMismatch
 from negcurve.lattice_geom import area2
 from negcurve.laurent_poly import (
-    LaurentPoly,
     ParseError,
     apply_gl2z,
     monomial,
@@ -57,6 +56,12 @@ def test_parse_errors():
     for bad in ("", "v +", "x + 1", "v^", "1 1"):
         with pytest.raises(ParseError):
             parse(bad)
+    # JSON: a zero denominator and a non-integral exponent, as in IntegralPolygon
+    for term in ({"a": 0, "b": 0, "c": "1/0"}, {"a": 0.5, "b": 0, "c": "1"},
+                 {"a": 1, "b": "1.5", "c": "1"}):
+        with pytest.raises(ParseError):
+            parse({"char": 0, "terms": [term]})
+    assert parse({"char": 0, "terms": [{"a": 2.0, "b": 0, "c": "1"}]}).terms == {(2, 0): 1}
 
 
 def test_json_roundtrip():

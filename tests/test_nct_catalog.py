@@ -14,7 +14,6 @@ from negcurve.laurent_poly import (
 from negcurve.nct_catalog import (
     _normalized_polygons,
     canonical_form,
-    catalog,
     catalog_to_json,
     classify,
     ggk_prime_family,

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from negcurve.exact_arith import (binomial, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
@@ -212,9 +212,14 @@ def test_modular_rank_never_exceeds_rational(rows, p):
     assert rank_mod_p(rows, p) <= rational_rank(rows)
 
 
-def _kernel_mod_p(rows, ncols, p):
-    """Reference F_p kernel by Gauss-Jordan, first nonzero entry scaled to 1."""
-    rows = [[x % p for x in row] for row in rows]
+def _kernel_gauss_jordan(rows, ncols, p):
+    """Reference kernel by Gauss-Jordan, first nonzero entry scaled to 1.
+
+    Over F_p for a prime p, over Q in Fractions for p = 0.
+    """
+    field = (lambda x: x % p) if p else Fraction
+    inverse = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / x)
+    rows = [[field(x) for x in row] for row in rows]
     pr = 0
     pivots = []
     for pc in range(ncols):
@@ -226,12 +231,12 @@ def _kernel_mod_p(rows, ncols, p):
         if pivot is None:
             continue
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        inv = pow(rows[pr][pc], -1, p)
-        rows[pr] = [x * inv % p for x in rows[pr]]
+        inv = inverse(rows[pr][pc])
+        rows[pr] = [field(x * inv) for x in rows[pr]]
         for i in range(len(rows)):
             if i != pr and rows[i][pc]:
                 f = rows[i][pc]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[pr])]
+                rows[i] = [field(a - f * b) for a, b in zip(rows[i], rows[pr])]
         pivots.append((pr, pc))
         pr += 1
         if pr == len(rows):
@@ -241,12 +246,12 @@ def _kernel_mod_p(rows, ncols, p):
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = [0] * ncols
-        vec[f] = 1
+        vec = [field(0)] * ncols
+        vec[f] = field(1)
         for pr, pc in pivots:
-            vec[pc] = -rows[pr][f] % p
-        inv = pow(next(x for x in vec if x), -1, p)
-        basis.append([x * inv % p for x in vec])
+            vec[pc] = field(-rows[pr][f])
+        inv = inverse(next(x for x in vec if x))
+        basis.append([field(x * inv) for x in vec])
     return basis
 
 
@@ -257,10 +262,16 @@ def int_matrices(draw):
                                   max_size=ncols), max_size=6)), ncols
 
 
-@given(int_matrices(), st.sampled_from((2, 3, 5, 7, 634227673)))
+@given(int_matrices(), st.sampled_from((0, 2, 3, 5, 7, 634227673)))
+@example(([[2, 0, 0], [0, 1, 0], [0, -1, 1]], 3), 0)
 def test_mod_p_kernel_matches_gauss_jordan(case, p):
+    # p = 0 is the rational kernel, from Bareiss's fraction-free update; the
+    # example needs it applied to rows whose entry in the pivot column is 0
     rows, ncols = case
-    assert nullspace(rows, ncols, p) == _kernel_mod_p(rows, ncols, p)
+    basis = nullspace(rows, ncols, p)
+    assert basis == _kernel_gauss_jordan(rows, ncols, p)
+    rank = rank_mod_p(rows, p) if p else rational_rank(rows)
+    assert rank == ncols - len(basis)
 
 
 @given(st.lists(st.integers(0, 3), max_size=9).map(sorted), st.integers(0, 10))

@@ -81,3 +81,20 @@ def test_every_public_helper_has_a_caller():
               if name not in used and name not in REFERENCE_HELPERS]
     assert unused == []
     assert REFERENCE_HELPERS <= {name for _, name in defs}
+
+
+def test_no_unused_imports():
+    # an import nothing reads is a dependency to keep for nothing
+    unused = []
+    for top in ("src", "tests", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        if name not in read:
+                            unused.append("%s:%d %s" % (path.relative_to(ROOT),
+                                                        node.lineno, name))
+    assert unused == []
