@@ -42,13 +42,6 @@ def _char(text):
     return value
 
 
-def _default_jobs():
-    env = os.environ.get("NEGCURVE_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _load_poly(path, char):
     with open(path) as fh:
         text = fh.read()
@@ -116,7 +109,8 @@ def cmd_search(args):
                   % (state["n"], cells, r, d), file=sys.stderr)
 
     hits = scan(args.a, args.b, args.c, args.char, args.rmax,
-                d_filter=d_filter, jobs=args.jobs, progress=progress)
+                d_filter=d_filter, jobs=args.jobs or os.cpu_count(),
+                progress=progress)
     # every degree with lattice points visits a cell, so the others have none
     empty = Counter(d for _, ds in cell_region(args.a, args.b, args.c,
                                                args.rmax, d_filter)
@@ -144,8 +138,7 @@ def cmd_thm36(args):
 
 
 def cmd_classify(args):
-    return catalog_to_json(args.r, args.char,
-                           experimental=args.experimental, jobs=args.jobs)
+    return catalog_to_json(args.r, args.char, experimental=args.experimental)
 
 
 def cmd_ggk(args):
@@ -200,7 +193,7 @@ def _build_parser():
                   description="negative curves on blown-up toric surfaces")
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers (default NEGCURVE_JOBS or cores)")
+                     help="parallel workers for search (default: cores)")
     # the same options are accepted after the subcommand; absent ones must not
     # clobber values parsed at the top level, hence SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
@@ -266,7 +259,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.jobs = args.jobs or _default_jobs()
         doc = args.func(args)
     except DiagramContradiction as exc:
         print("contradiction: %s" % exc, file=sys.stderr)

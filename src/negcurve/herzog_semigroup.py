@@ -14,7 +14,6 @@ from math import gcd
 
 from .exact_arith import rat_str
 from .lattice_geom import area2, halfplane_polygon
-from .toric_surface import Fan2D
 
 
 @dataclass
@@ -142,21 +141,6 @@ def triangle(data):
         ((-d.t, d.t3), -d.j0),
         ((d.u2, -d.u), 0),
     ])
-
-
-def fan_rays(data):
-    """The three ray generators, each as (primitive vector, divided gcd)."""
-    raw = [(data.s2, data.s3), (-data.t, data.t3), (data.u2, -data.u)]
-    out = []
-    for x, y in raw:
-        g = gcd(x, y)
-        out.append(((x // g, y // g), g))
-    return out
-
-
-def fan(data):
-    """Normal fan of the triangle, rays counterclockwise."""
-    return Fan2D([ray for ray, _ in fan_rays(data)])
 
 
 def herzog_to_json(data):

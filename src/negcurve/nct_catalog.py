@@ -2,7 +2,6 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .exact_arith import det2
@@ -30,13 +29,7 @@ from .laurent_poly import (
     serialize,
     unit_multiply,
 )
-from .symbolic_power import (
-    Support,
-    jet_matrix,
-    kernel_polynomials,
-    modular_nullity,
-    nullity,
-)
+from .symbolic_power import jet_matrix, kernel_polynomials, nullity
 
 
 @dataclass
@@ -91,13 +84,8 @@ def is_nct(phi, r):
     ]
     if r >= 2:
         checks.append(("collinear", not collinear_exceeds(P, r)))
-    # the modular nullity is exact in char p; in char 0 it bounds the one
-    # over Q from above, which is at least 1 once mult >= r puts phi in the
-    # kernel, so only the other cases need the exact rank
-    jm = jet_matrix(Support(pts), r, phi.char)
-    null = modular_nullity(jm)
-    if not phi.char and null and (null > 1 or mult < r):
-        null = nullity(jm)
+    # mult >= r puts phi itself in the kernel, so the nullity is at least 1
+    null = nullity(jet_matrix(pts, r, phi.char), 1 if mult >= r else 0)
     checks.append(("kernel", null == 1))
     return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 
@@ -163,7 +151,7 @@ def ggk_prime_family(r):
     pts = lattice_points(P)
     if len(pts) != r * (r + 1) // 2 + 1:
         raise RuntimeError("lattice count %d is off at r = %d" % (len(pts), r))
-    basis = kernel_polynomials(jet_matrix(Support(pts), r))
+    basis = kernel_polynomials(jet_matrix(pts, r))
     if len(basis) != 1:
         raise RuntimeError("jet kernel dimension is not 1 at r = %d" % r)
     psi = basis[0]
@@ -242,24 +230,7 @@ def _normalized_polygons(r):
     return out
 
 
-def _polygon_class(P, r, char):
-    """Kernel generator on the lattice points of P when the kernel is a line."""
-    basis = kernel_polynomials(jet_matrix(Support(lattice_points(P)), r, char))
-    return basis[0] if len(basis) == 1 else None
-
-
-def imap_jobs(fn, items, jobs):
-    """fn over items, in order, across `jobs` worker processes when jobs > 1."""
-    if not jobs or jobs < 2:
-        yield from map(fn, items)
-        return
-    from multiprocessing import Pool
-
-    with Pool(jobs) as pool:
-        yield from pool.imap(fn, items)
-
-
-def catalog(r, char=0, experimental=False, jobs=None):
+def catalog(r, char=0, experimental=False):
     """Canonical representatives with reports, exhaustively for r <= 2 (3 gated)."""
     if r < 1:
         raise ValueError("r must be positive")
@@ -267,15 +238,17 @@ def catalog(r, char=0, experimental=False, jobs=None):
         raise ValueError("r = 3 needs experimental=True")
     if r > 3:
         raise ValueError("no enumeration beyond r = 3")
-    psis = []
     if r == 1:
         # only the primitive segment fits the 2-point budget; no polygon has area2 < 1
-        S = Support([(0, 0), (1, 0)])
-        psis.append(kernel_polynomials(jet_matrix(S, 1, char))[0])
+        supports = [[(0, 0), (1, 0)]]
     else:
-        classes = imap_jobs(partial(_polygon_class, r=r, char=char),
-                            _normalized_polygons(r), jobs)
-        psis = [psi for psi in classes if psi is not None]
+        supports = (lattice_points(P) for P in _normalized_polygons(r))
+    psis = []
+    for pts in supports:
+        # a class generator spans its jet kernel
+        basis = kernel_polynomials(jet_matrix(pts, r, char))
+        if len(basis) == 1:
+            psis.append(basis[0])
     entries = {}
     for psi in psis:
         rep = canonical_form(psi, r)
@@ -288,17 +261,17 @@ def catalog(r, char=0, experimental=False, jobs=None):
     return [entries[k] for k in sorted(entries)]
 
 
-def classify(r, char=0, experimental=False, jobs=None):
+def classify(r, char=0, experimental=False):
     """The canonical representative of every class found at multiplicity r."""
-    return [rep for rep, _ in catalog(r, char, experimental, jobs)]
+    return [rep for rep, _ in catalog(r, char, experimental)]
 
 
-def catalog_to_json(r, char=0, experimental=False, jobs=None):
+def catalog_to_json(r, char=0, experimental=False):
     return {
         "r": r,
         "char": char,
         "classes": [
             {"representative": serialize(rep), "report": nct_to_json(report)}
-            for rep, report in catalog(r, char, experimental, jobs)
+            for rep, report in catalog(r, char, experimental)
         ],
     }

@@ -7,8 +7,8 @@ from math import isqrt
 from .herzog_semigroup import _check_weights, herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, edges, lattice_points, pick_counts
 from .laurent_poly import serialize
-from .nct_catalog import imap_jobs, is_nct, nct_to_json
-from .symbolic_power import Support, jet_matrix, kernel_polynomials
+from .nct_catalog import is_nct, nct_to_json
+from .symbolic_power import jet_matrix, kernel_polynomials
 
 
 def is_negative_pair(a, b, c, r, d):
@@ -104,11 +104,10 @@ def _degree_cells(triple, char, T, degree):
     pts = lattice_points(dP)
     if not pts:
         return []
-    S = Support(pts)
     cells = []
     for r in rs:
         # the kernel runs the one-prime modular prefilter before any rational one
-        basis = kernel_polynomials(jet_matrix(S, r, char))
+        basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
         for phi in basis:
             report = _report(triple, char, r, d, phi, dP, pts, len(basis))
@@ -143,6 +142,17 @@ def cell_region(a, b, c, r_max, d_filter=None):
         if d_filter is not None:
             ds = sorted(d for d in d_filter if d in ds)
         yield r, ds
+
+
+def imap_jobs(fn, items, jobs):
+    """fn over items, in order, across `jobs` worker processes when jobs > 1."""
+    if not jobs or jobs < 2:
+        yield from map(fn, items)
+        return
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        yield from pool.imap(fn, items)
 
 
 def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):

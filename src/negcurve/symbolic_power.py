@@ -7,51 +7,32 @@ bounding box starts at (0, 0): C(a - a0, i) * C(b - b0, j) at the support
 point (a, b).  Centring multiplies by the unit v^-a0 w^-b0, which maps jets
 by an integer unipotent triangular matrix, so the row space, every rank and
 the normalised kernel basis are those of the uncentred system, while the
-entries stay small.  The dimension of the degree-d piece is |dP| minus the
-rank of that system; in char 0 a rank modulo one prime settles it whenever
-it is full, before any rational elimination.  Ehrhart counting of the
-dilations gives the other side of the ledger.
+entries stay small.  The support is a plain sorted tuple of points.
+
+The dimension of the degree-d piece is |dP| minus the rank of that system.
+One rule, `_settled_nullity`, says when a modular rank settles it: always
+in char p, and in char 0 when the nullity mod one prime, an upper bound
+over Q, meets the lower bound max(|S| - rows, least).  `kernel` and
+`nullity` both ask it first and eliminate over Q only when it cannot
+answer.  Ehrhart counting of the dilations gives the other side of the
+ledger.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
-from .lattice_geom import IntegralPolygon, area2, dilate, lattice_points, pick_counts
+from .lattice_geom import IntegralPolygon, area2, pick_counts
 from .laurent_poly import LaurentPoly
 
 # the 30-bit prime of the modular rank prefilter
 _PRIME = 634227673
 
 
-class Support:
-    """Lattice points in a fixed lex order, the column index set."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        self.points = tuple(sorted({(int(x), int(y)) for x, y in points}))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __eq__(self, other):
-        return isinstance(other, Support) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
-    def __repr__(self):
-        return "Support(%r)" % (list(self.points),)
-
-
 @dataclass
 class JetMatrix:
     char: int
-    support: Support
+    support: tuple
     rows: list
 
 
@@ -61,21 +42,21 @@ def _binomial_rows(values, r):
     return [table[x] for x in values]
 
 
-def jet_matrix(S, r, char=0):
+def jet_matrix(points, r, char=0):
     """Rows (i, j) with i+j < r; entry C(a-a0, i)*C(b-b0, j) at column (a, b).
 
-    (a0, b0) is the least corner of the support's bounding box, so the
+    The columns are the points, deduplicated and sorted lex, kept as the
+    support.  (a0, b0) is the least corner of their bounding box, so the
     entries are those of the centred support, read from one binomial table
-    per column; the columns keep the labels of S.
+    per column; the columns keep the labels of the points.
     """
     if r < 1:
         raise ValueError("jet order must be at least 1")
-    if not isinstance(S, Support):
-        S = Support(S)
-    a0 = min((a for a, _ in S.points), default=0)
-    b0 = min((b for _, b in S.points), default=0)
-    ca = _binomial_rows([a - a0 for a, _ in S.points], r)
-    cb = _binomial_rows([b - b0 for _, b in S.points], r)
+    S = tuple(sorted(set(points)))
+    a0 = min((a for a, _ in S), default=0)
+    b0 = min((b for _, b in S), default=0)
+    ca = _binomial_rows([a - a0 for a, _ in S], r)
+    cb = _binomial_rows([b - b0 for _, b in S], r)
     rows = []
     for i in range(r):
         for j in range(r - i):
@@ -84,16 +65,30 @@ def jet_matrix(S, r, char=0):
     return JetMatrix(char, S, rows)
 
 
+def _settled_nullity(jm, least=0):
+    """The nullity when a modular rank settles it, else None.
+
+    The rank mod the characteristic is exact.  In char 0 the rank mod
+    _PRIME bounds the nullity over Q from above, and max(|S| - rows, least)
+    bounds it from below, where `least` is a nullity the caller already
+    knows; when the two bounds meet, the modular one is the nullity.
+    """
+    n = len(jm.support)
+    null_p = n - rank_mod_p(jm.rows, jm.char or _PRIME)
+    if jm.char or null_p == max(n - len(jm.rows), least):
+        return null_p
+    return None
+
+
 def kernel(jm):
     """Kernel basis as plain coefficient vectors, one per basis element.
 
-    In char 0 the prefilter prime showing full column rank settles an empty
-    kernel without any rational elimination: rank can only drop mod p, so
-    reaching the ceiling is conclusive over Q.  Otherwise the exact path
-    decides.
+    In char 0 with at least as many rows as columns, a settled nullity of 0
+    returns the empty kernel without any rational elimination.  Otherwise
+    the exact path decides.
     """
     n = len(jm.support)
-    if not jm.char and len(jm.rows) >= n and modular_nullity(jm) == 0:
+    if not jm.char and len(jm.rows) >= n and _settled_nullity(jm) == 0:
         return []
     return nullspace(jm.rows, n, jm.char)
 
@@ -103,47 +98,40 @@ def kernel_polynomials(jm):
     out = []
     for vec in kernel(jm):
         out.append(LaurentPoly(
-            {pt: c for pt, c in zip(jm.support.points, vec) if c}, jm.char))
+            {pt: c for pt, c in zip(jm.support, vec) if c}, jm.char))
     return out
 
 
-def modular_nullity(jm):
-    """|S| less the rank mod the characteristic, or mod the prefilter prime.
-
-    Exact in char p.  In char 0 it bounds the nullity over Q from above,
-    since rank can only drop mod p.
-    """
-    return len(jm.support) - rank_mod_p(jm.rows, jm.char or _PRIME)
-
-
-def nullity(jm):
+def nullity(jm, least=0):
     """Dimension of the kernel, |S| less the rank; no basis is built.
 
-    A modular rank that reaches min(rows, |S|) is the rank over Q too, so
-    only a deficient one in char 0 falls back to the rational rank.
+    `least` is a lower bound the caller knows, such as 1 when a given
+    polynomial lies in the kernel.  Only an unsettled modular rank falls
+    back to the rational rank.
     """
-    n = len(jm.support)
-    null_p = modular_nullity(jm)
-    if jm.char or null_p == max(n - len(jm.rows), 0):
-        return null_p
-    return n - rational_rank(jm.rows)
+    null = _settled_nullity(jm, least)
+    if null is None:
+        null = len(jm.support) - rational_rank(jm.rows)
+    return null
 
 
 def lemma_eu_reduce(S, line, r):
-    """Drop the r support points on the given line (two lattice points).
+    """Drop the r points of S on the given line (two lattice points).
 
-    The resulting support carries the order-(r-1) system; the dimension
-    equality backing this reduction is a characteristic-0 statement.
+    The remaining points, sorted, carry the order-(r-1) system; the
+    dimension equality backing this reduction is a characteristic-0
+    statement.
     """
     (x1, y1), (x2, y2) = line
     if (x1, y1) == (x2, y2):
         raise ValueError("line needs two distinct points")
-    on = [p for p in S.points
-          if (x2 - x1) * (p[1] - y1) == (y2 - y1) * (p[0] - x1)]
+    S = set(S)
+    on = {p for p in S
+          if (x2 - x1) * (p[1] - y1) == (y2 - y1) * (p[0] - x1)}
     if len(on) != r:
         raise ValueError("line meets the support in %d points, not %d"
                          % (len(on), r))
-    return Support(set(S.points) - set(on))
+    return tuple(sorted(S - on))
 
 
 def lemma_eu_check(S, line, r, char=0):
@@ -164,27 +152,18 @@ def ehrhart_polynomial(P):
     return (Fraction(A, 2), Fraction(pick_counts(P)[0], 2), Fraction(1))
 
 
-def hilbert_numerator(P, N=8):
-    """Numerator f with sum_n L(n) s^n = f(s) / (1-s)^3, from direct counts.
+def hilbert_numerator(P):
+    """Numerator f with sum_n L(n) s^n = f(s) / (1-s)^3, from Pick's counts.
 
-    The true numerator of a polygon has degree 2, so the default window
-    leaves plenty of slack; a nonzero final coefficient means N was too
-    small to see the tail vanish.
+    For a lattice polygon with B boundary and I interior points it is
+    1 + (B + I - 3) s + I s^2, trailing zero coefficients dropped.
     """
     if not isinstance(P, IntegralPolygon):
         raise ValueError("need an integral polygon")
     if area2(P) == 0:
         raise ValueError("polygon is degenerate")
-    counts = [1] + [len(lattice_points(dilate(P, n))) for n in range(1, N + 1)]
-    f = []
-    for k in range(N + 1):
-        v = counts[k]
-        for i, sign in ((1, -3), (2, 3), (3, -1)):
-            if k - i >= 0:
-                v += sign * counts[k - i]
-        f.append(v)
-    if f[-1] != 0:
-        raise ValueError("truncation too small")
-    while f and f[-1] == 0:
+    B, I = pick_counts(P)
+    f = [1, B + I - 3, I]
+    while f[-1] == 0:
         f.pop()
     return f

@@ -10,13 +10,13 @@ from math import gcd
 
 import pytest
 
-from negcurve.herzog_semigroup import fan, herzog_data, triangle
+from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import (area2, convex_hull, dilate, lattice_points,
                                    pick_counts)
 from negcurve.laurent_poly import newton_polygon, parse
 from negcurve.nct_catalog import canonical_form, classify, ggk_prime_family, is_nct
 from negcurve.negcurve_search import find, scan
-from negcurve.symbolic_power import Support, jet_matrix, nullity
+from negcurve.symbolic_power import jet_matrix, nullity
 from negcurve.toric_surface import (Fan2D, class_group, det2,
                                     intersection_numbers, minus_k_polygon,
                                     normal_fan, smooth_refine, thm36_report)
@@ -116,7 +116,7 @@ def test_criterion_6_ggk_family():
         pts = lattice_points(P)
         assert len(pts) == r * (r + 1) // 2 + 1
         assert pick_counts(P) == (r + 1, r * (r - 1) // 2)
-        assert nullity(jet_matrix(Support(pts), r)) == 1
+        assert nullity(jet_matrix(pts, r)) == 1
         assert thm36_report(phi, r).conditions[4][0] is True
     _deadline(t0, 30)
 
@@ -136,7 +136,7 @@ def test_criterion_8_toric_checks():
     assert cg.free_rank == 1 and cg.torsion == []
     cg = class_group(Fan2D([(2, -1), (0, 1), (-2, -1)]))
     assert cg.free_rank == 1 and cg.torsion == [2]
-    wfan = fan(herzog_data(8, 15, 43))
+    wfan = normal_fan(triangle(herzog_data(8, 15, 43)))
     assert intersection_numbers(wfan)["K2"] == Fraction(4356, 5160)
     rng = random.Random(8)
     done = 0

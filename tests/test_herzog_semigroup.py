@@ -5,13 +5,12 @@ import pytest
 
 from negcurve.herzog_semigroup import (
     HerzogData,
-    fan,
-    fan_rays,
     herzog_data,
     herzog_to_json,
     triangle,
 )
 from negcurve.lattice_geom import area2, dilate, edges, lattice_points
+from negcurve.toric_surface import normal_fan
 
 
 def weighted_count(a, b, c, d):
@@ -105,13 +104,18 @@ def test_graded_dimension_8_15_43():
 
 def test_fan_9_10_13():
     d = herzog_data(9, 10, 13)
-    assert fan(d).rays == ((3, 1), (-4, 3), (1, -3))
-    assert all(g == 1 for _, g in fan_rays(d))
+    rays = normal_fan(triangle(d)).rays
+    assert rays == ((3, 1), (-4, 3), (1, -3))
+    # the presentation's own half-plane normals, already primitive
+    assert rays == ((d.s2, d.s3), (-d.t, d.t3), (d.u2, -d.u))
 
 
 def test_fan_synthetic_plane():
     d = HerzogData(1, 1, 1, 1, 1, 0, 0, -1, 1, 1, 2, -1, 0, 1, (0, 1, 2))
-    assert fan(d).rays == ((1, 0), (0, 1), (-1, -1))
+    rays = normal_fan(triangle(d)).rays
+    # the fan starts at another ray; compare the counterclockwise cycle
+    k = rays.index((1, 0))
+    assert rays[k:] + rays[:k] == ((1, 0), (0, 1), (-1, -1))
 
 
 def test_complete_intersection_triples():
@@ -149,7 +153,7 @@ def test_random_triples():
         check_identities(d)
         P = triangle(d)
         assert area2(P) == Fraction(1, d.a * d.b * d.c)
-        fan(d)
+        normal_fan(P)
         for deg in (1, 7, d.a + d.b + d.c):
             assert _graded_dimension(d, deg) == weighted_count(d.a, d.b, d.c, deg)
 

@@ -119,7 +119,7 @@ def test_apply_gl2z():
 def _jet(phi, r):
     """Jet entries of order (i, j), i + j < r: jet_matrix rows times coefficients."""
     jm = jet_matrix(phi.support(), r, phi.char)
-    coeffs = [phi.terms[pt] for pt in jm.support.points]
+    coeffs = [phi.terms[pt] for pt in jm.support]
     keys = [(i, j) for i in range(r) for j in range(r - i)]
     vals = [sum(e * c for e, c in zip(row, coeffs)) for row in jm.rows]
     return {k: v % phi.char if phi.char else v for k, v in zip(keys, vals)}

@@ -68,15 +68,21 @@ def test_kernel_check_settled_by_one_modular_rank(a, b, c, char, r, d, monkeypat
 
 
 def test_kernel_check_without_phi_in_kernel_is_exact(monkeypatch):
-    # the lattice points of phi_2's triangle carry a kernel line at r = 2,
-    # but this phi has multiplicity 0, so the exact nullity has to tell
-    from negcurve import nct_catalog
-    real, calls = nct_catalog.nullity, []
-    monkeypatch.setattr(nct_catalog, "nullity",
-                        lambda jm: calls.append(1) or real(jm))
+    from negcurve import symbolic_power
+    real, calls = symbolic_power.rational_rank, []
+    monkeypatch.setattr(symbolic_power, "rational_rank",
+                        lambda rows: calls.append(1) or real(rows))
+    # the lattice points of phi_2's triangle carry a kernel line at r = 2;
+    # phi has multiplicity 0, but 4 columns less 3 rows already bound the
+    # nullity below by 1, so the modular rank settles it
     rep = is_nct(parse("1 + v^2*w + vw^2 + vw"), 2)
-    assert rep.multiplicity == 0 and len(calls) == 1
+    assert rep.multiplicity == 0 and len(calls) == 0
     assert dict(rep.checks)["kernel"] and not rep.accepted
+    # six collinear points at r = 3: nullity 3 with as many rows as columns,
+    # and phi of multiplicity 0 gives no lower bound, so the exact rank tells
+    rep = is_nct(parse("1 + v^5"), 3)
+    assert rep.multiplicity == 0 and len(calls) == 1
+    assert not dict(rep.checks)["kernel"] and not rep.accepted
 
 
 def test_report_invariant():
@@ -176,10 +182,6 @@ def test_classify_r2_char_p():
         reps = classify(2, char=p)
         assert len(reps) == 1
         assert reps[0] == canonical_form(phi_family(2).reduce_mod(p), 2)
-
-
-def test_classify_r2_parallel_agrees():
-    assert classify(2, jobs=2) == classify(2)
 
 
 def test_classify_guard():

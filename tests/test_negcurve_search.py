@@ -17,7 +17,7 @@ from negcurve.negcurve_search import (
     negcurve_to_json,
     scan,
 )
-from negcurve.symbolic_power import Support, jet_matrix, kernel, nullity
+from negcurve.symbolic_power import jet_matrix, kernel, nullity
 
 
 def test_is_negative_pair():
@@ -52,9 +52,9 @@ def test_find_pentagon():
 def test_found_dim_is_one():
     # the negative curve spans the whole graded piece
     T = triangle(herzog_data(9, 10, 13))
-    assert nullity(jet_matrix(Support(lattice_points(dilate(T, 100))), 3, 2)) == 1
+    assert nullity(jet_matrix(lattice_points(dilate(T, 100)), 3, 2)) == 1
     T = triangle(herzog_data(8, 15, 43))
-    assert nullity(jet_matrix(Support(lattice_points(dilate(T, 645))), 9)) == 1
+    assert nullity(jet_matrix(lattice_points(dilate(T, 645)), 9)) == 1
 
 
 def test_scan_9_10_13():
@@ -139,7 +139,7 @@ def test_scan_jobs_agree_across_r(monkeypatch):
                         lambda *args: SimpleNamespace(accepted=True))
     T = triangle(herzog_data(2, 3, 5))
     expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: kernel(jet_matrix(
-        Support(lattice_points(dilate(T, d))), r, 0)))
+        lattice_points(dilate(T, d)), r, 0)))
     assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
     runs = []
     for jobs in (1, 2):

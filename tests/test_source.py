@@ -1,9 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
-import io
 import pathlib
-import tokenize
+import symtable
 
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = ROOT / "src" / "negcurve"
@@ -48,28 +47,36 @@ def _public_defs():
                     yield path.stem, d.name
 
 
-def _used_names():
-    """Names read in src/, scripts/ and perfbench/, outside their own def.
+def _global_reads(table, used):
+    """Add the names each scope of `table` reads from the module level.
 
-    A string literal that is exactly an identifier counts too, since the
-    benchmark's tracer binds functions by attribute name.
+    A name a function binds, as an argument or by assignment, is its local
+    there, so reading it is no use of a module-level function of that name.
+    """
+    for sym in table.get_symbols():
+        if sym.is_referenced() and (table.get_type() == "module" or sym.is_global()):
+            used.add(sym.get_name())
+    for child in table.get_children():
+        _global_reads(child, used)
+
+
+def _used_names():
+    """Names read in src/, scripts/ and perfbench/, scope by scope.
+
+    Attribute names count, and so does a string literal that is exactly an
+    identifier, since the benchmark's tracer binds functions by name.
     """
     used = set()
     for top in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            prev = None
-            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-                if tok.type == tokenize.NAME and prev != "def":
-                    used.add(tok.string)
-                elif tok.type == tokenize.STRING:
-                    try:
-                        value = ast.literal_eval(tok.string)
-                    except (ValueError, SyntaxError):
-                        value = None
-                    if isinstance(value, str) and value.isidentifier():
-                        used.add(value)
-                if tok.type not in (tokenize.NL, tokenize.COMMENT):
-                    prev = tok.string
+            text = path.read_text()
+            _global_reads(symtable.symtable(text, str(path), "exec"), used)
+            for node in ast.walk(ast.parse(text, str(path))):
+                if isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value.isidentifier():
+                    used.add(node.value)
     return used
 
 

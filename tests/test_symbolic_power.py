@@ -7,7 +7,6 @@ from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import convex_hull, dilate, lattice_points
 from negcurve.laurent_poly import multiplicity_at_one, parse
 from negcurve.symbolic_power import (
-    Support,
     ehrhart_polynomial,
     hilbert_numerator,
     jet_matrix,
@@ -25,9 +24,9 @@ P_PHI3P = convex_hull([(0, 0), (3, 1), (2, 3), (1, 2)])
 
 
 def test_support_normalization():
-    S = Support([(1, 0), (0, 0), (1, 0), (0, 1)])
-    assert S.points == ((0, 0), (0, 1), (1, 0))
-    assert len(S) == 3
+    jm = jet_matrix([(1, 0), (0, 0), (1, 0), (0, 1)], 1)
+    assert jm.support == ((0, 0), (0, 1), (1, 0))
+    assert jm.rows == [[1, 1, 1]]
 
 
 def test_jet_matrix_order_one():
@@ -40,12 +39,12 @@ def test_jet_matrix_order_one():
 
 def test_jet_matrix_centred_entries():
     # entries of the support shifted to the origin, columns on the true points
-    S = Support([(-3, 5), (-2, 5), (-3, 6)])
+    S = ((-3, 5), (-3, 6), (-2, 5))
     jm = jet_matrix(S, 2)
     assert jm.support == S
     assert jm.rows == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
     assert kernel_polynomials(jm) == [] and nullity(jm) == 0
-    empty = jet_matrix(Support([]), 3)
+    empty = jet_matrix([], 3)
     assert empty.rows == [[]] * 6
     assert kernel(empty) == [] and nullity(empty) == 0
 
@@ -57,7 +56,7 @@ def test_row_count():
 
 
 def test_phi2_kernel():
-    jm = jet_matrix(Support(lattice_points(P_PHI2)), 2)
+    jm = jet_matrix(lattice_points(P_PHI2), 2)
     assert nullity(jm) == 1
     ker = kernel_polynomials(jm)[0]
     phi2 = parse("-v^2*w - vw^2 + 3vw - 1")
@@ -67,7 +66,7 @@ def test_phi2_kernel():
 
 
 def test_phi3p_kernel_both_chars():
-    S = Support(lattice_points(P_PHI3P))
+    S = lattice_points(P_PHI3P)
     assert len(S) == 7
     assert nullity(jet_matrix(S, 3)) == 1
     for p in (2, 5, 7):
@@ -79,7 +78,7 @@ def test_phi3p_kernel_both_chars():
 
 def _slice(T, d):
     """Column set of the degree-d piece: the lattice points of dT."""
-    return Support(lattice_points(dilate(T, d)))
+    return lattice_points(dilate(T, d))
 
 
 def test_symbolic_dim_9_10_13():
@@ -103,27 +102,27 @@ def test_symbolic_dim_monotone():
 
 def test_nullity_lower_bound():
     for r in (1, 2, 3):
-        S = Support(lattice_points(dilate(P_PHI3, 2)))
+        S = lattice_points(dilate(P_PHI3, 2))
         jm = jet_matrix(S, r)
         assert nullity(jm) >= len(S) - r * (r + 1) // 2
 
 
 def test_lemma_eu_triangle():
-    S = Support([(0, 0), (1, 0), (0, 1)])
+    S = [(0, 0), (1, 0), (0, 1)]
     S2 = lemma_eu_reduce(S, ((0, 0), (1, 0)), 2)
-    assert S2.points == ((0, 1),)
+    assert S2 == ((0, 1),)
     assert lemma_eu_check(S, ((0, 0), (1, 0)), 2) == (0, 0)
 
 
 def test_lemma_eu_tetragon():
-    S = Support(lattice_points(P_PHI3P))
+    S = lattice_points(P_PHI3P)
     for line in (((0, 0), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (2, 2))):
         n1, n2 = lemma_eu_check(S, line, 3)
         assert n1 == n2 == 1
 
 
 def test_lemma_eu_errors():
-    S = Support([(0, 0), (1, 0), (0, 1)])
+    S = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(ValueError):
         lemma_eu_reduce(S, ((0, 0), (0, 0)), 2)
     with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ def test_lemma_eu_random_supports():
         off = {(rng.randint(-3, 5), rng.randint(1, 4)) for _ in range(5)}
         if len(off) != 5:
             continue
-        S = Support(on_line | off)
+        S = on_line | off
         if len(S) != 8:
             continue
         done += 1
@@ -168,21 +167,23 @@ def test_hilbert_numerator():
     f = hilbert_numerator(P_PHI3)
     assert sum(f) == 8 and all(c >= 0 for c in f)
     with pytest.raises(ValueError):
-        hilbert_numerator(P_PHI3, N=1)
+        hilbert_numerator(convex_hull([(0, 0), (2, 2)]))
+    with pytest.raises(ValueError):
+        hilbert_numerator(triangle(herzog_data(2, 3, 5)))
 
 
 def test_nullity_prefilter_agrees():
     # the prefilter and the exact path must settle on the rank over Q
-    for S, r in ((Support(lattice_points(dilate(P_PHI2, 3))), 2),
-                 (Support(lattice_points(P_PHI3P)), 4),
-                 (Support([(x, 0) for x in range(6)]), 3)):
+    for S, r in ((lattice_points(dilate(P_PHI2, 3)), 2),
+                 (lattice_points(P_PHI3P), 4),
+                 ([(x, 0) for x in range(6)], 3)):
         jm = jet_matrix(S, r)
         assert nullity(jm) == len(kernel(jm))
 
 
 def test_failed_prefilter_costs_one_modular_rank(monkeypatch):
     # six collinear points: six rows, rank 3, so the prefilter cannot settle
-    jm = jet_matrix(Support([(x, 0) for x in range(6)]), 3)
+    jm = jet_matrix([(x, 0) for x in range(6)], 3)
     from negcurve import symbolic_power
     real, calls = symbolic_power.rank_mod_p, []
     monkeypatch.setattr(symbolic_power, "rank_mod_p",
@@ -194,7 +195,7 @@ def test_failed_prefilter_costs_one_modular_rank(monkeypatch):
 def test_full_rank_square_kernel_skips_elimination(monkeypatch):
     # the order-r system on the triangle a + b < r is square and invertible
     r = 4
-    S = Support([(a, b) for a in range(r) for b in range(r - a)])
+    S = [(a, b) for a in range(r) for b in range(r - a)]
     jm = jet_matrix(S, r)
     assert len(jm.rows) == len(S)
     from negcurve import exact_arith, symbolic_power
@@ -210,7 +211,7 @@ def test_full_rank_square_kernel_skips_elimination(monkeypatch):
 
 def test_nullity_builds_no_basis(monkeypatch):
     # six collinear points: the prefilter falls short, the rank decides
-    jm = jet_matrix(Support([(x, 0) for x in range(6)]), 3)
+    jm = jet_matrix([(x, 0) for x in range(6)], 3)
     from negcurve import symbolic_power
 
     def no_basis(*args):
@@ -226,6 +227,6 @@ def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
     from negcurve import symbolic_power
     monkeypatch.setattr(symbolic_power, "_PRIME", 2)
     T = triangle(herzog_data(9, 10, 13))
-    jm = jet_matrix(Support(lattice_points(dilate(T, 100))), 3)
-    assert symbolic_power.modular_nullity(jm) == 1
+    jm = jet_matrix(lattice_points(dilate(T, 100)), 3)
+    assert symbolic_power._settled_nullity(jm) is None
     assert nullity(jm) == len(kernel(jm)) == 0
