@@ -42,6 +42,14 @@ def _char(text):
     return value
 
 
+def _jobs(text):
+    """A worker count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("worker count must be at least 1")
+    return value
+
+
 def _load_poly(path, char):
     with open(path) as fh:
         text = fh.read()
@@ -192,14 +200,13 @@ def _build_parser():
     top = _Parser(prog="negcurve",
                   description="negative curves on blown-up toric surfaces")
     top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--jobs", type=int, default=None,
+    top.add_argument("--jobs", type=_jobs, default=None,
                      help="parallel workers for search (default: cores)")
-    # the same options are accepted after the subcommand; absent ones must not
-    # clobber values parsed at the top level, hence SUPPRESS
+    # --format is accepted after any subcommand, --jobs after search; absent
+    # ones must not clobber values parsed at the top level, hence SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -219,6 +226,7 @@ def _build_parser():
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--d", help="comma-separated degree filter")
     p.add_argument("--long", action="store_true")
+    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_search)
 
     p = add_parser("check-nct", help="run the nct battery on a polynomial file")

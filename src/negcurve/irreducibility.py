@@ -1,25 +1,29 @@
 """Irreducibility certificates for Laurent polynomials.
 
-An indecomposable Newton polygon certifies irreducibility over every field.
-Past that, char 0 and char p part ways.  Over the rationals sympy's
-complete factorization over ZZ[v, w] settles the question, and one
-reduction mod p then labels an irreducible input by whether it stays
-irreducible there.  Over F_p, which sympy cannot factor in two variables,
-factoring goes through the Kronecker substitution w = v^M, sympy's
-univariate factorization, and recombination of factor subsets constrained
-by Minkowski summands of the Newton polygon; only there can an exhausted
-budget end Inconclusive.  sympy is imported only where it is called.
+An indecomposable Newton polygon, or a Newton segment of lattice length 1,
+certifies irreducibility over every field.  Past that, a longer segment
+included, char 0 and char p part ways.  Over the rationals sympy's complete
+factorization over ZZ[v, w] settles the question, and one reduction mod p
+then labels an irreducible input by whether it stays irreducible there.
+Over F_p, which sympy cannot factor in two variables, factoring goes through
+the Kronecker substitution w = v^M, sympy's univariate factorization, and
+recombination of factor subsets constrained by Minkowski summands of the
+Newton polygon; only there can an exhausted budget end Inconclusive.  sympy
+is imported only where it is called.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .lattice_geom import (
-    DegeneratePolygonError,
-    minkowski_decompositions,
+from .lattice_geom import minkowski_decompositions
+from .laurent_poly import (
+    LaurentPoly,
+    integer_terms,
+    newton_polygon,
+    serialize,
+    unit_multiply,
 )
-from .laurent_poly import LaurentPoly, newton_polygon, serialize
 
 
 class FactorBudgetError(RuntimeError):
@@ -47,16 +51,11 @@ def cert_to_json(cert):
     return doc
 
 
-def _shift(phi, da, db):
-    return LaurentPoly({(a + da, b + db): c for (a, b), c in phi.terms.items()},
-                       phi.char)
-
-
 def _to_origin(phi):
     """Translate so both exponent minima are zero; returns (poly, shift)."""
     a0 = min(a for a, _ in phi.terms)
     b0 = min(b for _, b in phi.terms)
-    return _shift(phi, -a0, -b0), (a0, b0)
+    return unit_multiply(phi, 1, -a0, -b0), (a0, b0)
 
 
 def _div_coeff(c1, c2, char):
@@ -65,7 +64,7 @@ def _div_coeff(c1, c2, char):
     return c1 * pow(c2, -1, char) % char
 
 
-def exact_divide(f, g, max_steps=20000):
+def exact_divide(f, g):
     """Quotient f / g in the Laurent ring, or None when not divisible."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -78,9 +77,9 @@ def exact_divide(f, g, max_steps=20000):
     rem = dict(fq.terms)
     eg = max(gq.terms)
     q = {}
-    for _ in range(max_steps):
-        if not rem:
-            return _shift(LaurentPoly(q, f.char), fa - ga, fb - gb)
+    # each step cancels the lex-largest term of rem and adds only lex-smaller
+    # ones in N^2, which has no infinite lex-descending chain: the loop ends
+    while rem:
         ef = max(rem)
         da, db = ef[0] - eg[0], ef[1] - eg[1]
         if da < 0 or db < 0:
@@ -96,15 +95,7 @@ def exact_divide(f, g, max_steps=20000):
                 rem[key] = val
             else:
                 rem.pop(key, None)
-    return None
-
-
-def _segment_length(P):
-    """Lattice length when the hull is a segment, else None."""
-    if len(P.vertices) != 2:
-        return None
-    (x1, y1), (x2, y2) = P.vertices
-    return gcd(abs(x2 - x1), abs(y2 - y1))
+    return unit_multiply(LaurentPoly(q, f.char), 1, fa - ga, fb - gb)
 
 
 def _shape(P):
@@ -116,11 +107,9 @@ def _shape(P):
 
 def _translated_summands(P):
     """Shapes of the Newton polygons a proper factor may have."""
-    try:
-        decs = minkowski_decompositions(P)
-    except DegeneratePolygonError:
+    if P.dim < 2:
         return None  # segment: no pruning
-    return {_shape(Q) for pair in decs for Q in pair}
+    return {_shape(Q) for pair in minkowski_decompositions(P) for Q in pair}
 
 
 def _fits(psi, allowed):
@@ -249,18 +238,14 @@ def certify(phi, budget=2 ** 14):
         raise ValueError("units are neither reducible nor irreducible here")
     body, _ = _to_origin(phi)
     P = newton_polygon(body)
-    seg = _segment_length(P)
-    if seg == 1:
+    if P.dim == 1:
+        (x1, y1), (x2, y2) = P.vertices
+        if gcd(x2 - x1, y2 - y1) == 1:
+            return IrreducibilityCertificate(
+                "IrreduciblePolytope", "newton segment is primitive")
+    elif not minkowski_decompositions(P):
         return IrreducibilityCertificate(
-            "IrreduciblePolytope", "newton segment is primitive")
-    if seg is None:
-        try:
-            if not minkowski_decompositions(P):
-                return IrreducibilityCertificate(
-                    "IrreduciblePolytope",
-                    "newton polygon has no proper summand")
-        except DegeneratePolygonError:
-            pass
+            "IrreduciblePolytope", "newton polygon has no proper summand")
     if phi.char:
         try:
             facs = factor_mod_p(body, budget)
@@ -286,10 +271,7 @@ def _certify_char0(phi, body):
     """
     import sympy
 
-    den = lcm(*(c.denominator for c in body.terms.values()))
-    ints = {e: int(c * den) for e, c in body.terms.items()}
-    content = gcd(*ints.values())
-    ints = {e: c // content for e, c in ints.items()}
+    ints = integer_terms(body)
     v, w = sympy.symbols("v w")
     _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
     # body is divisible by neither v nor w, so every factor is a nonunit

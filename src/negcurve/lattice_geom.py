@@ -261,14 +261,13 @@ def halfplane_polygon(constraints):
     return RationalPolygon(candidates)
 
 
-def collinear_exceeds(P, k):
-    """True when some affine line holds more than k lattice points of P.
+def collinear_exceeds(pts, k):
+    """True when some affine line holds more than k of the lex-sorted points.
 
-    The scan stops at the first line past k.  A polygon whose lines all stay
-    within k has few lattice points, on the order of k^2, so only small
-    inputs are scanned in full.
+    The points are a polygon's `lattice_points`.  The scan stops at the first
+    line past k.  A polygon whose lines all stay within k has few lattice
+    points, on the order of k^2, so only small inputs are scanned in full.
     """
-    pts = lattice_points(P)
     if len(pts) <= k:
         return False
     if k < 2:

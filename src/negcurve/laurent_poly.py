@@ -4,13 +4,14 @@ Coefficients are plain Fractions at char 0 and residues in [1, p) at char p;
 the zero coefficient is never stored.  The jet of phi at the point v = w = 1
 is taken in coordinates s = v - 1, t = w - 1: the entry of order (i, j) is
 sum_{(a,b)} c_{(a,b)} * binomial(a, i) * binomial(b, j).  Multiplicities are
-read on the centred support, where every exponent is nonnegative.
+read on the centred support, where every exponent is nonnegative, from
+`integer_terms`, the one scaling to coprime integer coefficients.  `parse`
+reads text; `from_json` reads the JSON term list that `serialize` writes.
 """
 
-import json
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact_arith import CharMismatch, _residue, binomial, parse_rat, rat_str
 from .lattice_geom import convex_hull
@@ -118,12 +119,8 @@ def _exponent(tok):
 
 
 def parse(src, char=0):
-    """Parse text like "-1 + 5vw - 3v^2*w" or the JSON term-list form."""
-    if isinstance(src, dict):
-        return from_json(src)
+    """Parse text like "-1 + 5vw - 3v^2*w"."""
     text = _clean_text(src)
-    if text.startswith("{"):
-        return from_json(json.loads(src))
     if not text:
         raise ParseError("empty polynomial text")
     terms = {}
@@ -169,7 +166,7 @@ def from_json(obj):
 
 
 def serialize(phi):
-    """JSON form; parse(serialize(phi)) round-trips."""
+    """JSON form; from_json(serialize(phi)) round-trips."""
     terms = [{"a": a, "b": b, "c": rat_str(phi.terms[(a, b)])}
              for a, b in phi.support()]
     return {"char": phi.char, "terms": terms}
@@ -236,6 +233,17 @@ def apply_gl2z(phi, m):
                         for (a, b), c in phi.terms.items()}, phi.char)
 
 
+def integer_terms(phi):
+    """{exponent: int}, the integer multiple of phi with content 1.
+
+    At char p, dividing the residues by their content is a unit scaling too.
+    """
+    den = lcm(*(c.denominator for c in phi.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in phi.terms.items()}
+    content = gcd(*ints.values())
+    return {e: c // content for e, c in ints.items()}
+
+
 def _order_vanishes(terms, s, char):
     for i in range(s + 1):
         val = sum(c * binomial(a, i) * binomial(b, s - i) for a, b, c in terms)
@@ -250,16 +258,14 @@ def multiplicity_at_one(phi):
     """Largest r with phi in (v-1, w-1)^r.
 
     The order of vanishing is unchanged by a unit v^alpha w^beta and by a
-    nonzero scalar, so the jets are those of the integer multiple of phi on
-    its centred support, the one whose bounding box starts at (0, 0).
+    nonzero scalar, so the jets are those of `integer_terms(phi)` on its
+    centred support, the one whose bounding box starts at (0, 0).
     """
     if not phi.terms:
         raise ValueError("zero polynomial has infinite multiplicity")
     a0 = min(a for a, _ in phi.terms)
     b0 = min(b for _, b in phi.terms)
-    den = lcm(*(c.denominator for c in phi.terms.values()))
-    terms = [(a - a0, b - b0, c.numerator * (den // c.denominator))
-             for (a, b), c in phi.terms.items()]
+    terms = [(a - a0, b - b0, c) for (a, b), c in integer_terms(phi).items()]
     # total degree bounds the multiplicity of a polynomial
     bound = max(a for a, _, _ in terms) + max(b for _, b, _ in terms)
     s = 0

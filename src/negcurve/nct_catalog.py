@@ -2,14 +2,12 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .exact_arith import det2
 from .irreducibility import IrreducibilityCertificate, cert_to_json, certify
 from .lattice_geom import (
     DegeneratePolygonError,
     IntegralPolygon,
-    _angle_key,
     _edge_map,
     area2,
     collinear_exceeds,
@@ -20,7 +18,9 @@ from .lattice_geom import (
     pick_counts,
 )
 from .laurent_poly import (
+    LaurentPoly,
     apply_gl2z,
+    integer_terms,
     monomial,
     multiplicity_at_one,
     multiply,
@@ -51,11 +51,16 @@ class NctReport:
 
     @property
     def status(self):
-        if not self.accepted:
-            return "rejected"
-        if self.certificate.verdict == "Inconclusive":
-            return "conditionally accepted"
-        return "accepted"
+        return report_status(self.accepted, self.certificate)
+
+
+def report_status(accepted, cert):
+    """Verdict of a report: its checks, softened by an inconclusive certificate."""
+    if not accepted:
+        return "rejected"
+    if cert.verdict == "Inconclusive":
+        return "conditionally accepted"
+    return "accepted"
 
 
 def is_nct(phi, r):
@@ -70,11 +75,8 @@ def is_nct(phi, r):
         cert = IrreducibilityCertificate("Inconclusive", "unit input")
     else:
         cert = certify(phi)
-    if P.dim == 2:
-        B, I = pick_counts(P)
-        A = area2(P)
-    else:
-        B, I, A = len(pts), 0, 0
+    B, I = pick_counts(P)
+    A = area2(P)
     mult = multiplicity_at_one(phi)
     checks = [
         ("multiplicity", mult == r),
@@ -83,7 +85,7 @@ def is_nct(phi, r):
         ("lattice_count", len(pts) <= r * (r + 1) // 2 + 1),
     ]
     if r >= 2:
-        checks.append(("collinear", not collinear_exceeds(P, r)))
+        checks.append(("collinear", not collinear_exceeds(pts, r)))
     # mult >= r puts phi itself in the kernel, so the nullity is at least 1
     null = nullity(jet_matrix(pts, r, phi.char), 1 if mult >= r else 0)
     checks.append(("kernel", null == 1))
@@ -126,21 +128,6 @@ def _ggk_vertices(r):
     return [(-1, -1), (r - 1, 0), (r // 2, r - 2), ((r - 2) // 2, r - 1)]
 
 
-def _int_primitive(phi):
-    """Integer coefficients with content 1, negative at the least support point."""
-    den = 1
-    for c in phi.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in phi.terms.values():
-        num = gcd(num, (c * den).numerator)
-    c0 = phi.terms[min(phi.terms)]
-    scale = Fraction(den, num)
-    if c0 * scale > 0:
-        scale = -scale
-    return unit_multiply(phi, scale)
-
-
 def ggk_prime_family(r):
     """Jet-kernel generator on the tetragon with a vertex at (-1, -1), char 0."""
     if r < 3:
@@ -159,7 +146,9 @@ def ggk_prime_family(r):
     for v in P.vertices:
         if not psi.terms.get(v):
             raise RuntimeError("vertex coefficient vanishes at %s" % (v,))
-    return _int_primitive(psi)
+    # integer coefficients with content 1, negative at the least support point
+    ints = integer_terms(psi)
+    return LaurentPoly(ints) * (-1 if ints[min(ints)] > 0 else 1)
 
 
 def _scaled(phi):
@@ -204,29 +193,31 @@ def _normalized_polygons(r):
         hull = convex_hull(chain)
         if area2(hull) >= r2:
             return False
-        if len(lattice_points(hull)) > bound:
+        pts = lattice_points(hull)
+        if len(pts) > bound:
             return False
-        return not (r >= 2 and collinear_exceeds(hull, r))
+        return not (r >= 2 and collinear_exceeds(pts, r))
 
-    def rec(chain, last_key):
+    def rec(chain):
         vk = chain[-1]
         ek = (vk[0] - chain[-2][0], vk[1] - chain[-2][1])
         if vk[1] > vk[0] >= 0 and det2(ek, (-vk[0], -vk[1])) > 0:
             out.append(IntegralPolygon(chain))
         for w in grid:
             e = (w[0] - vk[0], w[1] - vk[1])
-            if e == (0, 0) or det2(ek, e) <= 0 or _angle_key(e) <= last_key:
+            # a left turn follows ek in angle unless it passes direction (1, 0)
+            if det2(ek, e) <= 0 or ek[1] < 0 <= e[1]:
                 continue
             nxt = chain + [w]
             if fits(nxt):
-                rec(nxt, _angle_key(e))
+                rec(nxt)
 
     # base edge (0,0)-(a,0) carries a+1 collinear lattice points
     for a in range(1, max(2, r)):
         for w in grid:
             chain = [(0, 0), (a, 0), w]
             if fits(chain):
-                rec(chain, _angle_key((w[0] - a, w[1])))
+                rec(chain)
     return out
 
 

@@ -5,9 +5,9 @@ from functools import partial
 from math import isqrt
 
 from .herzog_semigroup import _check_weights, herzog_data, triangle
-from .lattice_geom import convex_hull, dilate, edges, lattice_points, pick_counts
+from .lattice_geom import convex_hull, dilate, inward_normals, lattice_points, pick_counts
 from .laurent_poly import serialize
-from .nct_catalog import is_nct, nct_to_json
+from .nct_catalog import is_nct, nct_to_json, report_status
 from .symbolic_power import jet_matrix, kernel_polynomials
 
 
@@ -36,11 +36,7 @@ class NegativeCurveReport:
 
     @property
     def status(self):
-        if not self.accepted:
-            return "rejected"
-        if self.nct.certificate.verdict == "Inconclusive":
-            return "conditionally accepted"
-        return "accepted"
+        return report_status(self.accepted, self.nct.certificate)
 
 
 def negcurve_to_json(report):
@@ -58,29 +54,17 @@ def negcurve_to_json(report):
     }
 
 
-def _on_edge(A, B, p):
-    ux, uy = B[0] - A[0], B[1] - A[1]
-    px, py = p[0] - A[0], p[1] - A[1]
-    if ux * py - uy * px != 0:
-        return False
-    lo, hi = min(A[0], B[0]), max(A[0], B[0])
-    if not lo <= p[0] <= hi:
-        return False
-    lo, hi = min(A[1], B[1]), max(A[1], B[1])
-    return lo <= p[1] <= hi
-
-
 def _genus(pts, r):
     """Interior lattice count of the hull of pts, less r(r-1)/2."""
-    interior = pick_counts(convex_hull(pts))[1] if len(pts) >= 3 else 0
-    return interior - r * (r - 1) // 2
+    return pick_counts(convex_hull(pts))[1] - r * (r - 1) // 2
 
 
 def _report(triple, char, r, d, phi, dP, pts, nullity):
     a, b, c = triple
     nct = is_nct(phi, r)
-    edge_ok = all(any(_on_edge(A, B, p) for p in phi.support())
-                  for A, B in edges(dP))
+    # the support lies in dP, so a support point on an edge's line is on the edge
+    edge_ok = all(any(n[0] * x + n[1] * y == bound for x, y in phi.terms)
+                  for n, bound in inward_normals(dP))
     checks = [
         ("irreducible", nct.certificate.verdict != "Factored"),
         ("edge_touching", edge_ok),

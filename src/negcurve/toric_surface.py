@@ -76,8 +76,6 @@ class Fan2D:
 
 def normal_fan(P):
     """Fan whose rays are the primitive inward edge normals of P."""
-    if P.dim != 2:
-        raise ValueError("normal fan needs a 2-dimensional polygon")
     return Fan2D([n for n, _ in inward_normals(P)])
 
 
@@ -199,28 +197,6 @@ def k2_via_refinement(fan):
     return divisor_square(Fan2D(rays), coeffs)
 
 
-def blowup_numbers(P, r):
-    """Intersection numbers on the blow-up at the jet point, C the transform.
-
-    C2 = area2 - r^2, CE = C.E, CnegK = C.(-K_Y) = B - r,
-    negKY2 = (-K_Y)^2 = (-K_X)^2 - 1, two_pa = C.(K_Y+C)+2 = 2I - r(r-1).
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if P.dim != 2:
-        raise ValueError("degenerate polygon")
-    B, I = pick_counts(P)
-    k2x = intersection_numbers(normal_fan(P))["K2"]
-    return {
-        "C2": area2(P) - r * r,
-        "CE": r,
-        "E2": -1,
-        "CnegK": B - r,
-        "negKY2": k2x - 1,
-        "two_pa": 2 * I - r * (r - 1),
-    }
-
-
 CONDITION_TEXT = {
     1: "-K_Y is nef and big",
     2: "-K_Y is nef",
@@ -257,13 +233,17 @@ def thm36_report(phi, r):
     P = newton_polygon(phi)
     if P.dim != 2:
         raise ValueError("degenerate Newton polygon")
+    A = area2(P)
     B, I = pick_counts(P)
-    nums = blowup_numbers(P, r)
     fan = normal_fan(P)
     pk_area = area2(minus_k_polygon(fan))
+    # intersection numbers on the blow-up Y at the jet point, C the strict
+    # transform: C^2 = area2 - r^2, C.E = r, E^2 = -1, C.(-K_Y) = B - r,
+    # (-K_Y)^2 = (-K_X)^2 - 1, and two_pa = C.(K_Y + C) + 2 = 2I - r(r-1)
+    neg_kx2 = intersection_numbers(fan)["K2"]
 
     cond = {i: (None, "unknown") for i in range(1, 12)}
-    cond[3] = (nums["negKY2"] > 0, "computed")
+    cond[3] = (neg_kx2 - 1 > 0, "computed")
     cond[4] = (pk_area > 1, "computed")
     cond[7] = (B >= r, "computed")
     nine = I == r * (r - 1) // 2
@@ -272,7 +252,7 @@ def thm36_report(phi, r):
     if len(fan.rays) == 3:
         # Picard rank 2: the curve cone is spanned by E and C, and
         # (-K_Y).E = -E^2 = 1 always, so nef comes down to C.(-K_Y) >= 0
-        cond[2] = (nums["CnegK"] >= 0, "rank-2 certificate")
+        cond[2] = (B - r >= 0, "rank-2 certificate")
     if phi.char > 0:
         cond[10] = (True, "char > 0")
 
@@ -290,11 +270,11 @@ def thm36_report(phi, r):
                     changed = True
 
     payload = {
-        "area2": area2(P), "B": B, "I": I,
-        "C2": nums["C2"], "CE": nums["CE"], "E2": nums["E2"],
-        "CnegK": nums["CnegK"],
-        "negKX2": nums["negKY2"] + 1, "negKY2": nums["negKY2"],
-        "minus_k_area2": pk_area, "two_pa": nums["two_pa"],
+        "area2": A, "B": B, "I": I,
+        "C2": A - r * r, "CE": r, "E2": -1,
+        "CnegK": B - r,
+        "negKX2": neg_kx2, "negKY2": neg_kx2 - 1,
+        "minus_k_area2": pk_area, "two_pa": 2 * I - r * (r - 1),
     }
     return Thm36Report(r=r, char=phi.char, conditions=cond, payload=payload)
 

@@ -127,6 +127,21 @@ def test_classify_command(capsys):
     assert len(json.loads(out)["classes"]) == 1
 
 
+def test_jobs_is_a_count_that_search_reads(capsys):
+    # after a subcommand only search takes --jobs; the top-level option is
+    # kept for every command, since the benchmark passes --jobs 1 to all
+    for bad in (["classify", "--r", "2", "--jobs", "4"],
+                ["herzog", "9", "10", "13", "--jobs", "-3"],
+                ["--jobs", "0", "search", "9", "10", "13", "--rmax", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(bad)
+        assert e.value.code == 1
+        capsys.readouterr()
+    rc, out, _ = run(capsys, "--jobs", "1", "classify", "--r", "2")
+    assert rc == 0
+    assert out == run(capsys, "classify", "--r", "2")[1]
+
+
 def test_classify_r3_needs_flag(capsys):
     rc, _, err = run(capsys, "classify", "--r", "3")
     assert rc == 1 and "experimental" in err
@@ -251,3 +266,11 @@ def test_text_format(capsys):
     assert rc == 0 and "a: 9" in out_top
 
 
+def test_scripts_run():
+    # each script asserts its headline numbers, so a wrong one exits nonzero
+    scripts = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
+    assert len(scripts) == 3
+    for script in scripts:
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, (script.name, proc.stderr)

@@ -32,6 +32,12 @@ def test_exact_divide():
         exact_divide(parse("v - 1"), parse("v - 1", char=5))
 
 
+def test_exact_divide_has_no_step_cap():
+    # one division step per quotient term, 20001 of them
+    q = exact_divide(parse("1 - v^20001"), parse("1 - v"))
+    assert q == LaurentPoly({(k, 0): 1 for k in range(20001)})
+
+
 def test_exact_divide_laurent_shift():
     # divisibility is up to units of the Laurent ring
     f = unit_multiply(parse("v^2*w^2 - 1"), 3, -2, 5)

@@ -132,8 +132,9 @@ def test_halfplane_degenerate_segment():
 
 def _most_collinear(P):
     """The least k such that no line holds more than k lattice points of P."""
+    pts = lattice_points(P)
     k = 0
-    while collinear_exceeds(P, k):
+    while collinear_exceeds(pts, k):
         k += 1
     return k
 
@@ -154,12 +155,11 @@ def test_collinear_exceeds_stops_at_the_first_long_line(monkeypatch):
     huge = convex_hull([(0, 0), (90, 0), (0, 90)])
     pts = lattice_points(huge)
     assert len(pts) == 4186
-    monkeypatch.setattr(lattice_geom, "lattice_points", lambda P: pts)
     calls = []
     real_gcd = lattice_geom.gcd
     monkeypatch.setattr(lattice_geom, "gcd",
                         lambda a, b: calls.append(1) or real_gcd(a, b))
-    assert collinear_exceeds(huge, 3)
+    assert collinear_exceeds(pts, 3)
     assert len(calls) == 3  # (0, 1), (0, 2), (0, 3) seen from (0, 0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -162,10 +163,19 @@ def test_canonical_segment():
 
 
 def test_normalized_polygon_pool_r2():
-    polys = {P.vertices for P in _normalized_polygons(2)}
-    assert ((0, 0), (1, 0), (2, 3)) in polys
+    assert [P.vertices for P in _normalized_polygons(2)] == [
+        ((0, 0), (1, 0), (0, 1)),
+        ((0, 0), (1, 0), (1, 1), (0, 1)),
+        ((0, 0), (1, 0), (2, 3)),
+    ]
     for P in _normalized_polygons(2):
         assert len(lattice_points(P)) <= 4
+    # the r = 3 pool in order, as the enumerator that sorted edges by a
+    # Fraction angle key produced it
+    pool = [P.vertices for P in _normalized_polygons(3)]
+    assert len(pool) == 85
+    assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
+        "8e9b9c16d2448552b4dd28bab34f7b48028d1efedd08f2fff695ebf8d0d031db"
 
 
 def test_classify_r1():

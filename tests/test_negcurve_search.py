@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from negcurve import negcurve_search
 from negcurve.herzog_semigroup import herzog_data, triangle
-from negcurve.lattice_geom import dilate, lattice_points, pick_counts
+from negcurve.lattice_geom import convex_hull, dilate, lattice_points, pick_counts
 from negcurve.laurent_poly import newton_polygon, parse
 from negcurve.nct_catalog import canonical_form
 from negcurve.negcurve_search import (
@@ -213,6 +213,11 @@ def test_report_jet_membership_is_computed():
     doc = negcurve_to_json(rep)
     assert ["jet_membership", False] in doc["checks"]
     assert doc["status"] == "rejected"
+    assert ["edge_touching", True] in doc["checks"]
+    # in the box [0, 3]^2 the support misses the edge x = 3
+    box = convex_hull([(0, 0), (3, 0), (3, 3), (0, 3)])
+    rep = _report((9, 10, 13), 0, 3, 100, phi, box, lattice_points(box), 1)
+    assert ["edge_touching", False] in negcurve_to_json(rep)["checks"]
 
 
 def test_find_factoring_probe_finishes():

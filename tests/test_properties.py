@@ -449,7 +449,8 @@ def test_normalize_preserves_lattice_invariants(P):
     assert area2(Q) == area2(P)
     assert pick_counts(Q) == pick_counts(P)
     m = _most_collinear(P)
-    assert collinear_exceeds(Q, m - 1) and not collinear_exceeds(Q, m)
+    pts = lattice_points(Q)
+    assert collinear_exceeds(pts, m - 1) and not collinear_exceeds(pts, m)
     for f in maps:
         assert convex_hull([f.apply(v) for v in P.vertices]) == Q
     for v in Q.vertices:
@@ -458,8 +459,9 @@ def test_normalize_preserves_lattice_invariants(P):
 
 def _most_collinear(P):
     """The least k such that no line holds more than k lattice points of P."""
+    pts = lattice_points(P)
     k = 0
-    while collinear_exceeds(P, k):
+    while collinear_exceeds(pts, k):
         k += 1
     return k
 
@@ -482,7 +484,7 @@ def test_collinear_exceeds_matches_brute_force(vertices):
     pts = lattice_points(P)
     most = _max_collinear_reference(pts)
     for k in range(len(pts) + 1):
-        assert collinear_exceeds(P, k) == (most > k)
+        assert collinear_exceeds(pts, k) == (most > k)
 
 
 @given(polygons())

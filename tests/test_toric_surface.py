@@ -4,11 +4,10 @@ import pytest
 
 from negcurve import toric_surface
 from negcurve.lattice_geom import area2, convex_hull
-from negcurve.laurent_poly import parse
+from negcurve.laurent_poly import newton_polygon, parse
 from negcurve.toric_surface import (
     DiagramContradiction,
     Fan2D,
-    blowup_numbers,
     class_group,
     divisor_square,
     intersection_numbers,
@@ -188,21 +187,20 @@ def test_refinement_checks_raise(monkeypatch):
 
 
 def test_blowup_numbers():
-    tri = convex_hull([(0, 0), (3, 1), (1, 3)])
-    nums = blowup_numbers(tri, 3)
+    # thm36_report's payload on polynomials with the triangle (0,0), (3,1),
+    # (1,3) at r = 3 and the (8,15,43) pentagon at r = 9 as Newton polygons
+    nums = thm36_report(parse("1 + v^3*w + v*w^3"), 3).payload
     assert nums["C2"] == -1
     assert nums["CnegK"] == 1
     assert nums["two_pa"] == 0
-    pent = convex_hull(PENTAGON)
-    nums = blowup_numbers(pent, 9)
+    pent = parse("1 + v^7*w^-4 + v^9*w + v^10*w^4 + v^10*w^5")
+    assert newton_polygon(pent).vertices == tuple(PENTAGON)
+    nums = thm36_report(pent, 9).payload
     assert nums["C2"] == -2 and nums["CE"] == 9 and nums["E2"] == -1
     assert nums["CnegK"] == 0
     assert nums["negKY2"] == Fraction(-141, 215)
+    assert nums["negKX2"] == nums["negKY2"] + 1
     assert nums["two_pa"] == 0
-    with pytest.raises(ValueError):
-        blowup_numbers(convex_hull([(0, 0), (1, 1)]), 1)
-    with pytest.raises(ValueError):
-        blowup_numbers(tri, 0)
 
 
 def test_thm36_char2():
