@@ -17,10 +17,10 @@ def main():
     print("terms:", len(phi.terms), " polynomial:", to_text(phi)[:72], "...")
 
     P = newton_polygon(phi)
-    B, I = pick_counts(P)
+    pts = lattice_points(P)
+    B, I = pick_counts(P, pts)
     print("Newton polygon vertices:", P.vertices)
-    print("lattice points %d, boundary %d, interior %d" %
-          (len(lattice_points(P)), B, I))
+    print("lattice points %d, boundary %d, interior %d" % (len(pts), B, I))
     assert len(P.vertices) == 5 and (B, I) == (9, 36)
 
     report = thm36_report(phi, 9)

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -43,7 +42,7 @@ def _char(text):
 
 
 def _jobs(text):
-    """A worker count, at least 1."""
+    """A worker count, at least 1; no command reads it."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("worker count must be at least 1")
@@ -106,27 +105,25 @@ def cmd_search(args):
                                                  args.rmax, d_filter))
     if cells > SCAN_CELL_BUDGET and not args.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
-    state = {"n": 0}
-    walked = set()  # degrees with a visited cell
+    tally = Counter()
+    empty_degrees = set()  # degrees built without a lattice point
 
-    def progress(r, d):
-        state["n"] += 1
-        walked.add(d)
-        if state["n"] % 25 == 1:
+    def progress(r, d, why):
+        tally[why] += 1
+        if why == "no points":
+            empty_degrees.add(d)
+        elif why == "visited" and tally[why] % 25 == 1:
             print("scan %d visited of %d cells (r=%d d=%d)"
-                  % (state["n"], cells, r, d), file=sys.stderr)
+                  % (tally[why], cells, r, d), file=sys.stderr)
 
     hits = scan(args.a, args.b, args.c, args.char, args.rmax,
-                d_filter=d_filter, jobs=args.jobs or os.cpu_count(),
-                progress=progress)
-    # every degree with lattice points visits a cell, so the others have none
-    empty = Counter(d for _, ds in cell_region(args.a, args.b, args.c,
-                                               args.rmax, d_filter)
-                    for d in ds if d not in walked)
+                d_filter=d_filter, progress=progress)
     print("scan done: %d cells in region, %d visited, %d skipped after an "
-          "empty kernel, %d degrees without lattice points"
-          % (cells, state["n"], cells - state["n"] - sum(empty.values()),
-             len(empty)), file=sys.stderr)
+          "empty kernel, %d skipped by a higher degree, %d cells in %d "
+          "degree%s without lattice points"
+          % (cells, tally["visited"], tally["after empty"], tally["capped"],
+             tally["no points"], len(empty_degrees),
+             "" if len(empty_degrees) == 1 else "s"), file=sys.stderr)
     return {
         "triple": [args.a, args.b, args.c],
         "char": args.char,
@@ -152,12 +149,13 @@ def cmd_classify(args):
 def cmd_ggk(args):
     g = ggk_prime_family(args.r)
     P = newton_polygon(g)
-    B, I = pick_counts(P)
+    pts = lattice_points(P)
+    B, I = pick_counts(P, pts)
     return {
         "r": args.r,
         "polynomial": serialize(g),
         "vertices": [list(v) for v in P.vertices],
-        "lattice_count": len(lattice_points(P)),
+        "lattice_count": len(pts),
         "B": B,
         "I": I,
     }
@@ -200,8 +198,10 @@ def _build_parser():
     top = _Parser(prog="negcurve",
                   description="negative curves on blown-up toric surfaces")
     top.add_argument("--format", choices=("json", "text"), default="json")
+    # every command runs in one process; --jobs stays a checked, unused
+    # option because perfbench/run.py passes --jobs 1 to every command
     top.add_argument("--jobs", type=_jobs, default=None,
-                     help="parallel workers for search (default: cores)")
+                     help="accepted and ignored: search runs in one process")
     # --format is accepted after any subcommand, --jobs after search; absent
     # ones must not clobber values parsed at the top level, hence SUPPRESS
     common = argparse.ArgumentParser(add_help=False)

@@ -202,9 +202,9 @@ def lattice_points(P):
     return out
 
 
-def pick_counts(P):
-    """(B, I): boundary and interior lattice point counts (B = all if dim < 2)."""
-    pts = lattice_points(P)
+def pick_counts(P, pts):
+    """(B, I): boundary and interior counts of pts, the lattice points of P
+    (B = all if dim < 2)."""
     if P.dim < 2:
         return len(pts), 0
     normals = inward_normals(P)

@@ -75,7 +75,7 @@ def is_nct(phi, r):
         cert = IrreducibilityCertificate("Inconclusive", "unit input")
     else:
         cert = certify(phi)
-    B, I = pick_counts(P)
+    B, I = pick_counts(P, pts)
     A = area2(P)
     mult = multiplicity_at_one(phi)
     checks = [

@@ -1,7 +1,6 @@
 """Search for negative curves in symbolic powers of the three-variable primes."""
 
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 
 from .herzog_semigroup import _check_weights, herzog_data, triangle
@@ -55,8 +54,11 @@ def negcurve_to_json(report):
 
 
 def _genus(pts, r):
-    """Interior lattice count of the hull of pts, less r(r-1)/2."""
-    return pick_counts(convex_hull(pts))[1] - r * (r - 1) // 2
+    """Interior lattice count of the hull of pts, less r(r-1)/2.
+
+    pts are the lattice points of a polygon, so they are those of their hull.
+    """
+    return pick_counts(convex_hull(pts), pts)[1] - r * (r - 1) // 2
 
 
 def _report(triple, char, r, d, phi, dP, pts, nullity):
@@ -75,21 +77,25 @@ def _report(triple, char, r, d, phi, dP, pts, nullity):
                                _genus(pts, r), nullity)
 
 
-def _degree_cells(triple, char, T, degree):
-    """Visited cells (r, report or None) of degree = (d, rs), r ascending.
+def _degree_cells(triple, char, T, d, lo, cap):
+    """Visited cells (r, report or None) of degree d for lo <= r < cap, and
+    the least r at which d is then known to be empty.
 
     The support is the lattice points of dT whatever r is, and the order-r
     jet rows are a subset of the order-(r+1) rows, so the kernel can only
     shrink as r grows: the walk stops at the first r with an empty kernel,
-    in every characteristic.  A degree with no lattice points visits none.
+    in every characteristic, and that r is returned.  A degree without
+    lattice points returns 0; a walk that keeps a kernel up to the cap
+    returns the cap.  Nothing is built when lo >= cap.
     """
-    d, rs = degree
+    if lo >= cap:
+        return [], cap
     dP = dilate(T, d)
     pts = lattice_points(dP)
     if not pts:
-        return []
+        return [], 0
     cells = []
-    for r in rs:
+    for r in range(lo, cap):
         # the kernel runs the one-prime modular prefilter before any rational one
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
@@ -100,13 +106,14 @@ def _degree_cells(triple, char, T, degree):
                 break
         cells.append((r, hit))
         if not basis:
-            break
-    return cells
+            return cells, r
+    return cells, cap
 
 
 def find(a, b, c, char, r, d):
     """First kernel generator at (r, d) passing the four curve conditions."""
-    cells = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)), (d, [r]))
+    cells, _ = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)),
+                             d, r, r + 1)
     report = cells[0][1] if cells else None
     return None if report is None else (report.phi, report)
 
@@ -128,38 +135,43 @@ def cell_region(a, b, c, r_max, d_filter=None):
         yield r, ds
 
 
-def imap_jobs(fn, items, jobs):
-    """fn over items, in order, across `jobs` worker processes when jobs > 1."""
-    if not jobs or jobs < 2:
-        yield from map(fn, items)
-        return
-    from multiprocessing import Pool
-
-    with Pool(jobs) as pool:
-        yield from pool.imap(fn, items)
-
-
-def scan(a, b, c, char, r_max, d_filter=None, jobs=None, progress=None):
+def scan(a, b, c, char, r_max, d_filter=None, progress=None):
     """All hits with r up to r_max and d below the negativity threshold.
 
-    Degree-major: each degree of the region builds its lattice points once
-    and walks r upward to its first empty kernel (`_degree_cells`); `jobs`
-    workers split the degrees.  Hits come back sorted by (r, d).
-    `progress(r, d)` is called once per visited cell.  A degree with lattice
-    points visits at least its least r, so the degrees it never names are
-    the ones without lattice points.
+    Degrees are walked from the top, each over r from its least r in the
+    region (`_degree_cells`).  p^(r) is an ideal of a domain, so a monomial
+    of degree s in {a, b, c} embeds [p^(r)]_d in [p^(r)]_{d+s}: an empty
+    kernel at (r, d+s) proves (r, d) empty, in every characteristic, and so
+    by the r-monotone stop is every (r', d) with r' >= r.  stop[d] is the
+    least r at which d is known to be empty, and d walks only below its cap
+    min(stop[d+a], stop[d+b], stop[d+c]); r_max + 1 stands for none, and a
+    degree outside the region caps nothing.
+
+    `progress(r, d, why)` is called once per cell of the region: why is
+    "visited", "after empty" (an earlier r of d had an empty kernel),
+    "capped" (a higher degree proved it empty) or "no points" (dT was built
+    and has no lattice point).  Hits come back sorted by (r, d).
     """
-    rs_of = {}
+    least_r = {}
     for r, ds in cell_region(a, b, c, r_max, d_filter):
         for d in ds:
-            rs_of.setdefault(d, []).append(r)
-    degrees = sorted(rs_of.items())
-    walk = partial(_degree_cells, (a, b, c), char, triangle(herzog_data(a, b, c)))
+            least_r.setdefault(d, r)
+    T = triangle(herzog_data(a, b, c))
+    stop = {}
     out = []
-    for (d, _), cells in zip(degrees, imap_jobs(walk, degrees, jobs)):
+    for d in sorted(least_r, reverse=True):
+        lo = least_r[d]
+        cap = min(stop.get(d + s, r_max + 1) for s in (a, b, c))
+        cells, stop[d] = _degree_cells((a, b, c), char, T, d, lo, cap)
         for r, report in cells:
             if progress:
-                progress(r, d)
+                progress(r, d, "visited")
             if report is not None:
                 out.append((r, d, report))
+        if progress:
+            for r in range(lo + len(cells), r_max + 1):
+                if lo < cap and stop[d] == 0:
+                    progress(r, d, "no points")
+                else:
+                    progress(r, d, "capped" if r >= cap else "after empty")
     return sorted(out, key=lambda hit: hit[:2])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
-from .lattice_geom import IntegralPolygon, area2, pick_counts
+from .lattice_geom import area2, lattice_points, pick_counts
 from .laurent_poly import LaurentPoly
 
 # the 30-bit prime of the modular rank prefilter
@@ -143,26 +143,22 @@ def lemma_eu_check(S, line, r, char=0):
 
 
 def ehrhart_polynomial(P):
-    """Coefficients (area, B/2, 1) of the count of n*P lattice points."""
-    if not isinstance(P, IntegralPolygon):
-        raise ValueError("need an integral polygon")
-    A = area2(P)
-    if A == 0:
-        raise ValueError("polygon is degenerate")
-    return (Fraction(A, 2), Fraction(pick_counts(P)[0], 2), Fraction(1))
+    """Coefficients (area, B/2, 1) of the count of n*P lattice points.
+
+    P is a lattice polygon of dimension 2; the caller checks it.
+    """
+    B = pick_counts(P, lattice_points(P))[0]
+    return (Fraction(area2(P), 2), Fraction(B, 2), Fraction(1))
 
 
 def hilbert_numerator(P):
     """Numerator f with sum_n L(n) s^n = f(s) / (1-s)^3, from Pick's counts.
 
-    For a lattice polygon with B boundary and I interior points it is
-    1 + (B + I - 3) s + I s^2, trailing zero coefficients dropped.
+    For a lattice polygon of dimension 2 (the caller checks it) with B
+    boundary and I interior points it is 1 + (B + I - 3) s + I s^2,
+    trailing zero coefficients dropped.
     """
-    if not isinstance(P, IntegralPolygon):
-        raise ValueError("need an integral polygon")
-    if area2(P) == 0:
-        raise ValueError("polygon is degenerate")
-    B, I = pick_counts(P)
+    B, I = pick_counts(P, lattice_points(P))
     f = [1, B + I - 3, I]
     while f[-1] == 0:
         f.pop()

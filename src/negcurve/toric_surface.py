@@ -16,6 +16,7 @@ from .lattice_geom import (
     area2,
     halfplane_polygon,
     inward_normals,
+    lattice_points,
     pick_counts,
 )
 from .laurent_poly import newton_polygon
@@ -234,7 +235,7 @@ def thm36_report(phi, r):
     if P.dim != 2:
         raise ValueError("degenerate Newton polygon")
     A = area2(P)
-    B, I = pick_counts(P)
+    B, I = pick_counts(P, lattice_points(P))
     fan = normal_fan(P)
     pk_area = area2(minus_k_polygon(fan))
     # intersection numbers on the blow-up Y at the jet point, C the strict

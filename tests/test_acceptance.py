@@ -90,7 +90,7 @@ def test_criterion_4_8_15_43():
     phi, rep = out
     P = newton_polygon(phi)
     assert len(P.vertices) == 5
-    assert pick_counts(P) == (9, 36)
+    assert pick_counts(P, lattice_points(P)) == (9, 36)
     assert len(lattice_points(P)) == 45
     conds = thm36_report(phi, 9).conditions
     assert conds[3][0] is False
@@ -104,8 +104,8 @@ def test_criterion_5_5_33_49():
     out = find(5, 33, 49, 0, 18, 1617)
     assert out is not None
     dP = dilate(triangle(herzog_data(5, 33, 49)), 1617)
-    hull = convex_hull(lattice_points(dP))
-    assert pick_counts(hull)[1] == 153
+    pts = lattice_points(dP)
+    assert pick_counts(convex_hull(pts), pts)[1] == 153
 
 
 def test_criterion_6_ggk_family():
@@ -115,7 +115,7 @@ def test_criterion_6_ggk_family():
         P = newton_polygon(phi)
         pts = lattice_points(P)
         assert len(pts) == r * (r + 1) // 2 + 1
-        assert pick_counts(P) == (r + 1, r * (r - 1) // 2)
+        assert pick_counts(P, pts) == (r + 1, r * (r - 1) // 2)
         assert nullity(jet_matrix(pts, r)) == 1
         assert thm36_report(phi, r).conditions[4][0] is True
     _deadline(t0, 30)

@@ -3,11 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import negcurve
 from negcurve.cli import main
+from negcurve.exact_arith import rat_str
+from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.negcurve_search import negcurve_to_json, scan
 
 PHI2_DOC = {"char": 0, "terms": [
@@ -49,9 +52,12 @@ def test_search_walk_accounting(capsys):
                               "hits": hits}, indent=2) + "\n"
     lines = err.splitlines()
     assert lines[0].startswith("scan 1 visited of 204 cells")
-    assert lines[-1] == ("scan done: 204 cells in region, 84 visited, "
-                         "66 skipped after an empty kernel, "
-                         "18 degrees without lattice points")
+    # the capped walk: 26 + 0 + 175 + 3 = 204, d = 34 the one degree built
+    # without lattice points
+    assert lines[-1] == ("scan done: 204 cells in region, 26 visited, "
+                         "0 skipped after an empty kernel, "
+                         "175 skipped by a higher degree, "
+                         "3 cells in 1 degree without lattice points")
     _, out2, _ = run(capsys, "search", "9", "10", "13", "--char", "2",
                      "--rmax", "3", "--jobs", "2")
     assert out2 == out
@@ -174,6 +180,21 @@ def test_ehrhart_rational_polygon(tmp_path, capsys):
     assert doc["ehrhart"] is None and doc["counts"][1] == 3
 
 
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [2, 2]],  # a segment
+    [[rat_str(x), rat_str(y)] for x, y in triangle(herzog_data(2, 3, 5)).vertices],
+], ids=["segment", "herzog-2-3-5"])
+def test_ehrhart_needs_a_lattice_polygon_of_dimension_2(tmp_path, capsys, vertices):
+    # the command makes the one check; neither gets a polynomial
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"vertices": vertices}))
+    rc, out, _ = run(capsys, "ehrhart", str(f), "--dilate", "2")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ehrhart"] is None and doc["hilbert_numerator"] is None
+    assert doc["note"] == "quasi-polynomial counting only for this polygon"
+
+
 BAD_PHI_DOC = {"char": 0, "terms": [{"a": 0, "b": 0, "c": "1/0"},
                                      {"a": 1, "b": 1, "c": "1"}]}
 HALF_EXPONENT_DOC = {"char": 0, "terms": [{"a": 0.5, "b": 0, "c": "1"},
@@ -250,6 +271,21 @@ def test_long_gate_refusal_stays_small():
     rc, peak_kb = proc.stdout.split()
     assert rc == "1"
     assert int(peak_kb) < 60 * 1024
+
+
+@pytest.mark.long
+def test_search_5_33_49_runs_in_seconds():
+    # the capped walk computes 91 of the 15365 cells; the degree-by-degree
+    # walk before it computed 1574 and took about 25 s
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "--jobs", "1",
+                           "search", "5", "33", "49", "--rmax", "18", "--long"],
+                          capture_output=True, text=True, env=_child_env())
+    wall = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    hits = json.loads(proc.stdout)["hits"]
+    assert [(h["r"], h["d"], h["status"]) for h in hits] == [(18, 1617, "accepted")]
+    assert wall < 5.0
 
 
 def test_deterministic_output(capsys):

@@ -57,12 +57,12 @@ def test_lattice_points_and_pick():
     P = convex_hull(TRI3)
     pts = lattice_points(P)
     assert len(pts) == 7
-    assert pick_counts(P) == (4, 3)
+    assert pick_counts(P, pts) == (4, 3)
     assert set(pts) == {(0, 0), (3, 1), (1, 3), (2, 2), (1, 1), (2, 1), (1, 2)}
     # Pick: area2 = 2I + B - 2
     for verts in (TRI2, TRI3, TET3):
         Q = convex_hull(verts)
-        B, I = pick_counts(Q)
+        B, I = pick_counts(Q, lattice_points(Q))
         assert area2(Q) == 2 * I + B - 2
 
 
@@ -92,14 +92,15 @@ def test_lattice_points_rational():
                          (Fraction(-1, 2), Fraction(3, 2))])
     assert set(lattice_points(Q)) == {(0, 0), (1, 0), (0, 1)}
     # (1,0) and (0,1) sit on the edge x + y = 1
-    assert pick_counts(Q)[0] == 2
+    assert pick_counts(Q, lattice_points(Q))[0] == 2
 
 
 def test_dilate():
     P = convex_hull(TRI2)
     for k in (1, 2, 5):
         assert area2(dilate(P, k)) == k * k * area2(P)
-    B, I = pick_counts(dilate(P, 3))
+    P3 = dilate(P, 3)
+    B, I = pick_counts(P3, lattice_points(P3))
     assert B == 3 * 3  # each edge is primitive in P
     assert area2(dilate(P, 3)) == 2 * I + B - 2
 
@@ -189,7 +190,7 @@ def test_normalize_invariance():
     assert _image(maps[0], moved) == Q
     # invariants survive normalization
     assert area2(Q) == area2(P)
-    assert pick_counts(Q) == pick_counts(P)
+    assert pick_counts(Q, lattice_points(Q)) == pick_counts(P, lattice_points(P))
     assert _most_collinear(Q) == _most_collinear(P)
 
 

@@ -120,7 +120,8 @@ def test_ggk_polygons_and_counts():
     P4 = newton_polygon(ggk_prime_family(4))
     assert P4.vertices == ((-1, -1), (3, 0), (2, 2), (1, 3))
     assert len(lattice_points(P4)) == 11
-    B, I = pick_counts(newton_polygon(ggk_prime_family(5)))
+    P5 = newton_polygon(ggk_prime_family(5))
+    B, I = pick_counts(P5, lattice_points(P5))
     assert (B, I) == (6, 10)
     with pytest.raises(ValueError):
         ggk_prime_family(2)

@@ -1,3 +1,4 @@
+from collections import Counter
 from math import gcd
 from types import SimpleNamespace
 
@@ -44,7 +45,7 @@ def test_find_pentagon():
     phi, rep = find(8, 15, 43, 0, 9, 645)
     P = newton_polygon(phi)
     assert len(P.vertices) == 5
-    assert pick_counts(P) == (9, 36)
+    assert pick_counts(P, lattice_points(P)) == (9, 36)
     assert len(lattice_points(P)) == 45
     assert rep.accepted and rep.genus == 0 and rep.nullity == 1
 
@@ -83,12 +84,6 @@ def test_scan_d_filter_and_order():
     assert [len(ds) for _, ds in cell_region(9, 10, 13, 2)] == [34, 68]
 
 
-def test_scan_parallel_agrees():
-    serial = scan(9, 10, 13, 2, 3, d_filter=set(range(90, 103)))
-    par = scan(9, 10, 13, 2, 3, d_filter=set(range(90, 103)), jobs=2)
-    assert [(r, d) for r, d, _ in serial] == [(r, d) for r, d, _ in par]
-
-
 def _exhaustive(a, b, c, char, r_max, hit, d_filter=None):
     """Cells of the whole region, r-major, where hit(r, d) holds."""
     return [(r, d) for r, ds in cell_region(a, b, c, r_max, d_filter)
@@ -110,6 +105,24 @@ def test_scan_matches_exhaustive_find(triple, r_max, char):
     assert [(r, d) for r, d, _ in scan(a, b, c, char, r_max)] == expected
 
 
+@settings(max_examples=12)
+@given(coprime_triples, st.integers(1, 3), st.sampled_from((0, 2)),
+       st.none() | st.sets(st.integers(1, 110), min_size=1, max_size=12))
+def test_scan_skips_only_empty_cells(triple, r_max, char, d_filter):
+    # the capped walk reports each cell of the region once, and every cell
+    # it does not visit has an empty kernel
+    a, b, c = triple
+    T = triangle(herzog_data(a, b, c))
+    seen = []
+    scan(a, b, c, char, r_max, d_filter,
+         progress=lambda r, d, why: seen.append((r, d, why)))
+    region = _exhaustive(a, b, c, char, r_max, lambda r, d: True, d_filter)
+    assert sorted((r, d) for r, d, _ in seen) == sorted(region)
+    for r, d, why in seen:
+        if why != "visited":
+            assert kernel(jet_matrix(lattice_points(dilate(T, d)), r, char)) == []
+
+
 def test_scan_walk_counts(monkeypatch):
     calls = {"herzog_data": 0, "triangle": 0}
 
@@ -123,43 +136,46 @@ def test_scan_walk_counts(monkeypatch):
                         counted("herzog_data", herzog_data))
     monkeypatch.setattr(negcurve_search, "triangle", counted("triangle", triangle))
     seen = []
-    hits = scan(8, 15, 43, 0, 9, progress=lambda r, d: seen.append((r, d)))
+    hits = scan(8, 15, 43, 0, 9, progress=lambda r, d, why: seen.append((r, d, why)))
     assert [(r, d) for r, d, _ in hits] == [(9, 645)]
     assert calls == {"herzog_data": 1, "triangle": 1}
-    # 646 degrees; 37 have no lattice points, each of the others stops at
-    # the empty kernel of its least r
-    assert len(seen) == 609 and len({d for _, d in seen}) == 609
-    assert len({d for _, ds in cell_region(8, 15, 43, 9) for d in ds}) == 646
+    # 646 degrees in 3227 cells: 72 degrees visit one cell each, d = 65 is
+    # built without lattice points, and every other cell lies at or above
+    # the cap of a higher degree
+    assert len(seen) == 3227
+    assert Counter(why for _, _, why in seen) == {
+        "visited": 72, "capped": 3146, "no points": 9}
+    visited = [d for _, d, why in seen if why == "visited"]
+    assert len(set(visited)) == 72
+    assert {d for _, d, why in seen if why == "no points"} == {65}
 
 
-def test_scan_jobs_agree_across_r(monkeypatch):
+def test_scan_reaches_every_kernel_across_r(monkeypatch):
     # accept every kernel element, so that every visited cell with a kernel
-    # is a hit: the walk must reach each of them under any job count
+    # is a hit: the capped walk must still reach each of them
     monkeypatch.setattr(negcurve_search, "_report",
                         lambda *args: SimpleNamespace(accepted=True))
     T = triangle(herzog_data(2, 3, 5))
     expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: kernel(jet_matrix(
         lattice_points(dilate(T, d)), r, 0)))
     assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
-    runs = []
-    for jobs in (1, 2):
-        seen = []
-        hits = scan(2, 3, 5, 0, 3, jobs=jobs,
-                    progress=lambda r, d: seen.append((r, d)))
-        assert [(r, d) for r, d, _ in hits] == expected
-        runs.append(seen)
-    # degree-major, and each degree with a kernel goes on to an empty one:
-    # (2, 5) after (1, 5), (3, 10) after (2, 10); d = 1 has no lattice point
-    assert runs[0] == runs[1] == [
-        (1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (2, 7), (2, 8),
-        (2, 9), (2, 10), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14),
-        (3, 15), (3, 16)]
+    seen = []
+    hits = scan(2, 3, 5, 0, 3, progress=lambda r, d, why: seen.append((r, d, why)))
+    assert [(r, d) for r, d, _ in hits] == expected
+    # degrees from the top: (3, 14) and (3, 13) are empty, which caps d = 12
+    # and 11 at r = 3 and d = 10 above r = 2; the empty (1, 4) caps d = 2
+    # at r = 1, and d = 1 is capped before its lattice points are built
+    assert [(r, d) for r, d, why in seen if why == "visited"] == [
+        (3, 16), (3, 15), (3, 14), (3, 13), (2, 10), (2, 9), (2, 8),
+        (1, 5), (1, 4), (1, 3)]
+    assert {why for _, _, why in seen} == {"visited", "capped"}
+    assert len(seen) == 31
 
 
-def _every_cell(triple, char, T, degree):
-    """A stand-in walk that visits every r of the degree and hits each."""
-    d, rs = degree
-    return [(r, (r, d)) for r in rs]
+def _every_cell(triple, char, T, d, lo, cap):
+    """A stand-in walk that visits every r below the cap, hits each, and
+    never finds an empty kernel."""
+    return [(r, (r, d)) for r in range(lo, cap)], cap
 
 
 def test_scan_sorts_hits_by_r(monkeypatch):
@@ -167,15 +183,20 @@ def test_scan_sorts_hits_by_r(monkeypatch):
     monkeypatch.setattr(negcurve_search, "_degree_cells", _every_cell)
     ds = set(range(30, 41))  # r = 1 reaches d = 34, r = 2 and 3 all of them
     expected = [(r, d) for r, dr in cell_region(9, 10, 13, 3, ds) for d in dr]
-    for jobs in (1, 2):
-        hits = scan(9, 10, 13, 2, 3, d_filter=ds, jobs=jobs)
-        assert [(r, d) for r, d, _ in hits] == expected
+    hits = scan(9, 10, 13, 2, 3, d_filter=ds)
+    assert [(r, d) for r, d, _ in hits] == expected
 
 
 def test_scan_progress():
     seen = []
-    scan(9, 10, 13, 2, 1, d_filter={10, 20}, progress=lambda r, d: seen.append((r, d)))
-    assert seen == [(1, 10), (1, 20)]
+    scan(9, 10, 13, 2, 1, d_filter={10, 20},
+         progress=lambda r, d, why: seen.append((r, d, why)))
+    # the empty (1, 20) proves (1, 10) empty
+    assert seen == [(1, 20, "visited"), (1, 10, "capped")]
+    seen = []
+    scan(9, 10, 13, 2, 2, d_filter={30},
+         progress=lambda r, d, why: seen.append((r, d, why)))
+    assert seen == [(1, 30, "visited"), (2, 30, "after empty")]
 
 
 def test_genus_payload():
@@ -230,4 +251,5 @@ def test_find_factoring_probe_finishes():
 def test_find_5_33_49():
     phi, rep = find(5, 33, 49, 0, 18, 1617)
     assert rep.accepted
-    assert pick_counts(newton_polygon(phi))[1] == 153
+    P = newton_polygon(phi)
+    assert pick_counts(P, lattice_points(P))[1] == 153

@@ -48,7 +48,7 @@ def laurent(char, min_size=1):
 
 @given(polygons())
 def test_pick_identity(P):
-    B, I = pick_counts(P)
+    B, I = pick_counts(P, lattice_points(P))
     assert area2(P) == 2 * I + B - 2
 
 
@@ -111,7 +111,7 @@ def _brute_force_points(P):
 def test_lattice_points_match_brute_force(P):
     inside, boundary = _brute_force_points(P)
     assert lattice_points(P) == inside
-    assert pick_counts(P) == (len(boundary), len(inside) - len(boundary))
+    assert pick_counts(P, inside) == (len(boundary), len(inside) - len(boundary))
 
 
 def _sqrt_sum_leq(a1, a2, a):
@@ -447,7 +447,7 @@ def test_normalize_preserves_lattice_invariants(P):
         r += 1
     Q, maps = normalized_maps(P, r)
     assert area2(Q) == area2(P)
-    assert pick_counts(Q) == pick_counts(P)
+    assert pick_counts(Q, lattice_points(Q)) == pick_counts(P, lattice_points(P))
     m = _most_collinear(P)
     pts = lattice_points(Q)
     assert collinear_exceeds(pts, m - 1) and not collinear_exceeds(pts, m)

@@ -154,10 +154,6 @@ def test_ehrhart_polynomial():
     for n in range(1, 6):
         assert c2 * n * n + c1 * n + c0 == len(lattice_points(dilate(P_PHI2, n)))
     assert ehrhart_polynomial(P_PHI3P)[0] * 1 + 2 + 1 == 7  # L(1) is the count
-    with pytest.raises(ValueError):
-        ehrhart_polynomial(convex_hull([(0, 0), (2, 2)]))
-    with pytest.raises(ValueError):
-        ehrhart_polynomial(triangle(herzog_data(2, 3, 5)))
 
 
 def test_hilbert_numerator():
@@ -166,10 +162,6 @@ def test_hilbert_numerator():
     assert sum(f) == 3 and all(c >= 0 for c in f)
     f = hilbert_numerator(P_PHI3)
     assert sum(f) == 8 and all(c >= 0 for c in f)
-    with pytest.raises(ValueError):
-        hilbert_numerator(convex_hull([(0, 0), (2, 2)]))
-    with pytest.raises(ValueError):
-        hilbert_numerator(triangle(herzog_data(2, 3, 5)))
 
 
 def test_nullity_prefilter_agrees():
