@@ -164,15 +164,16 @@ def cmd_ggk(args):
 def cmd_ehrhart(args):
     with open(args.file) as fh:
         P = polygon_from_json(json.load(fh))
+    pts = lattice_points(P)
     doc = {
         "vertices": [[rat_str(x), rat_str(y)] for x, y in P.vertices],
-        "counts": [len(lattice_points(dilate(P, n)))
+        "counts": [len(pts) if n == 1 else len(lattice_points(dilate(P, n)))
                    for n in range(1, args.dilate + 1)],
     }
     if isinstance(P, IntegralPolygon) and P.dim == 2:
-        c2, c1, c0 = ehrhart_polynomial(P)
+        c2, c1, c0 = ehrhart_polynomial(P, pts)
         doc["ehrhart"] = [rat_str(c2), rat_str(c1), rat_str(c0)]
-        doc["hilbert_numerator"] = hilbert_numerator(P)
+        doc["hilbert_numerator"] = hilbert_numerator(P, pts)
     else:
         doc["ehrhart"] = None
         doc["hilbert_numerator"] = None

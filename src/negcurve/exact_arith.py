@@ -7,10 +7,26 @@ Bareiss's fraction-free step over Q, so entries stay integral until the
 back-substitution, and plain elimination over F_p.  Pivoting is
 deterministic (first nonzero in row-major order), so kernel bases are
 reproducible across runs.
+
+A kernel over Q is lifted from kernels mod the 30-bit primes of `_PRIMES`,
+one elimination per prime.  Full column rank mod a prime proves the kernel
+empty.  Otherwise the residues of the mod-p basis, combined by CRT across
+primes, are rationally reconstructed (Wang, Guy and Davenport, SIGSAM Bull.
+16, 1982) or, for an integral vector, read as least absolute residues, and
+the vectors are returned only when each one satisfies row . v == 0 over Z
+on the input rows.  rank mod p is at most rank over Q,
+so verified vectors, one ending at each free column mod p, are a basis over
+Q with the same free columns: the basis Bareiss would give.  When the primes
+run out, Bareiss's elimination over Q decides.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, isqrt, lcm
+from operator import mul
+
+# 30-bit primes, so that each residue is one Python digit; the first is also
+# the modular rank prefilter's, and the char-0 kernel lift adds the others
+_PRIMES = (634227673, 1073741789, 1073741783, 1073741741)
 
 
 class CharMismatch(ValueError):
@@ -71,8 +87,9 @@ def _echelon(rows, ncols, p=0):
 def _kernel_from_ref(rows, ncols, pivots, p=0):
     """Kernel basis from a row echelon form, over Q (p = 0) or F_p.
 
-    One vector per free column, in ascending order, scaled so its first
-    nonzero entry is 1: Fractions over Q, residues in [0, p) over F_p.
+    One vector per free column f, in ascending order, with 1 at f and 0 at
+    the other free columns and right of f: Fractions over Q, residues in
+    [0, p) over F_p.
     """
     pivot_cols = {pc for _, pc in pivots}
     basis = []
@@ -89,13 +106,17 @@ def _kernel_from_ref(rows, ncols, pivots, p=0):
             s = row[f] + sum(row[c] * vec[c] for c in solved)
             vec[pc] = -s * pow(row[pc], -1, p) % p if p else Fraction(-s, row[pc])
             solved.append(pc)
-        lead = next(x for x in vec if x)
-        if p:
-            inv = pow(lead, -1, p)
-            basis.append([x * inv % p for x in vec])
-        else:
-            basis.append([x / lead for x in vec])
+        basis.append(vec)
     return basis
+
+
+def _monic(vec, p=0):
+    """vec scaled so that its first nonzero entry is 1, over Q or F_p."""
+    lead = next(x for x in vec if x)
+    if p:
+        inv = pow(lead, -1, p)
+        return [x * inv % p for x in vec]
+    return [x / lead for x in vec]
 
 
 def _reduced(int_rows, p, ncols=None):
@@ -109,14 +130,92 @@ def _reduced(int_rows, p, ncols=None):
     return rows, _echelon(rows, ncols, p)
 
 
+def _rational(u, m):
+    """The fraction a/b = u mod m with |a|, b <= sqrt(m/2), or None.
+
+    Wang's reconstruction: the extended Euclidean algorithm on (m, u),
+    stopped at the first remainder within the bound.
+    """
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _in_kernel(int_rows, vec):
+    """row . vec == 0 over Z for every row, denominators cleared."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    return not any(sum(map(mul, row, ints)) for row in int_rows)
+
+
+def _lift(int_rows, vec, m):
+    """A kernel vector over Q that is vec mod m up to scale, or None.
+
+    Two candidates are tried, each checked over Z: the rational
+    reconstruction of every entry, then, when the first nonzero entry is a
+    unit mod m, the least absolute residues of vec scaled so that entry is
+    1, which lifts an integral vector with entries up to m/2, beyond the
+    balanced bound of the first.
+    """
+    q = [_rational(x, m) for x in vec]
+    if None not in q and _in_kernel(int_rows, q):
+        return q
+    if gcd(next(x for x in vec if x), m) == 1:
+        q = [Fraction(x - m if 2 * x > m else x) for x in _monic(vec, m)]
+        if _in_kernel(int_rows, q):
+            return q
+    return None
+
+
+def _lifted_kernel(int_rows, ncols):
+    """The char-0 basis of `_kernel_from_ref`, lifted from F_p; None if no
+    prime of `_PRIMES` gets there.
+
+    A prime whose (rank, pivot columns) differ from those kept so far
+    replaces the kept residues when its rank is higher, or its rank is
+    equal and its pivot columns come first, and is skipped otherwise: the
+    i-th pivot column over Q is never right of the i-th mod p.
+    """
+    kept = None
+    for p in _PRIMES:
+        rows, pivots = _reduced(int_rows, p, ncols)
+        if len(pivots) == ncols:
+            return []
+        key = (-len(pivots), [pc for _, pc in pivots])
+        vecs = _kernel_from_ref(rows, ncols, pivots, p)
+        if kept is None or key < kept:
+            kept, m, residues = key, p, vecs
+        elif key == kept:
+            inv = pow(m, -1, p)
+            residues = [[x + m * ((y - x) * inv % p) for x, y in zip(u, v)]
+                        for u, v in zip(residues, vecs)]
+            m *= p
+        else:
+            continue
+        basis = [_lift(int_rows, vec, m) for vec in residues]
+        if None not in basis:
+            return basis
+    return None
+
+
 def nullspace(int_rows, ncols, char=0):
     """Exact basis of the right kernel of an integer matrix, over Q or F_char.
 
-    See `_kernel_from_ref` for the order and scaling of the basis, which are
-    deterministic.
+    One vector per free column, in ascending order, scaled so its first
+    nonzero entry is 1: Fractions over Q, residues in [0, char) over F_char.
+    Over Q the basis is lifted from F_p (`_lifted_kernel`) when it can be,
+    and taken from Bareiss's elimination otherwise.
     """
-    rows, pivots = _reduced(int_rows, char, ncols)
-    return _kernel_from_ref(rows, ncols, pivots, char)
+    basis = None if char else _lifted_kernel(int_rows, ncols)
+    if basis is None:
+        rows, pivots = _reduced(int_rows, char, ncols)
+        basis = _kernel_from_ref(rows, ncols, pivots, char)
+    return [_monic(vec, char) for vec in basis]
 
 
 def rank_mod_p(int_rows, p):

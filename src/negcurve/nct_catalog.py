@@ -63,8 +63,12 @@ def report_status(accepted, cert):
     return "accepted"
 
 
-def is_nct(phi, r):
-    """Run every defining check on phi at multiplicity r."""
+def is_nct(phi, r, most=None):
+    """Run every defining check on phi at multiplicity r.
+
+    `most` is an upper bound the caller knows on the nullity of the jet
+    kernel on the Newton polygon's lattice points, passed on to `nullity`.
+    """
     if not phi:
         raise ValueError("zero polynomial")
     if r < 1:
@@ -87,7 +91,7 @@ def is_nct(phi, r):
     if r >= 2:
         checks.append(("collinear", not collinear_exceeds(pts, r)))
     # mult >= r puts phi itself in the kernel, so the nullity is at least 1
-    null = nullity(jet_matrix(pts, r, phi.char), 1 if mult >= r else 0)
+    null = nullity(jet_matrix(pts, r, phi.char), 1 if mult >= r else 0, most)
     checks.append(("kernel", null == 1))
     return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 

@@ -63,7 +63,9 @@ def _genus(pts, r):
 
 def _report(triple, char, r, d, phi, dP, pts, nullity):
     a, b, c = triple
-    nct = is_nct(phi, r)
+    # the Newton polygon lies in dP, so its jet kernel embeds in the one on
+    # pts: its nullity is at most that kernel's, the `nullity` given here
+    nct = is_nct(phi, r, nullity)
     # the support lies in dP, so a support point on an edge's line is on the edge
     edge_ok = all(any(n[0] * x + n[1] * y == bound for x, y in phi.terms)
                   for n, bound in inward_normals(dP))
@@ -96,7 +98,6 @@ def _degree_cells(triple, char, T, d, lo, cap):
         return [], 0
     cells = []
     for r in range(lo, cap):
-        # the kernel runs the one-prime modular prefilter before any rational one
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
         for phi in basis:

@@ -10,23 +10,23 @@ the normalised kernel basis are those of the uncentred system, while the
 entries stay small.  The support is a plain sorted tuple of points.
 
 The dimension of the degree-d piece is |dP| minus the rank of that system.
-One rule, `_settled_nullity`, says when a modular rank settles it: always
-in char p, and in char 0 when the nullity mod one prime, an upper bound
-over Q, meets the lower bound max(|S| - rows, least).  `kernel` and
-`nullity` both ask it first and eliminate over Q only when it cannot
-answer.  Ehrhart counting of the dilations gives the other side of the
-ledger.
+`kernel` asks `nullspace`, which in char 0 lifts the basis from the
+eliminations mod the primes of `exact_arith._PRIMES` and checks it over Z.
+`nullity` builds no basis: bounds the caller knows that meet settle it
+with no rank, and otherwise one rule, `_settled_nullity`, says when a
+modular rank settles it: always in char p, and in char 0 when the nullity
+mod the first of those primes, an upper bound over Q, meets the lower
+bound max(|S| - rows, least).  When neither settles it, it eliminates over
+Q.  Ehrhart counting of the dilations gives the other side of the ledger.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exact_arith
 from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
-from .lattice_geom import area2, lattice_points, pick_counts
+from .lattice_geom import area2, pick_counts
 from .laurent_poly import LaurentPoly
-
-# the 30-bit prime of the modular rank prefilter
-_PRIME = 634227673
 
 
 @dataclass
@@ -68,29 +68,22 @@ def jet_matrix(points, r, char=0):
 def _settled_nullity(jm, least=0):
     """The nullity when a modular rank settles it, else None.
 
-    The rank mod the characteristic is exact.  In char 0 the rank mod
-    _PRIME bounds the nullity over Q from above, and max(|S| - rows, least)
-    bounds it from below, where `least` is a nullity the caller already
-    knows; when the two bounds meet, the modular one is the nullity.
+    The rank mod the characteristic is exact.  In char 0 the rank mod the
+    first prime of `exact_arith._PRIMES` bounds the nullity over Q from
+    above, and max(|S| - rows, least) bounds it from below, where `least`
+    is a nullity the caller already knows; when the two bounds meet, the
+    modular one is the nullity.
     """
     n = len(jm.support)
-    null_p = n - rank_mod_p(jm.rows, jm.char or _PRIME)
+    null_p = n - rank_mod_p(jm.rows, jm.char or exact_arith._PRIMES[0])
     if jm.char or null_p == max(n - len(jm.rows), least):
         return null_p
     return None
 
 
 def kernel(jm):
-    """Kernel basis as plain coefficient vectors, one per basis element.
-
-    In char 0 with at least as many rows as columns, a settled nullity of 0
-    returns the empty kernel without any rational elimination.  Otherwise
-    the exact path decides.
-    """
-    n = len(jm.support)
-    if not jm.char and len(jm.rows) >= n and _settled_nullity(jm) == 0:
-        return []
-    return nullspace(jm.rows, n, jm.char)
+    """Kernel basis as plain coefficient vectors, one per basis element."""
+    return nullspace(jm.rows, len(jm.support), jm.char)
 
 
 def kernel_polynomials(jm):
@@ -102,13 +95,17 @@ def kernel_polynomials(jm):
     return out
 
 
-def nullity(jm, least=0):
+def nullity(jm, least=0, most=None):
     """Dimension of the kernel, |S| less the rank; no basis is built.
 
-    `least` is a lower bound the caller knows, such as 1 when a given
-    polynomial lies in the kernel.  Only an unsettled modular rank falls
-    back to the rational rank.
+    `least` and `most` are bounds the caller knows, such as 1 when a given
+    polynomial lies in the kernel, and the nullity of a larger support at
+    the same order and characteristic.  Bounds that meet are the nullity,
+    with no rank computed.  Only an unsettled modular rank falls back to
+    the rational rank.
     """
+    if least == most:
+        return least
     null = _settled_nullity(jm, least)
     if null is None:
         null = len(jm.support) - rational_rank(jm.rows)
@@ -142,23 +139,24 @@ def lemma_eu_check(S, line, r, char=0):
     return n1, n2
 
 
-def ehrhart_polynomial(P):
+def ehrhart_polynomial(P, pts):
     """Coefficients (area, B/2, 1) of the count of n*P lattice points.
 
-    P is a lattice polygon of dimension 2; the caller checks it.
+    P is a lattice polygon of dimension 2, which the caller checks, and pts
+    are its lattice points, as `pick_counts` takes them.
     """
-    B = pick_counts(P, lattice_points(P))[0]
+    B = pick_counts(P, pts)[0]
     return (Fraction(area2(P), 2), Fraction(B, 2), Fraction(1))
 
 
-def hilbert_numerator(P):
+def hilbert_numerator(P, pts):
     """Numerator f with sum_n L(n) s^n = f(s) / (1-s)^3, from Pick's counts.
 
-    For a lattice polygon of dimension 2 (the caller checks it) with B
-    boundary and I interior points it is 1 + (B + I - 3) s + I s^2,
-    trailing zero coefficients dropped.
+    For a lattice polygon of dimension 2 (the caller checks it) with lattice
+    points pts, B on the boundary and I inside, it is
+    1 + (B + I - 3) s + I s^2, trailing zero coefficients dropped.
     """
-    B, I = pick_counts(P, lattice_points(P))
+    B, I = pick_counts(P, pts)
     f = [1, B + I - 3, I]
     while f[-1] == 0:
         f.pop()

@@ -22,3 +22,17 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip_long)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The field of every `exact_arith._echelon` call from here on, 0 for Q."""
+    from negcurve import exact_arith
+    real, calls = exact_arith._echelon, []
+
+    def echelon(rows, ncols, p=0):
+        calls.append(p)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(exact_arith, "_echelon", echelon)
+    return calls

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from negcurve import exact_arith
 from negcurve.exact_arith import (
     binomial,
     det2,
@@ -73,6 +74,35 @@ def test_nullspace_mod_p():
     # the rank drops mod 3 but not over Q
     assert nullspace([[1, 2], [2, 1]], 2) == []
     assert nullspace([[1, 2], [2, 1]], 2, 3) == [[1, 1]]
+
+
+def test_nullspace_lift_combines_primes_then_falls_back(eliminations):
+    big = 2 ** 40 + 1
+    # the kernel vector (-big/3, 1) needs about 84 bits of modulus: three
+    # primes by CRT, and no elimination over Q
+    assert nullspace([[3, big]], 2) == [[1, Fraction(-3, big)]]
+    assert eliminations == list(exact_arith._PRIMES[:3])
+    # with 45-bit entries the kernel holds ratios of 90-bit minors, beyond
+    # what the primes reconstruct, so Bareiss decides after all of them
+    eliminations.clear()
+    (x0, x1, x2), (y0, y1, y2) = M = [[2 ** 45 + 3, 2 ** 44 + 7, 2 ** 43 + 5],
+                                      [2 ** 42 + 11, 2 ** 45 + 13, 2 ** 41 + 17]]
+    cross = [x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0]
+    assert nullspace(M, 3) == [[Fraction(c, cross[0]) for c in cross]]
+    assert eliminations == list(exact_arith._PRIMES) + [0]
+
+
+def test_nullspace_lift_prefers_earlier_pivots(monkeypatch, eliminations):
+    # mod 3 the row (3, 1) has its pivot in column 1, not 0: the lift drops
+    # that prime's residues for those of 5, and CRT with 7 reconstructs -1/3
+    monkeypatch.setattr(exact_arith, "_PRIMES", (3, 5, 7))
+    assert nullspace([[3, 1]], 2) == [[1, -3]]
+    assert eliminations == [3, 5, 7]
+    # a prime whose rank is higher replaces the residues, and full column
+    # rank proves the kernel empty
+    eliminations.clear()
+    assert nullspace([[1, 2], [2, 1]], 2) == []
+    assert eliminations == [3, 5]
 
 
 def test_rank_mod_p():

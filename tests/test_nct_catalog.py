@@ -68,6 +68,23 @@ def test_kernel_check_settled_by_one_modular_rank(a, b, c, char, r, d, monkeypat
     assert dict(rep.checks)["kernel"] and rep.accepted
 
 
+def test_kernel_check_settled_by_known_bounds(monkeypatch):
+    # phi of multiplicity r gives 1 from below; a caller's bound of 1 from
+    # above, such as the nullity on a larger support, meets it with no rank
+    from negcurve import symbolic_power
+
+    def no_rank(*args):
+        raise AssertionError("bounds that meet should settle the kernel check")
+
+    monkeypatch.setattr(symbolic_power, "rank_mod_p", no_rank)
+    monkeypatch.setattr(symbolic_power, "rational_rank", no_rank)
+    rep = is_nct(phi_family(2), 2, 1)
+    assert dict(rep.checks)["kernel"] and rep.accepted
+    # without the bound the modular rank is computed
+    with pytest.raises(AssertionError, match="bounds that meet"):
+        is_nct(phi_family(2), 2)
+
+
 def test_kernel_check_without_phi_in_kernel_is_exact(monkeypatch):
     from negcurve import symbolic_power
     real, calls = symbolic_power.rational_rank, []

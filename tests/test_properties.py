@@ -5,9 +5,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+from negcurve import exact_arith
 from negcurve.exact_arith import (binomial, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
 from negcurve.irreducibility import (IrreducibilityCertificate, _certify_char0,
@@ -65,7 +67,7 @@ def _hilbert_numerator_reference(P, N=8):
 def test_hilbert_numerator_matches_dilation_counts(P):
     # the numerator of a lattice polygon has degree at most 2, so the
     # truncation at s^8 leaves a vanishing tail
-    assert hilbert_numerator(P) == _hilbert_numerator_reference(P)
+    assert hilbert_numerator(P, lattice_points(P)) == _hilbert_numerator_reference(P)
 
 
 @st.composite
@@ -282,13 +284,55 @@ def int_matrices(draw):
 @given(int_matrices(), st.sampled_from((0, 2, 3, 5, 7, 634227673)))
 @example(([[2, 0, 0], [0, 1, 0], [0, -1, 1]], 3), 0)
 def test_mod_p_kernel_matches_gauss_jordan(case, p):
-    # p = 0 is the rational kernel, from Bareiss's fraction-free update; the
-    # example needs it applied to rows whose entry in the pivot column is 0
+    # p = 0 is the rational kernel, lifted from F_p; the example needs
+    # Bareiss's fraction-free update applied to rows whose entry in the
+    # pivot column is 0, which `rational_rank` still runs
     rows, ncols = case
     basis = nullspace(rows, ncols, p)
     assert basis == _kernel_gauss_jordan(rows, ncols, p)
     rank = rank_mod_p(rows, p) if p else rational_rank(rows)
     assert rank == ncols - len(basis)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer matrices, wide, tall or square, of full or deficient rank,
+    with small entries and entries of up to 45 bits."""
+    entry = st.integers(-9, 9) | st.integers(-2 ** 45, 2 ** 45)
+
+    def matrix(m, n):
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+
+    m, n, k = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    if k >= min(m, n):
+        return matrix(m, n), n
+    # rank at most k: the product of an m x k and a k x n matrix
+    A, B = matrix(m, k), matrix(k, n)
+    return [[sum(row[t] * B[t][j] for t in range(k)) for j in range(n)]
+            for row in A], n
+
+
+def _nullspace_with_primes(primes, rows, ncols):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_arith, "_PRIMES", primes)
+        return nullspace(rows, ncols)
+
+
+@given(kernel_matrices())
+@example(([[3, 2 ** 40 + 1]], 2))
+@example(([[2 ** 45 + 3, 2 ** 44 + 7, 2 ** 43 + 5],
+           [2 ** 42 + 11, 2 ** 45 + 13, 2 ** 41 + 17]], 3))
+@example(([[2, 0, 0], [0, 1, 0], [0, -1, 1]], 3))
+def test_lifted_kernel_equals_bareiss(case):
+    # with no primes nullspace is Bareiss's elimination alone; the primes 2
+    # and 3 are unlucky for many matrices, and the lift must still agree
+    rows, ncols = case
+    bareiss = _nullspace_with_primes((), rows, ncols)
+    lifted = nullspace(rows, ncols)
+    assert lifted == bareiss
+    assert all(isinstance(x, Fraction) for vec in lifted for x in vec)
+    assert _nullspace_with_primes((2, 3), rows, ncols) == bareiss
 
 
 @given(st.lists(st.integers(0, 3), max_size=9).map(sorted), st.integers(0, 10))

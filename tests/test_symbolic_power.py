@@ -145,22 +145,30 @@ def test_lemma_eu_random_supports():
         assert n1 == n2
 
 
+def _ehrhart(P):
+    return ehrhart_polynomial(P, lattice_points(P))
+
+
+def _hilbert(P):
+    return hilbert_numerator(P, lattice_points(P))
+
+
 def test_ehrhart_polynomial():
-    assert ehrhart_polynomial(convex_hull(SQUARE)) == (1, 2, 1)
-    assert ehrhart_polynomial(P_PHI3) == (4, 2, 1)
-    assert ehrhart_polynomial(P_PHI3P) == (4, 2, 1)
-    c2, c1, c0 = ehrhart_polynomial(P_PHI2)
+    assert _ehrhart(convex_hull(SQUARE)) == (1, 2, 1)
+    assert _ehrhart(P_PHI3) == (4, 2, 1)
+    assert _ehrhart(P_PHI3P) == (4, 2, 1)
+    c2, c1, c0 = _ehrhart(P_PHI2)
     assert (c2, c1, c0) == (Fraction(3, 2), Fraction(3, 2), 1)
     for n in range(1, 6):
         assert c2 * n * n + c1 * n + c0 == len(lattice_points(dilate(P_PHI2, n)))
-    assert ehrhart_polynomial(P_PHI3P)[0] * 1 + 2 + 1 == 7  # L(1) is the count
+    assert _ehrhart(P_PHI3P)[0] * 1 + 2 + 1 == 7  # L(1) is the count
 
 
 def test_hilbert_numerator():
-    assert hilbert_numerator(convex_hull(SQUARE)) == [1, 1]
-    f = hilbert_numerator(P_PHI2)
+    assert _hilbert(convex_hull(SQUARE)) == [1, 1]
+    f = _hilbert(P_PHI2)
     assert sum(f) == 3 and all(c >= 0 for c in f)
-    f = hilbert_numerator(P_PHI3)
+    f = _hilbert(P_PHI3)
     assert sum(f) == 8 and all(c >= 0 for c in f)
 
 
@@ -173,32 +181,30 @@ def test_nullity_prefilter_agrees():
         assert nullity(jm) == len(kernel(jm))
 
 
-def test_failed_prefilter_costs_one_modular_rank(monkeypatch):
-    # six collinear points: six rows, rank 3, so the prefilter cannot settle
+def test_failed_prefilter_costs_one_modular_rank(eliminations):
+    # six collinear points: six rows of rank 3, so the kernel is not empty;
+    # it is lifted from the one elimination mod the first prime
     jm = jet_matrix([(x, 0) for x in range(6)], 3)
-    from negcurve import symbolic_power
-    real, calls = symbolic_power.rank_mod_p, []
-    monkeypatch.setattr(symbolic_power, "rank_mod_p",
-                        lambda rows, p: calls.append(p) or real(rows, p))
+    from negcurve import exact_arith
     assert len(kernel(jm)) == 3
-    assert len(calls) == 1
+    assert eliminations == [exact_arith._PRIMES[0]]
 
 
-def test_full_rank_square_kernel_skips_elimination(monkeypatch):
+def test_full_rank_square_kernel_skips_elimination(monkeypatch, eliminations):
     # the order-r system on the triangle a + b < r is square and invertible
     r = 4
     S = [(a, b) for a in range(r) for b in range(r - a)]
     jm = jet_matrix(S, r)
     assert len(jm.rows) == len(S)
-    from negcurve import exact_arith, symbolic_power
-    bareiss = exact_arith.nullspace(jm.rows, len(S))
-
-    def no_elimination(*args):
-        raise AssertionError("the prefilter should have settled this kernel")
-
-    monkeypatch.setattr(symbolic_power, "nullspace", no_elimination)
+    from negcurve import exact_arith
+    with monkeypatch.context() as m:
+        m.setattr(exact_arith, "_PRIMES", ())
+        bareiss = exact_arith.nullspace(jm.rows, len(S))
+    eliminations.clear()
+    # one elimination mod the first prime each, and none over Q
     assert kernel(jm) == bareiss == []
     assert nullity(jm) == 0
+    assert eliminations == [exact_arith._PRIMES[0]] * 2
 
 
 def test_nullity_builds_no_basis(monkeypatch):
@@ -216,8 +222,8 @@ def test_nullity_builds_no_basis(monkeypatch):
 
 def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
     # mod 2 the (9,10,13) cell (3,100) has a kernel line that Q lacks
-    from negcurve import symbolic_power
-    monkeypatch.setattr(symbolic_power, "_PRIME", 2)
+    from negcurve import exact_arith, symbolic_power
+    monkeypatch.setattr(exact_arith, "_PRIMES", (2,) + exact_arith._PRIMES[1:])
     T = triangle(herzog_data(9, 10, 13))
     jm = jet_matrix(lattice_points(dilate(T, 100)), 3)
     assert symbolic_power._settled_nullity(jm) is None
