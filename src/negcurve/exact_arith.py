@@ -14,10 +14,10 @@ empty.  Otherwise the residues of the mod-p basis, combined by CRT across
 primes, are rationally reconstructed (Wang, Guy and Davenport, SIGSAM Bull.
 16, 1982) or, for an integral vector, read as least absolute residues, and
 the vectors are returned only when each one satisfies row . v == 0 over Z
-on the input rows.  rank mod p is at most rank over Q,
-so verified vectors, one ending at each free column mod p, are a basis over
-Q with the same free columns: the basis Bareiss would give.  When the primes
-run out, Bareiss's elimination over Q decides.
+on the input rows.  rank mod p is at most rank over Q, so verified
+vectors, one ending at each free column mod p, are a basis over Q with the
+same free columns: the basis Bareiss would give.  When the primes run out,
+Bareiss's elimination over Q decides.
 """
 
 from fractions import Fraction
