@@ -5,7 +5,7 @@ import json
 import sys
 from collections import Counter
 
-from .exact_arith import rat_str
+from .exact_arith import is_prime, rat_str
 from .herzog_semigroup import herzog_data, herzog_to_json
 from .lattice_geom import (
     IntegralPolygon,
@@ -16,7 +16,7 @@ from .lattice_geom import (
 )
 from .laurent_poly import ParseError, from_json, newton_polygon, parse, serialize
 from .nct_catalog import catalog_to_json, ggk_prime_family, is_nct, nct_to_json
-from .negcurve_search import cell_region, negcurve_to_json, scan
+from .negcurve_search import negcurve_to_json, region_size, scan
 from .symbolic_power import ehrhart_polynomial, hilbert_numerator
 from .toric_surface import DiagramContradiction, class_group, thm36_report, thm36_to_json
 
@@ -31,13 +31,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _char(text):
-    """0 or a prime; sympy is loaded only to test a nonzero value."""
+    """0 or a prime, below the bound where `is_prime` stops being exact."""
     value = int(text)
-    if value:
-        from sympy import isprime
-
-        if not isprime(value):
+    try:
+        if value and not is_prime(value):
             raise argparse.ArgumentTypeError("characteristic must be 0 or a prime")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -100,9 +100,7 @@ def cmd_search(args):
     d_filter = None
     if args.d:
         d_filter = {int(x) for x in args.d.split(",")}
-    # counted pair by pair, so a refusal holds no more than one degree range
-    cells = sum(len(ds) for _, ds in cell_region(args.a, args.b, args.c,
-                                                 args.rmax, d_filter))
+    cells = region_size(args.a, args.b, args.c, args.rmax, d_filter)
     if cells > SCAN_CELL_BUDGET and not args.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     tally = Counter()

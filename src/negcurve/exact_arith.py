@@ -28,6 +28,11 @@ from operator import mul
 # the modular rank prefilter's, and the char-0 kernel lift adds the others
 _PRIMES = (634227673, 1073741789, 1073741783, 1073741741)
 
+# a strong probable prime to the first 13 primes is prime below psi_13, the
+# limit (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
 
 class CharMismatch(ValueError):
     """Raised when arithmetic would mix characteristics."""
@@ -41,6 +46,22 @@ def binomial(n, k):
         return comb(n, k)
     # binomial(n,k) = (-1)^k binomial(k-n-1, k) for n < 0
     return (-1) ** k * comb(k - n - 1, k)
+
+
+def is_prime(n):
+    """Whether n is prime: trial division by the 13 bases, then strong
+    probable-prime tests to each.  Exact below psi_13; ValueError from it on."""
+    if n >= _MR_LIMIT:
+        raise ValueError("primality is decided exactly only below %d" % _MR_LIMIT)
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _MR_BASES:
+        # a witnesses n composite unless a^d = 1 or a^(d 2^i) = -1, i < s
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 2 ** i, n) for i in range(s)):
+            return False
+    return True
 
 
 def _residue(value, p):

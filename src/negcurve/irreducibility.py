@@ -5,17 +5,19 @@ certifies irreducibility over every field.  Past that, a longer segment
 included, char 0 and char p part ways.  Over the rationals sympy's complete
 factorization over ZZ[v, w] settles the question, and one reduction mod p
 then labels an irreducible input by whether it stays irreducible there.
-Over F_p, which sympy cannot factor in two variables, factoring goes through
-the Kronecker substitution w = v^M, sympy's univariate factorization, and
+Over F_p, factoring goes through the Kronecker substitution w = v^M, an
+in-package Cantor-Zassenhaus factorization of the univariate image, and
 recombination of factor subsets constrained by Minkowski summands of the
-Newton polygon; only there can an exhausted budget end Inconclusive.  sympy
-is imported only where it is called.
+Newton polygon.  In char p alone can an exhausted budget end Inconclusive.
+sympy is imported only in the char-0 step, so char p never loads it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, zip_longest
 from math import gcd
 
+from .exact_arith import is_prime
 from .lattice_geom import minkowski_decompositions
 from .laurent_poly import (
     LaurentPoly,
@@ -27,7 +29,7 @@ from .laurent_poly import (
 
 
 class FactorBudgetError(RuntimeError):
-    """Recombination or division work exceeded the desk-scale budget."""
+    """Splitting or recombination work exceeded the desk-scale budget."""
 
 
 @dataclass
@@ -116,24 +118,136 @@ def _fits(psi, allowed):
     return allowed is None or _shape(newton_polygon(psi)) in allowed
 
 
-def _univariate_factors(phi, M):
-    """Kronecker image factored over F_p, t-power and scalar dropped."""
-    import sympy
+# Dense polynomials over F_p: coefficient lists in [0, p), lowest degree
+# first, with no trailing zero, so [] is 0 and len(f) - 1 is the degree.
 
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _padd(f, g, p):
+    return _trim([(a + b) % p for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _pmul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[i:i + len(g)] = [x + a * b for x, b in zip(out[i:i + len(g)], g)]
+    return [x % p for x in out]
+
+
+def _pdivmod(f, g, p):
+    """Quotient and remainder of f by a nonzero g."""
+    r, n = list(f), len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - n, 0)
+    for i in reversed(range(len(q))):
+        q[i] = c = r[i + n] * inv % p
+        if c:
+            r[i:i + n + 1] = [(a - c * b) % p for a, b in zip(r[i:i + n + 1], g)]
+    return q, _trim(r[:n])
+
+
+def _pgcd(f, g, p):
+    """Monic gcd; f and g not both 0, so gcd(f, []) is f made monic."""
+    while g:
+        f, g = g, _pdivmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _ppowmod(g, e, f, p):
+    """g^e mod f."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pdivmod(_pmul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _pdivmod(_pmul(out, g, p), f, p)[1]
+    return out
+
+
+def _sqf(f, p):
+    """(g, m) with monic f the product of the g^m, each g squarefree monic:
+    Yun's splitting of the part prime to p, then the p-th root of the rest."""
+    out, n = [], 1
+    while len(f) > 1:
+        g = _pgcd(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)
+        h, i = _pdivmod(f, g, p)[0], 1
+        while len(h) > 1:
+            common = _pgcd(g, h, p)
+            part = _pdivmod(h, common, p)[0]
+            if len(part) > 1:
+                out.append((part, i * n))
+            g, h, i = _pdivmod(g, common, p)[0], common, i + 1
+        f, n = g[::p], n * p  # g is a polynomial in t^p
+    return out
+
+
+def _ddf(f, p, tickets):
+    """The irreducible factors of squarefree monic f, split by degree n first:
+    the degree-n ones divide t^(p^n) - t."""
+    out, n, g = [], 1, [0, 1]
+    while 2 * n < len(f):
+        g = _ppowmod(g, p, f, p)  # t^(p^n) mod f
+        h = _pgcd(f, _padd(g, [0, p - 1], p), p)
+        if len(h) > 1:
+            out += _edf(h, n, p, tickets, p)
+            f = _pdivmod(f, h, p)[0]
+            g = _pdivmod(g, f, p)[1]
+        n += 1
+    return out + _edf(f, len(f) - 1, p, tickets, p) if len(f) > 1 else out
+
+
+def _edf(f, n, p, tickets, k0):
+    """The degree-n factors of f, a squarefree monic product of such.
+
+    Attempt k = k0, k0 + 1, ... splits f by a proper gcd with the trace of
+    t^(2k - 3) for p = 2 (the trace is additive and Tr(r^2) = Tr(r), so odd
+    powers of t reach every split), else with r^((p^n - 1)/2) - 1 for r the
+    base-p digits of k.  No k that fails on f splits a factor of f, so both
+    halves of a split go on from the next k.
+    """
+    if len(f) - 1 == n:
+        return [f]
+    for k in count(k0):
+        if next(tickets, None) is None:
+            raise FactorBudgetError("splitting budget exhausted")
+        if p == 2:
+            h = s = [0] * (2 * k - 3) + [1]
+            for _ in range(n - 1):
+                s = _pdivmod(_pmul(s, s, p), f, p)[1]
+                h = _padd(h, s, p)
+        else:
+            r = [k // p ** i % p for i in range(k.bit_length()) if p ** i <= k]
+            h = _padd(_ppowmod(r, (p ** n - 1) // 2, f, p), [p - 1], p)
+        g = _pgcd(f, h, p)
+        if 1 < len(g) < len(f):
+            return (_edf(g, n, p, tickets, k + 1)
+                    + _edf(_pdivmod(f, g, p)[0], n, p, tickets, k + 1))
+
+
+def _univariate_factors(phi, M, tickets=None):
+    """Kronecker image factored over F_p, t-power and scalar dropped.
+
+    Cantor and Zassenhaus (Math. Comp. 36, 1981): squarefree, distinct- and
+    equal-degree splitting.  Monic factors, as (exponent, coefficient)
+    tuples repeated by multiplicity, sorted by (degree, tuple).  Each
+    splitting attempt takes an item of tickets, None for no bound; none
+    left raises FactorBudgetError.
+    """
     p = phi.char
-    enc = {}
-    for (a, b), c in phi.terms.items():
-        enc[a + M * b] = (enc.get(a + M * b, 0) + c) % p
-    t = sympy.Symbol("t")
-    _, facs = sympy.Poly.from_dict({(e,): c for e, c in enc.items()},
-                                   t, modulus=p).factor_list()
+    enc = {a + M * b: c % p for (a, b), c in phi.terms.items()}
+    f = [enc.get(e, 0) for e in range(min(enc), max(enc) + 1)]
     out = []
-    for f, mult in facs:
-        d = {e[0]: int(c) % p for e, c in f.as_dict().items()}
-        if len(d) == 1:
-            continue  # power of t, a unit after decoding
-        out.extend([tuple(sorted(d.items()))] * mult)
-    return sorted(out, key=lambda f: (max(e for e, _ in f), f))
+    for g, mult in _sqf(_pgcd(f, [], p), p):
+        for q in _ddf(g, p, count() if tickets is None else tickets):
+            out += [tuple((e, c) for e, c in enumerate(q) if c)] * mult
+    return sorted(out, key=lambda f: (f[-1][0], f))
 
 
 def _decode(enc, M, p):
@@ -183,7 +297,7 @@ def _distinct_combinations(items, size, start=0):
 
 
 def factor_mod_p(phi, budget=2 ** 14):
-    """Complete factorization over F_p, up to a unit."""
+    """Complete factorization over F_p, up to a unit; budget as in `certify`."""
     if phi.char == 0:
         raise ValueError("factor_mod_p needs positive characteristic")
     if not phi:
@@ -194,9 +308,9 @@ def factor_mod_p(phi, budget=2 ** 14):
     spread_a = max(a for a, _ in cur.terms)
     spread_b = max(b for _, b in cur.terms)
     M = 1 + 2 * max(spread_a, spread_b)
-    univ = _univariate_factors(cur, M)
+    tickets = iter(range(budget))  # one per splitting attempt or candidate
+    univ = _univariate_factors(cur, M, tickets)
     factors = []
-    work = 0
     while len(cur.terms) > 1:
         allowed = _translated_summands(newton_polygon(cur))
         if allowed is not None and not allowed:
@@ -205,8 +319,7 @@ def factor_mod_p(phi, budget=2 ** 14):
         for size in range(1, len(univ)):
             for idx in _distinct_combinations(univ, size):
                 key = tuple(univ[i] for i in idx)
-                work += 1
-                if work > budget:
+                if next(tickets, None) is None:
                     raise FactorBudgetError("recombination budget exhausted")
                 cand = _decode(_mul_univariate(key, phi.char), M, phi.char)
                 if not _fits(cand, allowed):
@@ -230,7 +343,8 @@ def factor_mod_p(phi, budget=2 ** 14):
 def certify(phi, budget=2 ** 14):
     """Typed irreducibility certificate for a nonzero nonunit phi.
 
-    budget bounds the recombination work in char p; char 0 needs none.
+    budget bounds the splitting attempts and recombination candidates
+    together in char p; char 0 needs none.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -281,8 +395,8 @@ def _certify_char0(phi, body):
             found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
         return _factored(phi, found)
     p = 2
-    while any(c % p == 0 for c in ints.values()):
-        p = sympy.nextprime(p)
+    while not is_prime(p) or any(c % p == 0 for c in ints.values()):
+        p += 1
     M = 1 + max(a for a, _ in ints)
     image = LaurentPoly({e: c % p for e, c in ints.items()}, p)
     if len(_univariate_factors(image, M)) == 1:

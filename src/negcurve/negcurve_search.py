@@ -119,21 +119,32 @@ def find(a, b, c, char, r, d):
     return None if report is None else (report.phi, report)
 
 
-def cell_region(a, b, c, r_max, d_filter=None):
-    """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2.
-
-    A generator, so that counting a large region holds one pair at a time.
-    The weights are checked before the first pair.
-    """
+def _region_abc(a, b, c, r_max):
     _check_weights(a, b, c)
     if r_max < 1:
         raise ValueError("r_max must be positive")
-    abc = a * b * c
+    return a * b * c
+
+
+def cell_region(a, b, c, r_max, d_filter=None):
+    """Pairs (r, ds) for r up to r_max: the ascending d with d^2 < abc r^2.
+
+    A generator; the weights are checked before the first pair.
+    """
+    abc = _region_abc(a, b, c, r_max)
     for r in range(1, r_max + 1):
         ds = range(1, isqrt(abc * r * r - 1) + 1)
         if d_filter is not None:
             ds = sorted(d for d in d_filter if d in ds)
         yield r, ds
+
+
+def region_size(a, b, c, r_max, d_filter=None):
+    """The number of cells in `cell_region`; unfiltered, one isqrt per r."""
+    if d_filter is not None:
+        return sum(len(ds) for _, ds in cell_region(a, b, c, r_max, d_filter))
+    abc = _region_abc(a, b, c, r_max)
+    return sum(isqrt(abc * r * r - 1) for r in range(1, r_max + 1))
 
 
 def scan(a, b, c, char, r_max, d_filter=None, progress=None):

@@ -85,6 +85,26 @@ def test_char0_search_never_loads_sympy(call):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+PHI3P_TEXT = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
+
+
+@pytest.mark.parametrize("argv", [
+    # --rmax 4 factors one candidate mod 2; --rmax 3 would factor none
+    ["search", "9", "10", "13", "--char", "2", "--rmax", "4", "--long"],
+    ["classify", "--r", "2", "--char", "5"],
+    ["check-nct", "PHI3P", "--r", "3", "--char", "2"],
+], ids=["search", "classify", "check-nct"])
+def test_char_p_commands_never_load_sympy(tmp_path, argv):
+    phi = tmp_path / "phi3p.txt"
+    phi.write_text(PHI3P_TEXT)
+    argv = [str(phi) if a == "PHI3P" else a for a in argv]
+    call = "assert negcurve.cli.main(%r) == 0" % argv
+    proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_search_none_found_is_success(capsys):
     rc, out, _ = run(capsys, "search", "9", "10", "13", "--rmax", "1",
                      "--jobs", "1", "--d", "30")
@@ -240,12 +260,19 @@ def test_usage_errors_exit_1(capsys):
     assert rc == 1 and "positive integers" in err
     rc, _, err = run(capsys, "search", "2", "4", "5", "--rmax", "60")
     assert rc == 1 and "pairwise coprime" in err
-    for bad in (["search", "9", "10", "13", "--char", "4", "--rmax", "1"],
-                ["nonsense"]):
+    # is_prime is exact only below psi_13 = 3317044064679887385961981
+    for bad, why in (
+            (["search", "9", "10", "13", "--char", "4", "--rmax", "1"],
+             "must be 0 or a prime"),
+            (["search", "9", "10", "13", "--char", "3317044064679887385961981",
+              "--rmax", "1"], "exactly only below 3317044064679887385961981"),
+            (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
             main(bad)
         assert e.value.code == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if "error:" in line]
+        assert len(errors) == 1 and why in errors[0]
 
 
 def test_long_gate(capsys):

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import pytest
+import sympy
+
 from negcurve import exact_arith
 from negcurve.exact_arith import (
     binomial,
     det2,
+    is_prime,
     nullspace,
     parse_rat,
     rank_mod_p,
@@ -171,3 +175,23 @@ def test_det2():
     assert det2((2, 1), (1, 2)) == 3
     assert det2((1, 0), (0, 1)) == 1
     assert det2((2, 4), (1, 2)) == 0
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n) != sympy.isprime(n)] == []
+    # a Carmichael number, a strong pseudoprime to 2, 3, 5 and 7, a Mersenne prime
+    assert [is_prime(n) for n in (561, 3215031751, 2 ** 61 - 1)] == [False, False, True]
+
+
+def test_is_prime_needs_all_thirteen_bases(monkeypatch):
+    # strong pseudoprimes to the bases 2..23 and 2..37 (psi_9 and psi_12)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    monkeypatch.setattr(exact_arith, "_MR_BASES", exact_arith._MR_BASES[:12])
+    assert is_prime(318665857834031151167461)
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert is_prime(exact_arith._MR_LIMIT - 2) is sympy.isprime(exact_arith._MR_LIMIT - 2)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from negcurve.irreducibility import (
+    FactorBudgetError,
     _factored,
+    _univariate_factors,
     cert_to_json,
     certify,
     exact_divide,
@@ -151,6 +153,28 @@ def test_certify_char_p_factored():
 def test_budget_gives_inconclusive():
     cert = certify(parse("vw - 1", char=5) * parse(PHI2, char=5), budget=1)
     assert cert.verdict == "Inconclusive"
+
+
+def test_splitting_attempts_count_against_the_budget():
+    # (v + 1)(v + 2) mod 5: both factors have degree 1, so the image splits
+    # only by an equal-degree attempt; the first, r = t, succeeds
+    phi = parse("v^2 + 3v + 2", char=5)
+    with pytest.raises(FactorBudgetError):
+        _univariate_factors(phi, 3, iter(()))
+    assert _univariate_factors(phi, 3, iter(range(1))) == [((0, 1), (1, 1)),
+                                                        ((0, 2), (1, 1))]
+    # one attempt, then one recombination candidate
+    assert certify(phi, budget=1).verdict == "Inconclusive"
+    assert certify(phi, budget=2).verdict == "Factored"
+
+
+def test_char2_splitting_tries_odd_powers_of_t():
+    # the image of 1 + v^20 + w^20 mod 2 has degree 420 and 20 factors, 12
+    # of degree 28; the traces of t, t^3, t^5, ... split it within 8
+    # attempts, where counting through every polynomial took 512
+    phi = parse("1 + v^20 + w^20", char=2)
+    factors = _univariate_factors(phi, 21, iter(range(8)))
+    assert sorted(f[-1][0] for f in factors) == [7] * 4 + [14] * 4 + [28] * 12
 
 
 def test_polytope_cert_invariance():

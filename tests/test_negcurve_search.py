@@ -16,6 +16,7 @@ from negcurve.negcurve_search import (
     find,
     is_negative_pair,
     negcurve_to_json,
+    region_size,
     scan,
 )
 from negcurve.symbolic_power import jet_matrix, kernel, nullity
@@ -93,6 +94,21 @@ def test_scan_d_filter_and_order():
     region = cell_region(9, 10, 13, 2, {0, 30, 40, 1000})
     assert [(r, list(ds)) for r, ds in region] == [(1, [30]), (2, [30, 40])]
     assert [len(ds) for _, ds in cell_region(9, 10, 13, 2)] == [34, 68]
+
+
+@pytest.mark.parametrize("a, b, c, r_max, d_filter", [
+    (9, 10, 13, 2, None), (9, 10, 13, 2, {0, 30, 40, 1000}),
+    (5, 33, 49, 18, None), (2, 3, 5, 300, None), (8, 15, 43, 9, {645, 646}),
+])
+def test_region_size_counts_cell_region(a, b, c, r_max, d_filter):
+    assert region_size(a, b, c, r_max, d_filter) == sum(
+        len(ds) for _, ds in cell_region(a, b, c, r_max, d_filter))
+
+
+def test_region_size_checks_like_cell_region():
+    for args in ((2, 4, 5, 3), (0, 1, 2, 3), (9, 10, 13, 0)):
+        with pytest.raises(ValueError):
+            region_size(*args)
 
 
 def _exhaustive(a, b, c, char, r_max, hit, d_filter=None):

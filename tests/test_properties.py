@@ -14,7 +14,8 @@ from negcurve.exact_arith import (binomial, nullspace, rank_mod_p,
                                   rational_rank, smith_normal_form)
 from negcurve.irreducibility import (IrreducibilityCertificate, _certify_char0,
                                      _distinct_combinations, _factored,
-                                     _to_origin, _univariate_factors, certify)
+                                     _mul_univariate, _to_origin,
+                                     _univariate_factors, certify)
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    collinear_exceeds, convex_hull, dilate,
                                    lattice_points, normalized_maps,
@@ -345,6 +346,48 @@ def test_distinct_combinations_match_filtered(items, size):
             seen.add(key)
             expected.append(idx)
     assert list(_distinct_combinations(items, size)) == expected
+
+
+@st.composite
+def fp_products(draw):
+    """(p, dense coefficients lowest first): a scalar times a power of t times
+    random factors, each repeated up to p + 1 times (at most 3 for the large
+    prime), so that the p-th-root step of the squarefree split runs."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 1073741789)))
+    f = [draw(st.integers(1, p - 1))]
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+        g.append(draw(st.integers(1, p - 1)))
+        for _ in range(draw(st.integers(1, p + 1 if p < 10 else 3))):
+            prod = [0] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+            f = prod
+    return p, [0] * draw(st.integers(0, 3)) + f
+
+
+@settings(max_examples=60)
+@given(fp_products())
+def test_univariate_factors_match_sympy(case):
+    p, f = case
+    terms = {(e, 0): c for e, c in enumerate(f) if c}
+    factors = _univariate_factors(LaurentPoly(terms, p), len(f))
+    t = sympy.Symbol("t")
+    _, facs = sympy.Poly.from_dict({(e,): c for (e, _), c in terms.items()},
+                                   t, modulus=p).factor_list()
+    expected = []
+    for g, mult in facs:
+        d = {e: int(c) % p for (e,), c in g.as_dict().items()}
+        if len(d) > 1:  # t itself is dropped
+            expected += [tuple(sorted(d.items()))] * mult
+    assert sorted(factors) == sorted(expected)
+    assert all(g[-1][1] == 1 for g in factors)
+    # the factors, the scalar and the t-power multiply back to the input
+    low = min(e for e, _ in terms)
+    unit = ((low, f[-1]),)
+    assert _mul_univariate(factors + [unit], p) == tuple(
+        (e, c) for (e, _), c in sorted(terms.items()))
 
 
 @settings(max_examples=15)
