@@ -41,12 +41,20 @@ def _char(text):
     return value
 
 
-def _jobs(text):
-    """A worker count, at least 1; no command reads it."""
+def _at_least_1(text, what):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("worker count must be at least 1")
+        raise argparse.ArgumentTypeError("%s must be at least 1" % what)
     return value
+
+
+def _jobs(text):
+    """A worker count, at least 1; no command reads it."""
+    return _at_least_1(text, "worker count")
+
+
+def _dilation(text):
+    return _at_least_1(text, "dilation factor")
 
 
 def _load_poly(path, char):
@@ -241,7 +249,7 @@ def _build_parser():
     p.set_defaults(func=cmd_thm36)
 
     p = add_parser("classify", help="canonical classes at small r")
-    p.add_argument("--r", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--r", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--char", type=_char, default=0)
     p.add_argument("--experimental", action="store_true")
     p.set_defaults(func=cmd_classify)
@@ -252,7 +260,7 @@ def _build_parser():
 
     p = add_parser("ehrhart", help="counting data for a polygon file")
     p.add_argument("file")
-    p.add_argument("--dilate", type=int, default=5)
+    p.add_argument("--dilate", type=_dilation, default=5)
     p.set_defaults(func=cmd_ehrhart)
 
     p = add_parser("classgroup", help="divisor class group from rays")

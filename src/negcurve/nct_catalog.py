@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exact_arith import det2
 from .irreducibility import IrreducibilityCertificate, cert_to_json, certify
@@ -193,46 +194,50 @@ def _normalized_polygons(r):
             if omega_contains((x, y), r)]
     out = []
 
-    def fits(chain):
-        hull = convex_hull(chain)
-        if area2(hull) >= r2:
-            return False
-        pts = lattice_points(hull)
-        if len(pts) > bound:
-            return False
-        return not (r >= 2 and collinear_exceeds(pts, r))
-
-    def rec(chain):
+    # Every emitted chain turns left at each vertex, the closing turns at
+    # v_n (origin strictly left of the last edge) and v_0 (v_n above the
+    # base) included, with edge directions ascending in [0, 2pi): a strictly
+    # convex ccw polygon.  There v_0 lies strictly left of every edge
+    # v_{k-1} v_k with k >= 2, so a chain whose new edge v_k w fails
+    # det2(v_k, w) > 0 has no emitted extension and is pruned.  A chain that
+    # survives is its own hull: twice its area is the shoelace sum A2 of
+    # det2(v_k, w), and its boundary count is S, the gcds of its edges, plus
+    # the closing edge's, so Pick gives its lattice count before any point
+    # is listed.  (r >= 2 here: the grid is empty at r = 1.)
+    def rec(chain, ek, A2, S):
         vk = chain[-1]
-        ek = (vk[0] - chain[-2][0], vk[1] - chain[-2][1])
-        if vk[1] > vk[0] >= 0 and det2(ek, (-vk[0], -vk[1])) > 0:
-            out.append(IntegralPolygon(chain))
+        if A2 >= r2 or (A2 + S + gcd(*vk) + 2) // 2 > bound:
+            return
+        P = IntegralPolygon(chain)
+        if collinear_exceeds(lattice_points(P), r):
+            return
+        if vk[1] > vk[0] >= 0:
+            out.append(P)
         for w in grid:
             e = (w[0] - vk[0], w[1] - vk[1])
             # a left turn follows ek in angle unless it passes direction (1, 0)
             if det2(ek, e) <= 0 or ek[1] < 0 <= e[1]:
                 continue
-            nxt = chain + [w]
-            if fits(nxt):
-                rec(nxt)
+            # the origin strictly left of the new edge, the area below r2
+            t = det2(vk, w)
+            if 0 < t < r2 - A2:
+                rec(chain + [w], e, A2 + t, S + gcd(*e))
 
     # base edge (0,0)-(a,0) carries a+1 collinear lattice points
     for a in range(1, max(2, r)):
         for w in grid:
-            chain = [(0, 0), (a, 0), w]
-            if fits(chain):
-                rec(chain)
+            rec([(0, 0), (a, 0), w], (w[0] - a, w[1]), a * w[1], a + gcd(w[0] - a, w[1]))
     return out
 
 
 def catalog(r, char=0, experimental=False):
-    """Canonical representatives with reports, exhaustively for r <= 2 (3 gated)."""
+    """Canonical representatives with reports, exhaustively for r <= 2 (3 and 4 gated)."""
     if r < 1:
         raise ValueError("r must be positive")
-    if r == 3 and not experimental:
-        raise ValueError("r = 3 needs experimental=True")
-    if r > 3:
-        raise ValueError("no enumeration beyond r = 3")
+    if r > 4:
+        raise ValueError("no enumeration beyond r = 4")
+    if r >= 3 and not experimental:
+        raise ValueError("r = %d needs --experimental" % r)
     if r == 1:
         # only the primitive segment fits the 2-point budget; no polygon has area2 < 1
         supports = [[(0, 0), (1, 0)]]
@@ -244,16 +249,15 @@ def catalog(r, char=0, experimental=False):
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         if len(basis) == 1:
             psis.append(basis[0])
+    # each canonical form is checked once; a rejected one keeps None
     entries = {}
     for psi in psis:
         rep = canonical_form(psi, r)
         key = _rep_key(rep)
-        if key in entries:
-            continue
-        report = is_nct(rep, r)
-        if report.accepted:
-            entries[key] = (rep, report)
-    return [entries[k] for k in sorted(entries)]
+        if key not in entries:
+            report = is_nct(rep, r)
+            entries[key] = (rep, report) if report.accepted else None
+    return [entries[k] for k in sorted(entries) if entries[k]]
 
 
 def classify(r, char=0, experimental=False):

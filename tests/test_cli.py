@@ -169,8 +169,9 @@ def test_jobs_is_a_count_that_search_reads(capsys):
 
 
 def test_classify_r3_needs_flag(capsys):
-    rc, _, err = run(capsys, "classify", "--r", "3")
-    assert rc == 1 and "experimental" in err
+    for r in ("3", "4"):
+        rc, _, err = run(capsys, "classify", "--r", r)
+        assert rc == 1 and "--experimental" in err
 
 
 def test_ggk_command(capsys):
@@ -252,7 +253,7 @@ def test_classgroup_command(capsys):
     assert doc["free_rank"] == 1 and doc["torsion"] == []
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "herzog", "2", "4", "6")[0] == 1
     assert run(capsys, "thm36", "/nonexistent.json", "--r", "2")[0] == 1
     # the weights are refused before the region is counted
@@ -260,12 +261,16 @@ def test_usage_errors_exit_1(capsys):
     assert rc == 1 and "positive integers" in err
     rc, _, err = run(capsys, "search", "2", "4", "5", "--rmax", "60")
     assert rc == 1 and "pairwise coprime" in err
+    poly = tmp_path / "tri.json"
+    poly.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
     # is_prime is exact only below psi_13 = 3317044064679887385961981
     for bad, why in (
             (["search", "9", "10", "13", "--char", "4", "--rmax", "1"],
              "must be 0 or a prime"),
             (["search", "9", "10", "13", "--char", "3317044064679887385961981",
               "--rmax", "1"], "exactly only below 3317044064679887385961981"),
+            (["ehrhart", str(poly), "--dilate", "-2"], "dilation factor must be at least 1"),
+            (["classify", "--r", "5", "--experimental"], "invalid choice"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
             main(bad)

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from negcurve.lattice_geom import DegeneratePolygonError, lattice_points, pick_counts
+from negcurve.lattice_geom import DegeneratePolygonError, area2, lattice_points, pick_counts
 from negcurve.laurent_poly import (
     apply_gl2z,
     multiplicity_at_one,
@@ -15,6 +16,7 @@ from negcurve.laurent_poly import (
 from negcurve.nct_catalog import (
     _normalized_polygons,
     canonical_form,
+    catalog,
     catalog_to_json,
     classify,
     ggk_prime_family,
@@ -196,6 +198,28 @@ def test_normalized_polygon_pool_r2():
         "8e9b9c16d2448552b4dd28bab34f7b48028d1efedd08f2fff695ebf8d0d031db"
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_normalized_polygon_pool_bounds_and_pick(r):
+    # the enumerator prunes on twice the area and on the lattice count from
+    # Pick, (area2 + B + 2) // 2, without listing the points
+    for P in _normalized_polygons(r):
+        pts = lattice_points(P)
+        A2 = area2(P)
+        B, _ = pick_counts(P, pts)
+        assert A2 < r * r
+        assert len(pts) <= r * (r + 1) // 2 + 1
+        assert (A2 + B + 2) // 2 == len(pts)
+
+
+@pytest.mark.long
+def test_normalized_polygon_pool_r4():
+    # captured from the enumerator that took the convex hull of every chain
+    pool = [P.vertices for P in _normalized_polygons(4)]
+    assert len(pool) == 1395
+    assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
+        "9ad1afe01e61e22a8bcd42d48b205e751bac048099a9f0a12f3c066841e88197"
+
+
 def test_classify_r1():
     assert classify(1) == [parse("v - 1")]
     assert classify(1, char=3) == [parse("v - 1", char=3)]
@@ -213,10 +237,12 @@ def test_classify_r2_char_p():
 
 
 def test_classify_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="--experimental"):
         classify(3)
-    with pytest.raises(ValueError):
-        classify(4, experimental=True)
+    with pytest.raises(ValueError, match="--experimental"):
+        classify(4)
+    with pytest.raises(ValueError, match="beyond r = 4"):
+        classify(5, experimental=True)
 
 
 def test_classify_r3_two_classes():
@@ -224,6 +250,28 @@ def test_classify_r3_two_classes():
     assert len(reps) == 2
     assert canonical_form(phi_family(3), 3) in reps
     assert canonical_form(ggk_prime_family(3), 3) in reps
+
+
+def test_catalog_checks_each_canonical_form_once(monkeypatch):
+    # 31 kernel generators at r = 3 fall into 5 canonical forms, 2 accepted
+    from negcurve import nct_catalog
+    real, calls = nct_catalog.is_nct, []
+    monkeypatch.setattr(nct_catalog, "is_nct",
+                        lambda phi, r: calls.append(phi) or real(phi, r))
+    assert len(catalog(3, experimental=True)) == 2
+    assert len(calls) == 5
+
+
+@pytest.mark.long
+def test_classify_r4_holds_both_families():
+    # no statement fixes the full count at r = 4, so none is asserted
+    t0 = time.monotonic()
+    entries = catalog(4, experimental=True)
+    assert time.monotonic() - t0 < 10
+    assert all(report.accepted for _, report in entries)
+    reps = [rep for rep, _ in entries]
+    assert canonical_form(phi_family(4), 4) in reps
+    assert canonical_form(ggk_prime_family(4), 4) in reps
 
 
 def test_catalog_json():
