@@ -57,6 +57,11 @@ def _dilation(text):
     return _at_least_1(text, "dilation factor")
 
 
+def _degrees(text):
+    """A comma-separated set of degrees, each at least 1."""
+    return {_at_least_1(x, "degree") for x in text.split(",")}
+
+
 def _load_poly(path, char):
     with open(path) as fh:
         text = fh.read()
@@ -105,10 +110,7 @@ def cmd_herzog(args):
 
 
 def cmd_search(args):
-    d_filter = None
-    if args.d:
-        d_filter = {int(x) for x in args.d.split(",")}
-    cells = region_size(args.a, args.b, args.c, args.rmax, d_filter)
+    cells = region_size(args.a, args.b, args.c, args.rmax, args.d)
     if cells > SCAN_CELL_BUDGET and not args.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     tally = Counter()
@@ -123,7 +125,7 @@ def cmd_search(args):
                   % (tally[why], cells, r, d), file=sys.stderr)
 
     hits = scan(args.a, args.b, args.c, args.char, args.rmax,
-                d_filter=d_filter, progress=progress)
+                d_filter=args.d, progress=progress)
     print("scan done: %d cells in region, %d visited, %d skipped after an "
           "empty kernel, %d skipped by a higher degree, %d cells in %d "
           "degree%s without lattice points"
@@ -231,7 +233,7 @@ def _build_parser():
     p.add_argument("c", type=int)
     p.add_argument("--char", type=_char, default=0)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--d", help="comma-separated degree filter")
+    p.add_argument("--d", type=_degrees, help="comma-separated degree filter")
     p.add_argument("--long", action="store_true")
     p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_search)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exact_arith import det2
-from .irreducibility import IrreducibilityCertificate, cert_to_json, certify
+from .irreducibility import IrreducibilityCertificate, cert_to_json, certify, exact_divide
 from .lattice_geom import (
     DegeneratePolygonError,
     IntegralPolygon,
@@ -14,6 +14,7 @@ from .lattice_geom import (
     collinear_exceeds,
     convex_hull,
     lattice_points,
+    minkowski_decompositions,
     normalized_maps,
     omega_contains,
     pick_counts,
@@ -230,14 +231,38 @@ def _normalized_polygons(r):
     return out
 
 
-def catalog(r, char=0, experimental=False):
-    """Canonical representatives with reports, exhaustively for r <= 2 (3 and 4 gated)."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if r > 4:
-        raise ValueError("no enumeration beyond r = 4")
-    if r >= 3 and not experimental:
-        raise ValueError("r = %d needs --experimental" % r)
+# If rep = g*h with nonunits g and h, then Newton(rep) = Newton(g) + Newton(h)
+# (Ostrowski), so for some pair (Q1, Q2) of `minkowski_decompositions` one
+# factor, say g, lies on a translate of Q1 and h on one of Q2, and
+# mult(g) + mult(h) = mult(rep) = M.  A catalog candidate spans a
+# 1-dimensional jet kernel K(P, M) on its polygon P, and that kernel holds
+# K(Q1, mult g) * K(Q2, mult h).  By the linear Cauchy-Davenport bound
+# dim(A*B) >= dim A + dim B - 1 (Hou, Leung and Xiang, J. Number Theory 97,
+# 2002; leading monomials under a term order reduce it to |X + Y| >= |X| +
+# |Y| - 1 in Z^2, over any field), both factor kernels are 1-dimensional.
+# K(Q, 0) has one dimension per lattice point of Q, at least 2, so
+# 0 < mult g < M, and g is the lone generator of K(Q1, mult g) up to a unit.
+# Conversely, a lone generator g of K(Q1, m) with m >= 1 vanishes at (1, 1),
+# and lies on Q1, narrower than P in some direction, so a quotient rep / g
+# is a nonunit too: a split proves rep reducible in every characteristic,
+# and a candidate that factors always splits.
+def _splits(rep):
+    """True when rep is a multiple of a summand's lone jet-kernel generator."""
+    mult = multiplicity_at_one(rep)
+    P = newton_polygon(rep)
+    if mult < 2 or P.dim < 2:
+        return False
+    for Q1, _ in minkowski_decompositions(P):
+        pts = lattice_points(Q1)
+        for m in range(1, mult):
+            basis = kernel_polynomials(jet_matrix(pts, m, rep.char))
+            if len(basis) == 1 and exact_divide(rep, basis[0]) is not None:
+                return True
+    return False
+
+
+def _kernel_generators(r, char):
+    """The lone generator of each 1-dimensional jet kernel on the r-pruned pool."""
     if r == 1:
         # only the primitive segment fits the 2-point budget; no polygon has area2 < 1
         supports = [[(0, 0), (1, 0)]]
@@ -249,14 +274,31 @@ def catalog(r, char=0, experimental=False):
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         if len(basis) == 1:
             psis.append(basis[0])
-    # each canonical form is checked once; a rejected one keeps None
+    return psis
+
+
+def catalog(r, char=0, experimental=False):
+    """Canonical representatives with reports, exhaustively for r <= 2 (3 and 4 gated)."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    if r > 4:
+        raise ValueError("no enumeration beyond r = 4")
+    if r >= 3 and not experimental:
+        raise ValueError("r = %d needs --experimental" % r)
+    # each canonical form is checked once; a rejected one keeps None, and a
+    # form that splits would fail the irreducibility check, so it gets no
+    # certificate
     entries = {}
-    for psi in psis:
+    for psi in _kernel_generators(r, char):
         rep = canonical_form(psi, r)
         key = _rep_key(rep)
-        if key not in entries:
+        if key in entries:
+            continue
+        entries[key] = None
+        if not _splits(rep):
             report = is_nct(rep, r)
-            entries[key] = (rep, report) if report.accepted else None
+            if report.accepted:
+                entries[key] = (rep, report)
     return [entries[k] for k in sorted(entries) if entries[k]]
 
 

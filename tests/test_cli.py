@@ -77,7 +77,10 @@ def _child_env():
     "pass",
     "negcurve.cli.main(['--jobs', '1', 'search', '8', '15', '43', "
     "'--rmax', '9', '--d', '645'])",
-], ids=["import", "search"])
+    # catalog's reducible forms split before any certificate needs sympy
+    "assert negcurve.cli.main(['classify', '--r', '2']) == 0",
+    "assert negcurve.cli.main(['classify', '--r', '3', '--experimental']) == 0",
+], ids=["import", "search", "classify-r2", "classify-r3"])
 def test_char0_search_never_loads_sympy(call):
     proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
@@ -270,6 +273,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             (["search", "9", "10", "13", "--char", "3317044064679887385961981",
               "--rmax", "1"], "exactly only below 3317044064679887385961981"),
             (["ehrhart", str(poly), "--dilate", "-2"], "dilation factor must be at least 1"),
+            (["search", "9", "10", "13", "--rmax", "1", "--d", "0"], "degree must be at least 1"),
+            (["search", "9", "10", "13", "--rmax", "1", "--d", "30,-5"],
+             "degree must be at least 1"),
+            (["search", "9", "10", "13", "--rmax", "1", "--d", "x"], "'x'"),
             (["classify", "--r", "5", "--experimental"], "invalid choice"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:

@@ -5,16 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from negcurve.irreducibility import certify
 from negcurve.lattice_geom import DegeneratePolygonError, area2, lattice_points, pick_counts
 from negcurve.laurent_poly import (
     apply_gl2z,
     multiplicity_at_one,
+    multiply,
     newton_polygon,
     parse,
+    serialize,
     unit_multiply,
 )
 from negcurve.nct_catalog import (
+    _kernel_generators,
     _normalized_polygons,
+    _rep_key,
+    _splits,
     canonical_form,
     catalog,
     catalog_to_json,
@@ -253,13 +259,57 @@ def test_classify_r3_two_classes():
 
 
 def test_catalog_checks_each_canonical_form_once(monkeypatch):
-    # 31 kernel generators at r = 3 fall into 5 canonical forms, 2 accepted
+    # 40 kernel generators at r = 3 fall into 5 canonical forms: 3 split
+    # through a summand's kernel, and the 2 others reach is_nct once each
     from negcurve import nct_catalog
-    real, calls = nct_catalog.is_nct, []
+    assert len(_kernel_generators(3, 0)) == 40
+    real_splits, real_is_nct = nct_catalog._splits, nct_catalog.is_nct
+    splits, checked = [], []
+
+    def split(rep):
+        splits.append(real_splits(rep))
+        return splits[-1]
+
+    monkeypatch.setattr(nct_catalog, "_splits", split)
     monkeypatch.setattr(nct_catalog, "is_nct",
-                        lambda phi, r: calls.append(phi) or real(phi, r))
-    assert len(catalog(3, experimental=True)) == 2
-    assert len(calls) == 5
+                        lambda phi, r: checked.append(phi) or real_is_nct(phi, r))
+    entries = catalog(3, experimental=True)
+    assert len(splits) == 5 and sum(splits) == 3
+    assert sorted(map(_rep_key, checked)) == [_rep_key(rep) for rep, _ in entries]
+
+
+@pytest.mark.parametrize("r, char", [(r, char) for r in (2, 3) for char in (0, 2, 3)]
+                         + [pytest.param(4, 0, marks=pytest.mark.long)])
+def test_split_check_agrees_with_certificate(r, char):
+    # sympy's factorization over ZZ[v, w] (char 0) and factor_mod_p (char p)
+    # are the oracles for every canonical form catalog builds
+    forms = {}
+    for psi in _kernel_generators(r, char):
+        rep = canonical_form(psi, r)
+        forms[_rep_key(rep)] = rep
+    for rep in forms.values():
+        assert _splits(rep) == (certify(rep).verdict == "Factored"), serialize(rep)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_planted_product_splits(char):
+    prod = multiply(parse("vw - 1"), phi_family(2))
+    phi = unit_multiply(apply_gl2z(prod, ((2, 1), (1, 1))), 1, 3, -2)
+    assert _splits(phi.reduce_mod(char) if char else phi)
+
+
+def test_families_do_not_split():
+    assert not _splits(phi_family(3))
+    assert not _splits(ggk_prime_family(3))
+
+
+def test_lone_generator_must_divide_to_split():
+    # the summand segment (0,0)-(3,-1) spans the lone order-1 kernel
+    # generator v^3 w^-1 - 1, which does not divide this irreducible phi
+    phi = parse("-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2")
+    assert multiplicity_at_one(phi) == 2
+    assert certify(phi).verdict == "IrreducibleOverQ"
+    assert not _splits(phi)
 
 
 @pytest.mark.long
