@@ -30,9 +30,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+def _integer(text, what):
+    # argparse names the type function in its own message for a ValueError
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%s must be an integer" % what) from None
+
+
 def _char(text):
     """0 or a prime, below the bound where `is_prime` stops being exact."""
-    value = int(text)
+    value = _integer(text, "characteristic")
     try:
         if value and not is_prime(value):
             raise argparse.ArgumentTypeError("characteristic must be 0 or a prime")
@@ -42,7 +50,7 @@ def _char(text):
 
 
 def _at_least_1(text, what):
-    value = int(text)
+    value = _integer(text, what)
     if value < 1:
         raise argparse.ArgumentTypeError("%s must be at least 1" % what)
     return value

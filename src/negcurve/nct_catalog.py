@@ -246,13 +246,26 @@ def _normalized_polygons(r):
 # and lies on Q1, narrower than P in some direction, so a quotient rep / g
 # is a nonunit too: a split proves rep reducible in every characteristic,
 # and a candidate that factors always splits.
+#
+# A `search` candidate phi generates a 1-dimensional jet kernel K(dT, r) on
+# the dilated triangle dT.  Its polygon P lies in dT and M = mult(phi) >= r,
+# so K(P, M) lies in K(P, r), which embeds in K(dT, r) by extending with
+# zeros: phi spans K(P, M), and when P is 2-dimensional the argument above
+# holds for it unchanged.  On a segment, or at a larger nullity, the check
+# is still sound but may miss a factoring candidate, which the
+# irreducibility certificate then finds.
 def _splits(rep):
     """True when rep is a multiple of a summand's lone jet-kernel generator."""
-    mult = multiplicity_at_one(rep)
     P = newton_polygon(rep)
-    if mult < 2 or P.dim < 2:
+    if P.dim < 2:
         return False
-    for Q1, _ in minkowski_decompositions(P):
+    # every curve found so far has an indecomposable polygon: it returns
+    # here, before the multiplicity is computed
+    pairs = minkowski_decompositions(P)
+    if not pairs:
+        return False
+    mult = multiplicity_at_one(rep)
+    for Q1, _ in pairs:
         pts = lattice_points(Q1)
         for m in range(1, mult):
             basis = kernel_polynomials(jet_matrix(pts, m, rep.char))

@@ -6,7 +6,7 @@ from math import isqrt
 from .herzog_semigroup import _check_weights, herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, inward_normals, lattice_points, pick_counts
 from .laurent_poly import serialize
-from .nct_catalog import is_nct, nct_to_json, report_status
+from .nct_catalog import _splits, is_nct, nct_to_json, report_status
 from .symbolic_power import jet_matrix, kernel_polynomials
 
 
@@ -101,6 +101,9 @@ def _degree_cells(triple, char, T, d, lo, cap):
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
         for phi in basis:
+            # a split phi would fail the irreducibility check (see `_splits`)
+            if _splits(phi):
+                continue
             report = _report(triple, char, r, d, phi, dP, pts, len(basis))
             if report.accepted:
                 hit = report

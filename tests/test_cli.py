@@ -276,7 +276,17 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             (["search", "9", "10", "13", "--rmax", "1", "--d", "0"], "degree must be at least 1"),
             (["search", "9", "10", "13", "--rmax", "1", "--d", "30,-5"],
              "degree must be at least 1"),
-            (["search", "9", "10", "13", "--rmax", "1", "--d", "x"], "'x'"),
+            (["search", "9", "10", "13", "--rmax", "1", "--d", "x"],
+             "degree must be an integer"),
+            (["search", "9", "10", "13", "--rmax", "1", "--d", "30,x"],
+             "degree must be an integer"),
+            (["ehrhart", str(poly), "--dilate", "x"], "dilation factor must be an integer"),
+            (["search", "9", "10", "13", "--rmax", "1", "--jobs", "x"],
+             "worker count must be an integer"),
+            (["--jobs", "1.5", "search", "9", "10", "13", "--rmax", "1"],
+             "worker count must be an integer"),
+            (["search", "9", "10", "13", "--rmax", "1", "--char", "x"],
+             "characteristic must be an integer"),
             (["classify", "--r", "5", "--experimental"], "invalid choice"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
@@ -285,6 +295,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         errors = [line for line in err if "error:" in line]
         assert len(errors) == 1 and why in errors[0]
+        # no private type function is named to the user
+        assert " _" not in errors[0]
 
 
 def test_long_gate(capsys):

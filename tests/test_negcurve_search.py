@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from negcurve import negcurve_search
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import convex_hull, dilate, lattice_points, pick_counts
-from negcurve.laurent_poly import newton_polygon, parse
-from negcurve.nct_catalog import canonical_form
+from negcurve.irreducibility import certify
+from negcurve.laurent_poly import newton_polygon, parse, serialize
+from negcurve.nct_catalog import _splits, canonical_form
 from negcurve.negcurve_search import (
     _report,
     cell_region,
@@ -19,7 +20,7 @@ from negcurve.negcurve_search import (
     region_size,
     scan,
 )
-from negcurve.symbolic_power import jet_matrix, kernel, nullity
+from negcurve.symbolic_power import jet_matrix, kernel, kernel_polynomials, nullity
 
 
 def test_is_negative_pair():
@@ -178,8 +179,10 @@ def test_scan_walk_counts(monkeypatch):
 
 
 def test_scan_reaches_every_kernel_across_r(monkeypatch):
-    # accept every kernel element, so that every visited cell with a kernel
-    # is a hit: the capped walk must still reach each of them
+    # accept every kernel element, split ones included, so that every
+    # visited cell with a kernel is a hit: the capped walk must still reach
+    # each of them
+    monkeypatch.setattr(negcurve_search, "_splits", lambda phi: False)
     monkeypatch.setattr(negcurve_search, "_report",
                         lambda *args: SimpleNamespace(accepted=True))
     T = triangle(herzog_data(2, 3, 5))
@@ -269,9 +272,90 @@ def test_report_jet_membership_is_computed():
 
 
 def test_find_factoring_probe_finishes():
-    # 47 Kronecker factors, 25 of them copies of 1 + t: the recombination
-    # must count distinct factor subsets, not every index combination
+    # the cell's lone kernel generator splits, so find rejects it without a
+    # certificate; certified, it has 47 Kronecker factors, 25 of them copies
+    # of 1 + t: the recombination must count distinct factor subsets, not
+    # every index combination
     assert find(9, 10, 13, 2, 11, 372) is None
+    T = triangle(herzog_data(9, 10, 13))
+    [phi] = kernel_polynomials(jet_matrix(lattice_points(dilate(T, 372)), 11, 2))
+    cert = certify(phi)
+    assert cert.verdict == "Factored" and len(cert.factors) == 5
+
+
+def _scan_generators(monkeypatch, *args):
+    """(phi, nullity) for each kernel generator the split check meets in
+    scan(*args), in order."""
+    nullities, met = {}, []
+    real_kernel, real_splits = negcurve_search.kernel_polynomials, negcurve_search._splits
+
+    def kernel_polys(matrix):
+        basis = real_kernel(matrix)
+        nullities.update((id(phi), len(basis)) for phi in basis)
+        return basis
+
+    def splits(phi):
+        met.append((phi, nullities[id(phi)]))
+        return real_splits(phi)
+
+    monkeypatch.setattr(negcurve_search, "kernel_polynomials", kernel_polys)
+    monkeypatch.setattr(negcurve_search, "_splits", splits)
+    scan(*args)
+    return met
+
+
+@pytest.mark.parametrize("args, met", [
+    ((9, 10, 13, 2, 8), 6), ((9, 10, 13, 3, 8), 12), ((7, 11, 17, 0, 4), 34)])
+def test_scan_split_check_agrees_with_certificate(monkeypatch, args, met):
+    # certify is the oracle: a split is a factorization in every
+    # characteristic, and on a 2-dimensional Newton polygon at nullity 1
+    # every factoring generator splits (see `nct_catalog._splits`)
+    gens = _scan_generators(monkeypatch, *args)
+    assert len(gens) == met
+    complete = 0
+    for phi, null in gens:
+        split, factored = _splits(phi), certify(phi).verdict == "Factored"
+        assert factored or not split, serialize(phi)
+        if null == 1 and newton_polygon(phi).dim == 2:
+            assert split == factored, serialize(phi)
+            complete += 1
+    assert complete
+
+
+def test_char_p_scan_certifies_only_the_hit(monkeypatch):
+    # five of the six generators met split, and the hit's polygon is
+    # indecomposable, so nothing reaches factor_mod_p
+    from negcurve import irreducibility, nct_catalog
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(nct_catalog, "certify")
+    counted(irreducibility, "factor_mod_p")
+    hits = scan(9, 10, 13, 2, 8)
+    assert [(r, d) for r, d, _ in hits] == [(3, 100)]
+    assert calls == {"certify": 1}
+
+
+@pytest.mark.parametrize("a, b, c, char, r, d", [
+    (9, 10, 13, 2, 3, 100), (5, 33, 49, 0, 18, 1617)])
+def test_indecomposable_split_check_skips_multiplicity(monkeypatch, a, b, c, char, r, d):
+    # both hits have an indecomposable Newton polygon, so the split check
+    # returns before it computes a multiplicity
+    from negcurve import nct_catalog
+    phi, _ = find(a, b, c, char, r, d)
+
+    def multiplicity(phi):
+        raise AssertionError("multiplicity computed")
+
+    monkeypatch.setattr(nct_catalog, "multiplicity_at_one", multiplicity)
+    assert not _splits(phi)
 
 
 @pytest.mark.long
