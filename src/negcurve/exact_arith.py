@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 
-# 30-bit primes, so that each residue is one Python digit; the first is also
-# the modular rank prefilter's, and the char-0 kernel lift adds the others
+# 30-bit primes, so that each residue is one Python digit; the char-0 kernel
+# lift eliminates mod the first and adds the others only when it must
 _PRIMES = (634227673, 1073741789, 1073741783, 1073741741)
 
 # a strong probable prime to the first 13 primes is prime below psi_13, the

@@ -251,14 +251,21 @@ def _normalized_polygons(r):
 # the dilated triangle dT.  Its polygon P lies in dT and M = mult(phi) >= r,
 # so K(P, M) lies in K(P, r), which embeds in K(dT, r) by extending with
 # zeros: phi spans K(P, M), and when P is 2-dimensional the argument above
-# holds for it unchanged.  On a segment, or at a larger nullity, the check
-# is still sound but may miss a factoring candidate, which the
-# irreducibility certificate then finds.
+# holds for it unchanged.
+#
+# On a segment of lattice length g, rep is a unit times f(t), where t is the
+# primitive monomial along the segment and deg f = g.  If rep vanishes at
+# (1, 1), then t - 1, the lone generator of the primitive summand's kernel
+# at m = 1, divides f, and the quotient is a nonunit when g >= 2; with
+# g = 1, f is linear and rep irreducible.  So on every candidate, which
+# has multiplicity at least 1 and nullity 1, a split is exactly a
+# factorization, on a segment or a polygon alike.
 def _splits(rep):
     """True when rep is a multiple of a summand's lone jet-kernel generator."""
     P = newton_polygon(rep)
     if P.dim < 2:
-        return False
+        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
+        return gcd(x1 - x0, y1 - y0) > 1 and multiplicity_at_one(rep) > 0
     # every curve found so far has an indecomposable polygon: it returns
     # here, before the multiplicity is computed
     pairs = minkowski_decompositions(P)

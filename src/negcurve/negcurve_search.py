@@ -96,18 +96,23 @@ def _degree_cells(triple, char, T, d, lo, cap):
     pts = lattice_points(dP)
     if not pts:
         return [], 0
+    # A cell of nullity >= 2 holds no hit.  An irreducible, edge-touching phi
+    # with mult >= r and d^2 < abc r^2 cuts out a curve C of class dH - mE,
+    # m >= r, and every g in the cell has (dH - rE).C = d^2/abc - rm < 0, so
+    # C is a component of V(g) (Cutkosky, J. reine angew. Math. 416, 1991;
+    # Kurano and Matsuoka, J. Algebra 322, 2009).  Over a non-closed field
+    # each Galois conjugate component of C is negative too, so phi divides g,
+    # and g, of the same degree, is a constant times phi.  A hit is thus the
+    # lone generator of its cell, and a split one would fail the
+    # irreducibility check (see `_splits`).
     cells = []
     for r in range(lo, cap):
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
-        for phi in basis:
-            # a split phi would fail the irreducibility check (see `_splits`)
-            if _splits(phi):
-                continue
-            report = _report(triple, char, r, d, phi, dP, pts, len(basis))
+        if len(basis) == 1 and not _splits(basis[0]):
+            report = _report(triple, char, r, d, basis[0], dP, pts, 1)
             if report.accepted:
                 hit = report
-                break
         cells.append((r, hit))
         if not basis:
             return cells, r
@@ -115,7 +120,8 @@ def _degree_cells(triple, char, T, d, lo, cap):
 
 
 def find(a, b, c, char, r, d):
-    """First kernel generator at (r, d) passing the four curve conditions."""
+    """The cell's lone kernel generator at (r, d), when it passes the four
+    curve conditions; a cell of larger nullity holds no curve."""
     cells, _ = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)),
                              d, r, r + 1)
     report = cells[0][1] if cells else None

@@ -12,19 +12,15 @@ entries stay small.  The support is a plain sorted tuple of points.
 The dimension of the degree-d piece is |dP| minus the rank of that system.
 `kernel` asks `nullspace`, which in char 0 lifts the basis from the
 eliminations mod the primes of `exact_arith._PRIMES` and checks it over Z.
-`nullity` builds no basis: bounds the caller knows that meet settle it
-with no rank, and otherwise one rule, `_settled_nullity`, says when a
-modular rank settles it: always in char p, and in char 0 when the nullity
-mod the first of those primes, an upper bound over Q, meets the lower
-bound max(|S| - rows, least).  When neither settles it, it eliminates over
-Q.  Ehrhart counting of the dilations gives the other side of the ledger.
+`nullity` asks the same question: bounds the caller knows that meet settle
+it with no elimination, and otherwise it counts `kernel`'s basis.  Ehrhart
+counting of the dilations gives the other side of the ledger.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact_arith
-from .exact_arith import binomial, nullspace, rank_mod_p, rational_rank
+from .exact_arith import binomial, nullspace
 from .lattice_geom import area2, pick_counts
 from .laurent_poly import LaurentPoly
 
@@ -65,22 +61,6 @@ def jet_matrix(points, r, char=0):
     return JetMatrix(char, S, rows)
 
 
-def _settled_nullity(jm, least=0):
-    """The nullity when a modular rank settles it, else None.
-
-    The rank mod the characteristic is exact.  In char 0 the rank mod the
-    first prime of `exact_arith._PRIMES` bounds the nullity over Q from
-    above, and max(|S| - rows, least) bounds it from below, where `least`
-    is a nullity the caller already knows; when the two bounds meet, the
-    modular one is the nullity.
-    """
-    n = len(jm.support)
-    null_p = n - rank_mod_p(jm.rows, jm.char or exact_arith._PRIMES[0])
-    if jm.char or null_p == max(n - len(jm.rows), least):
-        return null_p
-    return None
-
-
 def kernel(jm):
     """Kernel basis as plain coefficient vectors, one per basis element."""
     return nullspace(jm.rows, len(jm.support), jm.char)
@@ -96,20 +76,16 @@ def kernel_polynomials(jm):
 
 
 def nullity(jm, least=0, most=None):
-    """Dimension of the kernel, |S| less the rank; no basis is built.
+    """Dimension of the kernel: the size of `kernel`'s basis.
 
     `least` and `most` are bounds the caller knows, such as 1 when a given
     polynomial lies in the kernel, and the nullity of a larger support at
     the same order and characteristic.  Bounds that meet are the nullity,
-    with no rank computed.  Only an unsettled modular rank falls back to
-    the rational rank.
+    with no elimination.
     """
     if least == most:
         return least
-    null = _settled_nullity(jm, least)
-    if null is None:
-        null = len(jm.support) - rational_rank(jm.rows)
-    return null
+    return len(kernel(jm))
 
 
 def lemma_eu_reduce(S, line, r):

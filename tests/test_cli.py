@@ -77,10 +77,13 @@ def _child_env():
     "pass",
     "negcurve.cli.main(['--jobs', '1', 'search', '8', '15', '43', "
     "'--rmax', '9', '--d', '645'])",
+    # every reducible candidate is a lone generator that splits
+    "assert negcurve.cli.main(['--jobs', '1', 'search', '13', '19', '20', "
+    "'--rmax', '6', '--long']) == 0",
     # catalog's reducible forms split before any certificate needs sympy
     "assert negcurve.cli.main(['classify', '--r', '2']) == 0",
     "assert negcurve.cli.main(['classify', '--r', '3', '--experimental']) == 0",
-], ids=["import", "search", "classify-r2", "classify-r3"])
+], ids=["import", "search", "search-13-19-20", "classify-r2", "classify-r3"])
 def test_char0_search_never_loads_sympy(call):
     proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
                           capture_output=True, text=True, env=_child_env())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from negcurve import exact_arith
 from negcurve.irreducibility import certify
 from negcurve.lattice_geom import DegeneratePolygonError, area2, lattice_points, pick_counts
 from negcurve.laurent_poly import (
@@ -61,53 +62,42 @@ def test_rejects_wrong_multiplicity():
 
 @pytest.mark.parametrize("a, b, c, char, r, d", [(9, 10, 13, 2, 3, 100),
                                                   (8, 15, 43, 0, 9, 645)])
-def test_kernel_check_settled_by_one_modular_rank(a, b, c, char, r, d, monkeypatch):
-    # phi of multiplicity r is in the kernel, so a modular nullity of 1 is exact
+def test_kernel_check_settled_by_one_modular_rank(a, b, c, char, r, d, eliminations):
+    # phi of multiplicity r is in the kernel; its 1-dimensional kernel is
+    # found by one elimination mod the characteristic, or in char 0 lifted
+    # from the one mod the first prime
     phi, _ = find(a, b, c, char, r, d)
-    from negcurve import symbolic_power
-
-    def no_elimination(*args):
-        raise AssertionError("the modular rank should have settled the kernel")
-
-    monkeypatch.setattr(symbolic_power, "nullspace", no_elimination)
-    monkeypatch.setattr(symbolic_power, "rational_rank", no_elimination)
+    eliminations.clear()
     rep = is_nct(phi, r)
     assert rep.multiplicity == r
     assert dict(rep.checks)["kernel"] and rep.accepted
+    assert eliminations == [char or exact_arith._PRIMES[0]]
 
 
-def test_kernel_check_settled_by_known_bounds(monkeypatch):
+def test_kernel_check_settled_by_known_bounds(eliminations):
     # phi of multiplicity r gives 1 from below; a caller's bound of 1 from
-    # above, such as the nullity on a larger support, meets it with no rank
-    from negcurve import symbolic_power
-
-    def no_rank(*args):
-        raise AssertionError("bounds that meet should settle the kernel check")
-
-    monkeypatch.setattr(symbolic_power, "rank_mod_p", no_rank)
-    monkeypatch.setattr(symbolic_power, "rational_rank", no_rank)
+    # above, such as the nullity on a larger support, meets it with no
+    # elimination
     rep = is_nct(phi_family(2), 2, 1)
     assert dict(rep.checks)["kernel"] and rep.accepted
-    # without the bound the modular rank is computed
-    with pytest.raises(AssertionError, match="bounds that meet"):
-        is_nct(phi_family(2), 2)
+    assert eliminations == []
+    # without the bound the kernel is lifted from one modular elimination
+    assert is_nct(phi_family(2), 2).accepted
+    assert eliminations == [exact_arith._PRIMES[0]]
 
 
-def test_kernel_check_without_phi_in_kernel_is_exact(monkeypatch):
-    from negcurve import symbolic_power
-    real, calls = symbolic_power.rational_rank, []
-    monkeypatch.setattr(symbolic_power, "rational_rank",
-                        lambda rows: calls.append(1) or real(rows))
-    # the lattice points of phi_2's triangle carry a kernel line at r = 2;
-    # phi has multiplicity 0, but 4 columns less 3 rows already bound the
-    # nullity below by 1, so the modular rank settles it
+def test_kernel_check_without_phi_in_kernel_is_exact(eliminations):
+    # the lattice points of phi_2's triangle carry a kernel line at r = 2,
+    # though phi has multiplicity 0
     rep = is_nct(parse("1 + v^2*w + vw^2 + vw"), 2)
-    assert rep.multiplicity == 0 and len(calls) == 0
+    assert rep.multiplicity == 0 and eliminations == [exact_arith._PRIMES[0]]
     assert dict(rep.checks)["kernel"] and not rep.accepted
     # six collinear points at r = 3: nullity 3 with as many rows as columns,
-    # and phi of multiplicity 0 gives no lower bound, so the exact rank tells
+    # and phi of multiplicity 0 gives no lower bound; the kernel is still
+    # lifted from the first prime, with no elimination over Q
+    eliminations.clear()
     rep = is_nct(parse("1 + v^5"), 3)
-    assert rep.multiplicity == 0 and len(calls) == 1
+    assert rep.multiplicity == 0 and eliminations == [exact_arith._PRIMES[0]]
     assert not dict(rep.checks)["kernel"] and not rep.accepted
 
 

@@ -283,43 +283,76 @@ def test_find_factoring_probe_finishes():
     assert cert.verdict == "Factored" and len(cert.factors) == 5
 
 
-def _scan_generators(monkeypatch, *args):
-    """(phi, nullity) for each kernel generator the split check meets in
-    scan(*args), in order."""
-    nullities, met = {}, []
-    real_kernel, real_splits = negcurve_search.kernel_polynomials, negcurve_search._splits
+def _scan_cells(monkeypatch, *args):
+    """(r, d, dP, basis) for each cell that scan(*args) visits, in order."""
+    cells, at = [], {}
 
-    def kernel_polys(matrix):
-        basis = real_kernel(matrix)
-        nullities.update((id(phi), len(basis)) for phi in basis)
-        return basis
+    def noted(name, note):
+        real = getattr(negcurve_search, name)
 
-    def splits(phi):
-        met.append((phi, nullities[id(phi)]))
-        return real_splits(phi)
+        def wrapper(*a):
+            out = real(*a)
+            note(a, out)
+            return out
+        monkeypatch.setattr(negcurve_search, name, wrapper)
 
-    monkeypatch.setattr(negcurve_search, "kernel_polynomials", kernel_polys)
-    monkeypatch.setattr(negcurve_search, "_splits", splits)
+    noted("dilate", lambda a, dP: at.update(d=a[1], dP=dP))
+    noted("jet_matrix", lambda a, jm: at.update(r=a[1]))
+    noted("kernel_polynomials",
+          lambda a, basis: cells.append((at["r"], at["d"], at["dP"], basis)))
     scan(*args)
-    return met
+    return cells
 
 
 @pytest.mark.parametrize("args, met", [
-    ((9, 10, 13, 2, 8), 6), ((9, 10, 13, 3, 8), 12), ((7, 11, 17, 0, 4), 34)])
+    ((9, 10, 13, 2, 8), 6), ((9, 10, 13, 3, 8), 12), ((7, 11, 17, 0, 4), 32)])
 def test_scan_split_check_agrees_with_certificate(monkeypatch, args, met):
     # certify is the oracle: a split is a factorization in every
-    # characteristic, and on a 2-dimensional Newton polygon at nullity 1
-    # every factoring generator splits (see `nct_catalog._splits`)
-    gens = _scan_generators(monkeypatch, *args)
-    assert len(gens) == met
-    complete = 0
+    # characteristic, on every generator of every visited cell; the split
+    # check meets the `met` generators of nullity 1, and on each of them,
+    # segment or polygon, every factoring generator splits (see
+    # `nct_catalog._splits`)
+    gens = [(phi, len(basis)) for *_, basis in _scan_cells(monkeypatch, *args)
+            for phi in basis]
+    assert sum(null == 1 for _, null in gens) == met
     for phi, null in gens:
         split, factored = _splits(phi), certify(phi).verdict == "Factored"
         assert factored or not split, serialize(phi)
-        if null == 1 and newton_polygon(phi).dim == 2:
+        if null == 1:
             assert split == factored, serialize(phi)
-            complete += 1
-    assert complete
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_cells_beyond_nullity_one_hold_no_hit(monkeypatch, char):
+    # by the uniqueness of the negative curve (see `_degree_cells`) the scan
+    # tries only a cell's lone generator: `_report` rejects every generator
+    # of the 22 cells of nullity >= 2 that scan(7, 11, 17, char, 6) visits,
+    # so trying them would find nothing
+    triple = (7, 11, 17)
+    cells = [cell for cell in _scan_cells(monkeypatch, *triple, char, 6)
+             if len(cell[3]) > 1]
+    assert (len(cells), sum(len(basis) for *_, basis in cells)) == (22, 47)
+    for r, d, dP, basis in cells:
+        pts = lattice_points(dP)
+        for phi in basis:
+            report = _report(triple, char, r, d, phi, dP, pts, len(basis))
+            assert not report.accepted, serialize(phi)
+
+
+def test_scan_never_factors_a_segment(monkeypatch):
+    # the 7, 11, 17 scan's reducible candidates are mostly segments of
+    # multiplicity >= 1; each splits, so none reaches factor_mod_p
+    from negcurve import irreducibility
+    real, calls = irreducibility.factor_mod_p, []
+
+    def factor_mod_p(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(irreducibility, "factor_mod_p", factor_mod_p)
+    hits = scan(7, 11, 17, 2, 6)
+    assert [(r, d) for r, d, _ in hits] == [(1, 28)]
+    assert calls == []
 
 
 def test_char_p_scan_certifies_only_the_hit(monkeypatch):

@@ -172,13 +172,18 @@ def test_hilbert_numerator():
     assert sum(f) == 8 and all(c >= 0 for c in f)
 
 
-def test_nullity_prefilter_agrees():
-    # the prefilter and the exact path must settle on the rank over Q
+def test_nullity_prefilter_agrees(monkeypatch):
+    # the lifted kernel's size must be the nullity Bareiss's elimination
+    # over Q gives, with no prime to lift from
+    from negcurve import exact_arith
     for S, r in ((lattice_points(dilate(P_PHI2, 3)), 2),
                  (lattice_points(P_PHI3P), 4),
                  ([(x, 0) for x in range(6)], 3)):
         jm = jet_matrix(S, r)
-        assert nullity(jm) == len(kernel(jm))
+        with monkeypatch.context() as m:
+            m.setattr(exact_arith, "_PRIMES", ())
+            bareiss = len(kernel(jm))
+        assert nullity(jm) == bareiss
 
 
 def test_failed_prefilter_costs_one_modular_rank(eliminations):
@@ -207,24 +212,26 @@ def test_full_rank_square_kernel_skips_elimination(monkeypatch, eliminations):
     assert eliminations == [exact_arith._PRIMES[0]] * 2
 
 
-def test_nullity_builds_no_basis(monkeypatch):
-    # six collinear points: the prefilter falls short, the rank decides
+def test_nullity_counts_the_kernel_basis(eliminations):
+    # six collinear points: six rows of rank 3, so nullity is the size of
+    # the kernel basis, lifted from one elimination mod the first prime in
+    # char 0 and found by one mod 2 in char 2
     jm = jet_matrix([(x, 0) for x in range(6)], 3)
-    from negcurve import symbolic_power
-
-    def no_basis(*args):
-        raise AssertionError("nullity should not build a kernel basis")
-
-    monkeypatch.setattr(symbolic_power, "nullspace", no_basis)
+    from negcurve import exact_arith
     assert nullity(jm) == 3
+    assert eliminations == [exact_arith._PRIMES[0]]
+    eliminations.clear()
     assert nullity(jet_matrix(jm.support, 3, char=2)) == 3
+    assert eliminations == [2]
 
 
-def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
-    # mod 2 the (9,10,13) cell (3,100) has a kernel line that Q lacks
-    from negcurve import exact_arith, symbolic_power
+def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch, eliminations):
+    # mod 2 the (9,10,13) cell (3,100) has a kernel line that Q lacks; the
+    # next prime's full column rank proves the kernel over Q empty
+    from negcurve import exact_arith
     monkeypatch.setattr(exact_arith, "_PRIMES", (2,) + exact_arith._PRIMES[1:])
     T = triangle(herzog_data(9, 10, 13))
     jm = jet_matrix(lattice_points(dilate(T, 100)), 3)
-    assert symbolic_power._settled_nullity(jm) is None
     assert nullity(jm) == len(kernel(jm)) == 0
+    # nullity counts the basis that kernel builds, at the same two eliminations
+    assert eliminations == [2, 1073741789] * 2
