@@ -70,6 +70,18 @@ def _degrees(text):
     return {_at_least_1(x, "degree") for x in text.split(",")}
 
 
+def _rays(text):
+    """Rays x,y separated by spaces or semicolons."""
+    rays = []
+    for ray in text.replace(";", " ").split():
+        coords = ray.split(",")
+        if len(coords) != 2:
+            raise argparse.ArgumentTypeError("ray %r must be two integers x,y" % ray)
+        rays.append(tuple(_integer(x, "each coordinate of ray %r" % ray)
+                          for x in coords))
+    return rays
+
+
 def _load_poly(path, char):
     with open(path) as fh:
         text = fh.read()
@@ -198,16 +210,12 @@ def cmd_ehrhart(args):
 
 
 def cmd_classgroup(args):
-    rays = []
-    for ray in args.rays.replace(";", " ").split():
-        x, y = ray.split(",")
-        rays.append((int(x), int(y)))
-    cg = class_group(rays)
+    cg = class_group(args.rays)
     return {
         "free_rank": cg.free_rank,
         "torsion": cg.torsion,
         "grading_matrix": cg.grading_matrix,
-        "classes": [list(cg.class_of(j)) for j in range(len(rays))],
+        "classes": [list(cg.class_of(j)) for j in range(len(args.rays))],
     }
 
 
@@ -274,7 +282,8 @@ def _build_parser():
     p.set_defaults(func=cmd_ehrhart)
 
     p = add_parser("classgroup", help="divisor class group from rays")
-    p.add_argument("rays", metavar="RAYS", help='all rays in one string: "2,-1 -2,-1 0,1"')
+    p.add_argument("rays", metavar="RAYS", type=_rays,
+                   help='all rays in one string: "2,-1 -2,-1 0,1"')
     p.set_defaults(func=cmd_classgroup)
 
     return top

@@ -6,9 +6,13 @@ u2) satisfy the linear identities below.  Those exponents pin down a rational
 triangle of area 1/(2abc) whose dilations count the graded pieces of the
 semigroup ring, and its normal fan is the toric model everything downstream
 lives on.
+
+One construction, `_presentation`, gives the data from the least multiple
+of c that is a sum s3*a + t3*b of positive parts; `_holds` checks every
+identity, and the weights are permuted where it finds none.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import gcd
 
@@ -16,23 +20,8 @@ from .exact_arith import rat_str
 from .lattice_geom import area2, halfplane_polygon
 
 
-@dataclass
-class HerzogData:
-    a: int
-    b: int
-    c: int
-    s: int
-    s2: int
-    s3: int
-    t: int
-    t1: int
-    t3: int
-    u: int
-    u1: int
-    u2: int
-    i0: int
-    j0: int
-    permutation: tuple
+HerzogData = namedtuple(
+    "HerzogData", "a b c s s2 s3 t t1 t3 u u1 u2 i0 j0 permutation")
 
 
 def _holds(a, b, c, s, s2, s3, t, t1, t3, u, u1, u2):
@@ -57,33 +46,11 @@ def _decompositions(n, p, q):
     return out
 
 
-def _minimal_multiple(a, b, c):
-    """Least n > 0 with n*a in N0*b + N0*c, with every decomposition."""
-    n = 1
-    while True:
-        decs = _decompositions(n * a, b, c)
-        if decs:
-            return n, decs
-        n += 1
-
-
-def _classic(a, b, c):
-    # s, t, u all minimal; search the decompositions for a compatible combo
-    s, s_decs = _minimal_multiple(a, b, c)
-    t, t_decs = _minimal_multiple(b, a, c)
-    u, u_decs = _minimal_multiple(c, a, b)
-    for t1, u1 in s_decs:
-        for s2, u2 in t_decs:
-            for s3, t3 in u_decs:
-                if _holds(a, b, c, s, s2, s3, t, t1, t3, u, u1, u2):
-                    return s, s2, s3, t, t1, t3, u, u1, u2
-    return None
-
-
-def _completion(a, b, c):
-    # complete-intersection fallback: keep u minimal among decompositions of
-    # u*c with both parts positive, then solve s and t from the identities.
-    # n*c - a - b >= (a-1)(b-1) is always representable, hence the cap.
+def _presentation(a, b, c):
+    # u is the least multiple of c with n*c = s3*a + t3*b, s3 and t3 both
+    # positive; n*c - a - b >= (a-1)(b-1) is always representable, hence the
+    # cap.  Then a == t*u - t3*u2 and b == s2*u + s3*u2 give t and s2 for
+    # each u2 in [0, u], and the other exponents follow from the sums.
     for n in range(1, a * b // c + 3):
         u_decs = [(x, y) for x, y in _decompositions(n * c, a, b) if x and y]
         if u_decs:
@@ -121,9 +88,7 @@ def herzog_data(a, b, c):
     triple = (a, b, c)
     for perm in permutations(range(3)):
         pa, pb, pc = (triple[i] for i in perm)
-        found = _classic(pa, pb, pc)
-        if found is None:
-            found = _completion(pa, pb, pc)
+        found = _presentation(pa, pb, pc)
         if found is not None:
             s, s2, s3, t, t1, t3, u, u1, u2 = found
             i0 = pow(pa, -1, pb) if pb > 1 else 0
@@ -145,9 +110,7 @@ def triangle(data):
 
 def herzog_to_json(data):
     """JSON-ready report of the data and the triangle vertices."""
-    keys = ("a", "b", "c", "s", "s2", "s3", "t", "t1", "t3", "u", "u1", "u2",
-            "i0", "j0")
-    doc = {k: getattr(data, k) for k in keys}
+    doc = data._asdict()
     doc["permutation"] = list(data.permutation)
     P = triangle(data)
     doc["triangle"] = [[rat_str(x), rat_str(y)] for x, y in P.vertices]

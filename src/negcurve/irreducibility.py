@@ -12,7 +12,7 @@ Newton polygon.  In char p alone can an exhausted budget end Inconclusive.
 sympy is imported only in the char-0 step, so char p never loads it.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, zip_longest
 from math import gcd
@@ -32,15 +32,11 @@ class FactorBudgetError(RuntimeError):
     """Splitting or recombination work exceeded the desk-scale budget."""
 
 
-@dataclass
-class IrreducibilityCertificate:
-    # IrreduciblePolytope | IrreducibleModP | IrreducibleOverQ | Factored
-    # | Inconclusive (char p only)
-    verdict: str
-    details: str
-    p: int = 0
-    factors: list = field(default_factory=list)
-    unit: LaurentPoly = None
+# verdict: IrreduciblePolytope | IrreducibleModP | IrreducibleOverQ | Factored
+# | Inconclusive (char p only)
+IrreducibilityCertificate = namedtuple(
+    "IrreducibilityCertificate", "verdict details p factors unit",
+    defaults=(0, (), None))
 
 
 def cert_to_json(cert):

@@ -1,6 +1,6 @@
 """Verification, families, canonical forms, and small-r classification of ncts."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -34,18 +34,11 @@ from .laurent_poly import (
 from .symbolic_power import jet_matrix, kernel_polynomials, nullity
 
 
-@dataclass
-class NctReport:
+class NctReport(namedtuple("NctReport", "r area2 B I lattice_count "
+                                        "multiplicity certificate checks")):
     """Outcome of the sanity battery for a candidate r-nct."""
 
-    r: int
-    area2: int
-    B: int
-    I: int
-    lattice_count: int
-    multiplicity: int
-    certificate: IrreducibilityCertificate
-    checks: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def accepted(self):

@@ -1,6 +1,6 @@
 """Search for negative curves in symbolic powers of the three-variable primes."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .herzog_semigroup import _check_weights, herzog_data, triangle
@@ -15,19 +15,11 @@ def is_negative_pair(a, b, c, r, d):
     return d * d < a * b * c * r * r
 
 
-@dataclass
-class NegativeCurveReport:
+class NegativeCurveReport(namedtuple("NegativeCurveReport", "triple char r d "
+                                    "phi checks nct genus nullity")):
     """A candidate curve in the d-th graded piece of the r-th symbolic power."""
 
-    triple: tuple
-    char: int
-    r: int
-    d: int
-    phi: object
-    checks: list
-    nct: object
-    genus: int
-    nullity: int
+    __slots__ = ()
 
     @property
     def accepted(self):

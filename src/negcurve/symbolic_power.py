@@ -17,7 +17,7 @@ it with no elimination, and otherwise it counts `kernel`'s basis.  Ehrhart
 counting of the dilations gives the other side of the ledger.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact_arith import binomial, nullspace
@@ -25,11 +25,7 @@ from .lattice_geom import area2, pick_counts
 from .laurent_poly import LaurentPoly
 
 
-@dataclass
-class JetMatrix:
-    char: int
-    support: tuple
-    rows: list
+JetMatrix = namedtuple("JetMatrix", "char support rows")
 
 
 def _binomial_rows(values, r):

@@ -6,7 +6,7 @@ anticanonical polygons, smooth subdivision, and the condition report for the
 eleven-part implication diagram around a blown-up nct surface.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -80,14 +80,12 @@ def normal_fan(P):
     return Fan2D([n for n, _ in inward_normals(P)])
 
 
-@dataclass
-class ClassGroupPresentation:
+class ClassGroupPresentation(namedtuple("ClassGroupPresentation",
+                                        "free_rank torsion grading_matrix")):
     """Cl = Z^free_rank + sum Z/torsion[i]; columns of grading_matrix are the
     divisor classes, free coordinates first."""
 
-    free_rank: int
-    torsion: list
-    grading_matrix: list
+    __slots__ = ()
 
     def class_of(self, j):
         return tuple(row[j] for row in self.grading_matrix)
@@ -217,14 +215,8 @@ IMPLICATIONS = ((1, 2), (2, 7), (1, 3), (3, 4), (4, 5), (5, 8), (5, 6),
                 (6, 10), (7, 8), (8, 9), (9, 8), (11, 9), (8, 10))
 
 
-@dataclass
-class Thm36Report:
-    """Status of conditions (1)-(11); each entry is (True|False|None, how)."""
-
-    r: int
-    char: int
-    conditions: dict
-    payload: dict
+# conditions maps (1)-(11) to (True|False|None, how)
+Thm36Report = namedtuple("Thm36Report", "r char conditions payload")
 
 
 def thm36_report(phi, r):

@@ -63,7 +63,9 @@ def test_search_walk_accounting(capsys):
     assert out2 == out
 
 
-SYMPY_LOADED = "import sys, negcurve.cli; %s; print('sympy' in sys.modules)"
+# a command loads neither sympy nor the introspection that dataclasses pulls in
+UNWANTED_LOADED = ("import sys, negcurve.cli; %s; print([m for m in "
+                   "('sympy', 'dataclasses', 'inspect') if m in sys.modules])")
 
 
 def _child_env():
@@ -85,10 +87,10 @@ def _child_env():
     "assert negcurve.cli.main(['classify', '--r', '3', '--experimental']) == 0",
 ], ids=["import", "search", "search-13-19-20", "classify-r2", "classify-r3"])
 def test_char0_search_never_loads_sympy(call):
-    proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
+    proc = subprocess.run([sys.executable, "-c", UNWANTED_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 PHI3P_TEXT = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
@@ -105,10 +107,10 @@ def test_char_p_commands_never_load_sympy(tmp_path, argv):
     phi.write_text(PHI3P_TEXT)
     argv = [str(phi) if a == "PHI3P" else a for a in argv]
     call = "assert negcurve.cli.main(%r) == 0" % argv
-    proc = subprocess.run([sys.executable, "-c", SYMPY_LOADED % call],
+    proc = subprocess.run([sys.executable, "-c", UNWANTED_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_search_none_found_is_success(capsys):
@@ -291,6 +293,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             (["search", "9", "10", "13", "--rmax", "1", "--char", "x"],
              "characteristic must be an integer"),
             (["classify", "--r", "5", "--experimental"], "invalid choice"),
+            (["classgroup", "1,2,3 0,1"], "ray '1,2,3' must be two integers x,y"),
+            (["classgroup", "1 0,1"], "ray '1' must be two integers x,y"),
+            (["classgroup", "a,b"], "each coordinate of ray 'a,b' must be an integer"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
             main(bad)

@@ -1,5 +1,7 @@
+import hashlib
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 import pytest
 
@@ -129,6 +131,19 @@ def test_complete_intersection_triples():
     d = herzog_data(1, 2, 3)
     assert tuple_of(d) == (3, 2, 1, 1, 0, 1, 1, 1, 0)
     check_identities(d)
+
+
+def test_presentation_pinned_on_small_weights():
+    # every ordered pairwise-coprime triple with weights 1..30; the digest
+    # was taken from the earlier two-construction code (least multiples
+    # first, then the complete-intersection completion)
+    fields = attrgetter("a", "b", "c", "s", "s2", "s3", "t", "t1", "t3", "u",
+                        "u1", "u2", "i0", "j0", "permutation")
+    rows = [fields(herzog_data(a, b, c))
+            for a in range(1, 31) for b in range(1, 31) for c in range(1, 31)
+            if gcd(a, b) == gcd(b, c) == gcd(a, c) == 1]
+    assert len(rows) == 7798
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:8] == "dab5739c"
 
 
 def test_errors():

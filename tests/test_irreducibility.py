@@ -81,7 +81,7 @@ def test_certify_over_q():
     # so the factorization over the integers decides
     cert = certify(parse("v^2 + 1"))
     assert cert.verdict == "IrreducibleOverQ"
-    assert cert.factors == []
+    assert not cert.factors
     # Sophie Germain: v^4 + 4 = (v^2 - 2v + 2)(v^2 + 2v + 2)
     cert = certify(parse("v^4 + 4"))
     assert cert.verdict == "Factored" and len(cert.factors) == 2
