@@ -16,7 +16,7 @@ from .lattice_geom import (
 )
 from .laurent_poly import ParseError, from_json, newton_polygon, parse, serialize
 from .nct_catalog import catalog_to_json, ggk_prime_family, is_nct, nct_to_json
-from .negcurve_search import negcurve_to_json, region_size, scan
+from .negcurve_search import negcurve_to_json, region_size, walk
 from .symbolic_power import ehrhart_polynomial, hilbert_numerator
 from .toric_surface import DiagramContradiction, class_group, thm36_report, thm36_to_json
 
@@ -79,6 +79,8 @@ def _rays(text):
             raise argparse.ArgumentTypeError("ray %r must be two integers x,y" % ray)
         rays.append(tuple(_integer(x, "each coordinate of ray %r" % ray)
                           for x in coords))
+    if not rays or (0, 0) in rays:
+        raise argparse.ArgumentTypeError("need at least one ray and no zero ray")
     return rays
 
 
@@ -135,17 +137,16 @@ def cmd_search(args):
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     tally = Counter()
     empty_degrees = set()  # degrees built without a lattice point
-
-    def progress(r, d, why):
-        tally[why] += 1
-        if why == "no points":
-            empty_degrees.add(d)
-        elif why == "visited" and tally[why] % 25 == 1:
+    hits = []
+    for cell in walk(args.a, args.b, args.c, args.char, args.rmax, args.d):
+        tally[cell.why] += 1
+        if cell.why == "no points":
+            empty_degrees.add(cell.d)
+        elif cell.why == "visited" and tally[cell.why] % 25 == 1:
             print("scan %d visited of %d cells (r=%d d=%d)"
-                  % (tally[why], cells, r, d), file=sys.stderr)
-
-    hits = scan(args.a, args.b, args.c, args.char, args.rmax,
-                d_filter=args.d, progress=progress)
+                  % (tally[cell.why], cells, cell.r, cell.d), file=sys.stderr)
+        if cell.report is not None:
+            hits.append(cell)
     print("scan done: %d cells in region, %d visited, %d skipped after an "
           "empty kernel, %d skipped by a higher degree, %d cells in %d "
           "degree%s without lattice points"
@@ -156,7 +157,7 @@ def cmd_search(args):
         "triple": [args.a, args.b, args.c],
         "char": args.char,
         "rmax": args.rmax,
-        "hits": [negcurve_to_json(rep) for _, _, rep in hits],
+        "hits": [negcurve_to_json(cell.report) for cell in sorted(hits)],
     }
 
 

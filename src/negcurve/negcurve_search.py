@@ -1,4 +1,8 @@
-"""Search for negative curves in symbolic powers of the three-variable primes."""
+"""Search for negative curves in symbolic powers of the three-variable primes.
+
+`walk` yields one `Cell` record per (r, d) cell of the region; `scan` and the
+`search` command's ledger both read that one stream.
+"""
 
 from collections import namedtuple
 from math import isqrt
@@ -71,8 +75,11 @@ def _report(triple, char, r, d, phi, dP, pts, nullity):
                                _genus(pts, r), nullity)
 
 
+Cell = namedtuple("Cell", "r d why nullity report")
+
+
 def _degree_cells(triple, char, T, d, lo, cap):
-    """Visited cells (r, report or None) of degree d for lo <= r < cap, and
+    """Visited cells of degree d for lo <= r < cap, as `Cell` records, and
     the least r at which d is then known to be empty.
 
     The support is the lattice points of dT whatever r is, and the order-r
@@ -105,7 +112,7 @@ def _degree_cells(triple, char, T, d, lo, cap):
             report = _report(triple, char, r, d, basis[0], dP, pts, 1)
             if report.accepted:
                 hit = report
-        cells.append((r, hit))
+        cells.append(Cell(r, d, "visited", len(basis), hit))
         if not basis:
             return cells, r
     return cells, cap
@@ -116,15 +123,8 @@ def find(a, b, c, char, r, d):
     curve conditions; a cell of larger nullity holds no curve."""
     cells, _ = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)),
                              d, r, r + 1)
-    report = cells[0][1] if cells else None
+    report = cells[0].report if cells else None
     return None if report is None else (report.phi, report)
-
-
-def _region_abc(a, b, c, r_max):
-    _check_weights(a, b, c)
-    if r_max < 1:
-        raise ValueError("r_max must be positive")
-    return a * b * c
 
 
 def cell_region(a, b, c, r_max, d_filter=None):
@@ -132,7 +132,10 @@ def cell_region(a, b, c, r_max, d_filter=None):
 
     A generator; the weights are checked before the first pair.
     """
-    abc = _region_abc(a, b, c, r_max)
+    _check_weights(a, b, c)
+    if r_max < 1:
+        raise ValueError("r_max must be positive")
+    abc = a * b * c
     for r in range(1, r_max + 1):
         ds = range(1, isqrt(abc * r * r - 1) + 1)
         if d_filter is not None:
@@ -142,14 +145,11 @@ def cell_region(a, b, c, r_max, d_filter=None):
 
 def region_size(a, b, c, r_max, d_filter=None):
     """The number of cells in `cell_region`; unfiltered, one isqrt per r."""
-    if d_filter is not None:
-        return sum(len(ds) for _, ds in cell_region(a, b, c, r_max, d_filter))
-    abc = _region_abc(a, b, c, r_max)
-    return sum(isqrt(abc * r * r - 1) for r in range(1, r_max + 1))
+    return sum(len(ds) for _, ds in cell_region(a, b, c, r_max, d_filter))
 
 
-def scan(a, b, c, char, r_max, d_filter=None, progress=None):
-    """All hits with r up to r_max and d below the negativity threshold.
+def walk(a, b, c, char, r_max, d_filter=None):
+    """One `Cell` per cell of `cell_region`, in the order the walk takes.
 
     Degrees are walked from the top, each over r from its least r in the
     region (`_degree_cells`).  p^(r) is an ideal of a domain, so a monomial
@@ -160,10 +160,10 @@ def scan(a, b, c, char, r_max, d_filter=None, progress=None):
     min(stop[d+a], stop[d+b], stop[d+c]); r_max + 1 stands for none, and a
     degree outside the region caps nothing.
 
-    `progress(r, d, why)` is called once per cell of the region: why is
-    "visited", "after empty" (an earlier r of d had an empty kernel),
-    "capped" (a higher degree proved it empty) or "no points" (dT was built
-    and has no lattice point).  Hits come back sorted by (r, d).
+    `why` is "visited", "after empty" (an earlier r of d had an empty
+    kernel), "capped" (a higher degree proved it empty) or "no points" (dT
+    was built and has no lattice point).  Only a visited cell has a
+    `nullity`, its kernel dimension, and a `report`, when accepted.
     """
     least_r = {}
     for r, ds in cell_region(a, b, c, r_max, d_filter):
@@ -171,20 +171,21 @@ def scan(a, b, c, char, r_max, d_filter=None, progress=None):
             least_r.setdefault(d, r)
     T = triangle(herzog_data(a, b, c))
     stop = {}
-    out = []
     for d in sorted(least_r, reverse=True):
         lo = least_r[d]
         cap = min(stop.get(d + s, r_max + 1) for s in (a, b, c))
         cells, stop[d] = _degree_cells((a, b, c), char, T, d, lo, cap)
-        for r, report in cells:
-            if progress:
-                progress(r, d, "visited")
-            if report is not None:
-                out.append((r, d, report))
-        if progress:
-            for r in range(lo + len(cells), r_max + 1):
-                if lo < cap and stop[d] == 0:
-                    progress(r, d, "no points")
-                else:
-                    progress(r, d, "capped" if r >= cap else "after empty")
-    return sorted(out, key=lambda hit: hit[:2])
+        yield from cells
+        for r in range(lo + len(cells), r_max + 1):
+            if lo < cap and stop[d] == 0:
+                why = "no points"
+            else:
+                why = "capped" if r >= cap else "after empty"
+            yield Cell(r, d, why, None, None)
+
+
+def scan(a, b, c, char, r_max, d_filter=None):
+    """The accepted cells of `walk` as (r, d, report), sorted by (r, d)."""
+    return sorted((cell.r, cell.d, cell.report)
+                  for cell in walk(a, b, c, char, r_max, d_filter)
+                  if cell.report is not None)

@@ -50,14 +50,16 @@ def test_search_walk_accounting(capsys):
     hits = [negcurve_to_json(rep) for _, _, rep in scan(9, 10, 13, 2, 3)]
     assert out == json.dumps({"triple": [9, 10, 13], "char": 2, "rmax": 3,
                               "hits": hits}, indent=2) + "\n"
-    lines = err.splitlines()
-    assert lines[0].startswith("scan 1 visited of 204 cells")
-    # the capped walk: 26 + 0 + 175 + 3 = 204, d = 34 the one degree built
+    # a progress line at every 25th visited cell, degrees from the top; the
+    # capped walk: 26 + 0 + 175 + 3 = 204, d = 34 the one degree built
     # without lattice points
-    assert lines[-1] == ("scan done: 204 cells in region, 26 visited, "
-                         "0 skipped after an empty kernel, "
-                         "175 skipped by a higher degree, "
-                         "3 cells in 1 degree without lattice points")
+    assert err.splitlines() == [
+        "scan 1 visited of 204 cells (r=3 d=102)",
+        "scan 26 visited of 204 cells (r=1 d=26)",
+        "scan done: 204 cells in region, 26 visited, "
+        "0 skipped after an empty kernel, "
+        "175 skipped by a higher degree, "
+        "3 cells in 1 degree without lattice points"]
     _, out2, _ = run(capsys, "search", "9", "10", "13", "--char", "2",
                      "--rmax", "3", "--jobs", "2")
     assert out2 == out
@@ -296,6 +298,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             (["classgroup", "1,2,3 0,1"], "ray '1,2,3' must be two integers x,y"),
             (["classgroup", "1 0,1"], "ray '1' must be two integers x,y"),
             (["classgroup", "a,b"], "each coordinate of ray 'a,b' must be an integer"),
+            (["classgroup", "0,0 1,0 0,1"], "no zero ray"),
+            (["classgroup", ""], "at least one ray"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
             main(bad)

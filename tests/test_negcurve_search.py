@@ -12,6 +12,7 @@ from negcurve.irreducibility import certify
 from negcurve.laurent_poly import newton_polygon, parse, serialize
 from negcurve.nct_catalog import _splits, canonical_form
 from negcurve.negcurve_search import (
+    Cell,
     _report,
     cell_region,
     find,
@@ -19,6 +20,7 @@ from negcurve.negcurve_search import (
     negcurve_to_json,
     region_size,
     scan,
+    walk,
 )
 from negcurve.symbolic_power import jet_matrix, kernel, kernel_polynomials, nullity
 
@@ -137,18 +139,21 @@ def test_scan_matches_exhaustive_find(triple, r_max, char):
 @given(coprime_triples, st.integers(1, 3), st.sampled_from((0, 2)),
        st.none() | st.sets(st.integers(1, 110), min_size=1, max_size=12))
 def test_scan_skips_only_empty_cells(triple, r_max, char, d_filter):
-    # the capped walk reports each cell of the region once, and every cell
-    # it does not visit has an empty kernel
+    # the capped walk yields each cell of the region once, and every cell
+    # it does not visit has an empty kernel; a visited cell carries its
+    # kernel dimension, and only a cell of nullity 1 carries a report
     a, b, c = triple
     T = triangle(herzog_data(a, b, c))
-    seen = []
-    scan(a, b, c, char, r_max, d_filter,
-         progress=lambda r, d, why: seen.append((r, d, why)))
+    cells = list(walk(a, b, c, char, r_max, d_filter))
     region = _exhaustive(a, b, c, char, r_max, lambda r, d: True, d_filter)
-    assert sorted((r, d) for r, d, _ in seen) == sorted(region)
-    for r, d, why in seen:
-        if why != "visited":
-            assert kernel(jet_matrix(lattice_points(dilate(T, d)), r, char)) == []
+    assert sorted((cell.r, cell.d) for cell in cells) == sorted(region)
+    for r, d, why, null, report in cells:
+        size = len(kernel(jet_matrix(lattice_points(dilate(T, d)), r, char)))
+        if why == "visited":
+            assert null == size
+        else:
+            assert (size, null, report) == (0, None, None)
+        assert report is None or null == 1
 
 
 def test_scan_walk_counts(monkeypatch):
@@ -163,19 +168,18 @@ def test_scan_walk_counts(monkeypatch):
     monkeypatch.setattr(negcurve_search, "herzog_data",
                         counted("herzog_data", herzog_data))
     monkeypatch.setattr(negcurve_search, "triangle", counted("triangle", triangle))
-    seen = []
-    hits = scan(8, 15, 43, 0, 9, progress=lambda r, d, why: seen.append((r, d, why)))
-    assert [(r, d) for r, d, _ in hits] == [(9, 645)]
+    seen = list(walk(8, 15, 43, 0, 9))
+    assert [(r, d) for r, d, *_, report in seen if report] == [(9, 645)]
     assert calls == {"herzog_data": 1, "triangle": 1}
     # 646 degrees in 3227 cells: 72 degrees visit one cell each, d = 65 is
     # built without lattice points, and every other cell lies at or above
     # the cap of a higher degree
     assert len(seen) == 3227
-    assert Counter(why for _, _, why in seen) == {
+    assert Counter(cell.why for cell in seen) == {
         "visited": 72, "capped": 3146, "no points": 9}
-    visited = [d for _, d, why in seen if why == "visited"]
+    visited = [cell.d for cell in seen if cell.why == "visited"]
     assert len(set(visited)) == 72
-    assert {d for _, d, why in seen if why == "no points"} == {65}
+    assert {cell.d for cell in seen if cell.why == "no points"} == {65}
 
 
 def test_scan_reaches_every_kernel_across_r(monkeypatch):
@@ -189,23 +193,22 @@ def test_scan_reaches_every_kernel_across_r(monkeypatch):
     expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: kernel(jet_matrix(
         lattice_points(dilate(T, d)), r, 0)))
     assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
-    seen = []
-    hits = scan(2, 3, 5, 0, 3, progress=lambda r, d, why: seen.append((r, d, why)))
-    assert [(r, d) for r, d, _ in hits] == expected
+    seen = list(walk(2, 3, 5, 0, 3))
+    assert sorted((r, d) for r, d, *_, report in seen if report) == expected
     # degrees from the top: (3, 14) and (3, 13) are empty, which caps d = 12
     # and 11 at r = 3 and d = 10 above r = 2; the empty (1, 4) caps d = 2
     # at r = 1, and d = 1 is capped before its lattice points are built
-    assert [(r, d) for r, d, why in seen if why == "visited"] == [
+    assert [(r, d) for r, d, why, *_ in seen if why == "visited"] == [
         (3, 16), (3, 15), (3, 14), (3, 13), (2, 10), (2, 9), (2, 8),
         (1, 5), (1, 4), (1, 3)]
-    assert {why for _, _, why in seen} == {"visited", "capped"}
+    assert {cell.why for cell in seen} == {"visited", "capped"}
     assert len(seen) == 31
 
 
 def _every_cell(triple, char, T, d, lo, cap):
     """A stand-in walk that visits every r below the cap, hits each, and
     never finds an empty kernel."""
-    return [(r, (r, d)) for r in range(lo, cap)], cap
+    return [Cell(r, d, "visited", 1, (r, d)) for r in range(lo, cap)], cap
 
 
 def test_scan_sorts_hits_by_r(monkeypatch):
@@ -217,16 +220,12 @@ def test_scan_sorts_hits_by_r(monkeypatch):
     assert [(r, d) for r, d, _ in hits] == expected
 
 
-def test_scan_progress():
-    seen = []
-    scan(9, 10, 13, 2, 1, d_filter={10, 20},
-         progress=lambda r, d, why: seen.append((r, d, why)))
+def test_walk_reasons_capped_and_after_empty():
     # the empty (1, 20) proves (1, 10) empty
-    assert seen == [(1, 20, "visited"), (1, 10, "capped")]
-    seen = []
-    scan(9, 10, 13, 2, 2, d_filter={30},
-         progress=lambda r, d, why: seen.append((r, d, why)))
-    assert seen == [(1, 30, "visited"), (2, 30, "after empty")]
+    assert list(walk(9, 10, 13, 2, 1, {10, 20})) == [
+        Cell(1, 20, "visited", 0, None), Cell(1, 10, "capped", None, None)]
+    assert list(walk(9, 10, 13, 2, 2, {30})) == [
+        Cell(1, 30, "visited", 0, None), Cell(2, 30, "after empty", None, None)]
 
 
 def test_genus_payload():
