@@ -4,6 +4,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from math import gcd
 
 from .exact_arith import is_prime, rat_str
 from .herzog_semigroup import herzog_data, herzog_to_json
@@ -71,7 +72,7 @@ def _degrees(text):
 
 
 def _rays(text):
-    """Rays x,y separated by spaces or semicolons."""
+    """Distinct primitive rays x,y separated by spaces or semicolons."""
     rays = []
     for ray in text.replace(";", " ").split():
         coords = ray.split(",")
@@ -79,8 +80,9 @@ def _rays(text):
             raise argparse.ArgumentTypeError("ray %r must be two integers x,y" % ray)
         rays.append(tuple(_integer(x, "each coordinate of ray %r" % ray)
                           for x in coords))
-    if not rays or (0, 0) in rays:
-        raise argparse.ArgumentTypeError("need at least one ray and no zero ray")
+    if not rays or len(set(rays)) < len(rays) or any(gcd(*v) != 1 for v in rays):
+        raise argparse.ArgumentTypeError(
+            "need at least one ray; each primitive (no zero ray) and none repeated")
     return rays
 
 
@@ -227,9 +229,9 @@ def _build_parser():
     # every command runs in one process; --jobs stays a checked, unused
     # option because perfbench/run.py passes --jobs 1 to every command
     top.add_argument("--jobs", type=_jobs, default=None,
-                     help="accepted and ignored: search runs in one process")
-    # --format is accepted after any subcommand, --jobs after search; absent
-    # ones must not clobber values parsed at the top level, hence SUPPRESS
+                     help="accepted and ignored: every command runs in one process")
+    # --format is accepted after any subcommand too; an absent one must not
+    # clobber the value parsed at the top level, hence SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
@@ -252,7 +254,6 @@ def _build_parser():
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--d", type=_degrees, help="comma-separated degree filter")
     p.add_argument("--long", action="store_true")
-    p.add_argument("--jobs", type=_jobs, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_search)
 
     p = add_parser("check-nct", help="run the nct battery on a polynomial file")

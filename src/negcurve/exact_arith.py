@@ -21,7 +21,7 @@ Bareiss's elimination over Q decides.
 """
 
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 # 30-bit primes, so that each residue is one Python digit; the char-0 kernel
@@ -36,16 +36,6 @@ _MR_LIMIT = 3317044064679887385961981
 
 class CharMismatch(ValueError):
     """Raised when arithmetic would mix characteristics."""
-
-
-def binomial(n, k):
-    """Generalized binomial: n(n-1)...(n-k+1)/k!, exact for any integer n."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if n >= 0:
-        return comb(n, k)
-    # binomial(n,k) = (-1)^k binomial(k-n-1, k) for n < 0
-    return (-1) ** k * comb(k - n - 1, k)
 
 
 def is_prime(n):

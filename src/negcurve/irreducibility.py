@@ -137,6 +137,14 @@ def _pmul(f, g, p):
     return [x % p for x in out]
 
 
+def _dense(f):
+    """The coefficient list of an (exponent, coefficient) tuple."""
+    out = [0] * (f[-1][0] + 1)
+    for e, c in f:
+        out[e] = c
+    return out
+
+
 def _pdivmod(f, g, p):
     """Quotient and remainder of f by a nonzero g."""
     r, n = list(f), len(g) - 1
@@ -246,8 +254,10 @@ def _univariate_factors(phi, M, tickets=None):
     return sorted(out, key=lambda f: (f[-1][0], f))
 
 
-def _decode(enc, M, p):
-    """Invert e = a + M*b, unwrapping v-exponents across the largest gap."""
+def _decode(f, M, p):
+    """Invert e = a + M*b on dense f, unwrapping v-exponents across the
+    largest gap."""
+    enc = [(e, c) for e, c in enumerate(f) if c]
     residues = sorted({e % M for e, _ in enc})
     k = len(residues)
     if k > 1:
@@ -260,18 +270,6 @@ def _decode(enc, M, p):
         a = start + (e - start) % M
         terms[(a, (e - a) // M)] = c
     return LaurentPoly(terms, p)
-
-
-def _mul_univariate(fs, p):
-    prod = {0: 1}
-    for f in fs:
-        nxt = {}
-        for e1, c1 in prod.items():
-            for e2, c2 in dict(f).items():
-                key = e1 + e2
-                nxt[key] = (nxt.get(key, 0) + c1 * c2) % p
-        prod = {e: c for e, c in nxt.items() if c}
-    return tuple(sorted(prod.items()))
 
 
 def _distinct_combinations(items, size, start=0):
@@ -298,6 +296,7 @@ def factor_mod_p(phi, budget=2 ** 14):
         raise ValueError("factor_mod_p needs positive characteristic")
     if not phi:
         raise ValueError("zero polynomial")
+    p = phi.char
     cur, _ = _to_origin(phi)
     if len(cur.terms) == 1:
         return []
@@ -314,10 +313,12 @@ def factor_mod_p(phi, budget=2 ** 14):
         hit = None
         for size in range(1, len(univ)):
             for idx in _distinct_combinations(univ, size):
-                key = tuple(univ[i] for i in idx)
                 if next(tickets, None) is None:
                     raise FactorBudgetError("recombination budget exhausted")
-                cand = _decode(_mul_univariate(key, phi.char), M, phi.char)
+                prod = [1]
+                for i in idx:
+                    prod = _pmul(prod, _dense(univ[i]), p)
+                cand = _decode(prod, M, p)
                 if not _fits(cand, allowed):
                     continue
                 q = exact_divide(cur, cand)

@@ -11,9 +11,9 @@ reads text; `from_json` reads the JSON term list that `serialize` writes.
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from .exact_arith import CharMismatch, _residue, binomial, parse_rat, rat_str
+from .exact_arith import CharMismatch, _residue, parse_rat, rat_str
 from .lattice_geom import convex_hull
 
 
@@ -224,15 +224,6 @@ def unit_multiply(phi, c, alpha=0, beta=0):
                         for (a, b), cc in phi.terms.items()}, phi.char)
 
 
-def apply_gl2z(phi, m):
-    """Exponent rows (a, b) map to (a, b)*m; |det m| must be 1."""
-    (m11, m12), (m21, m22) = m
-    if abs(m11 * m22 - m12 * m21) != 1:
-        raise ValueError("matrix is not unimodular")
-    return LaurentPoly({(a * m11 + b * m21, a * m12 + b * m22): c
-                        for (a, b), c in phi.terms.items()}, phi.char)
-
-
 def integer_terms(phi):
     """{exponent: int}, the integer multiple of phi with content 1.
 
@@ -246,7 +237,7 @@ def integer_terms(phi):
 
 def _order_vanishes(terms, s, char):
     for i in range(s + 1):
-        val = sum(c * binomial(a, i) * binomial(b, s - i) for a, b, c in terms)
+        val = sum(c * comb(a, i) * comb(b, s - i) for a, b, c in terms)
         if char:
             val %= char
         if val:

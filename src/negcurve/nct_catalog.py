@@ -21,7 +21,6 @@ from .lattice_geom import (
 )
 from .laurent_poly import (
     LaurentPoly,
-    apply_gl2z,
     integer_terms,
     monomial,
     multiplicity_at_one,
@@ -29,7 +28,6 @@ from .laurent_poly import (
     newton_polygon,
     parse,
     serialize,
-    unit_multiply,
 )
 from .symbolic_power import jet_matrix, kernel_polynomials, nullity
 
@@ -62,7 +60,8 @@ def is_nct(phi, r, most=None):
     """Run every defining check on phi at multiplicity r.
 
     `most` is an upper bound the caller knows on the nullity of the jet
-    kernel on the Newton polygon's lattice points, passed on to `nullity`.
+    kernel on the Newton polygon's lattice points.  When it meets the lower
+    bound that phi gives, it is the nullity, and no jet matrix is built.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -86,7 +85,8 @@ def is_nct(phi, r, most=None):
     if r >= 2:
         checks.append(("collinear", not collinear_exceeds(pts, r)))
     # mult >= r puts phi itself in the kernel, so the nullity is at least 1
-    null = nullity(jet_matrix(pts, r, phi.char), 1 if mult >= r else 0, most)
+    least = 1 if mult >= r else 0
+    null = least if least == most else nullity(jet_matrix(pts, r, phi.char))
     checks.append(("kernel", null == 1))
     return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 
@@ -150,12 +150,13 @@ def ggk_prime_family(r):
     return LaurentPoly(ints) * (-1 if ints[min(ints)] > 0 else 1)
 
 
-def _scaled(phi):
-    """Unit scaling that puts coefficient -1 at the least support point."""
-    c0 = phi.terms[min(phi.terms)]
-    if phi.char:
-        return unit_multiply(phi, -pow(c0, -1, phi.char))
-    return unit_multiply(phi, Fraction(-1) / c0)
+def _image(phi, f):
+    """phi with its exponents mapped by f, scaled to coefficient -1 at the
+    least support point."""
+    terms = {f.apply(e): c for e, c in phi.terms.items()}
+    c0 = terms[min(terms)]
+    unit = -pow(c0, -1, phi.char) if phi.char else Fraction(-1) / c0
+    return LaurentPoly({e: c * unit for e, c in terms.items()}, phi.char)
 
 
 def _rep_key(phi):
@@ -176,8 +177,7 @@ def canonical_form(phi, r):
         maps = [_edge_map(V, W), _edge_map(W, V)]
     else:
         _, maps = normalized_maps(P, r)
-    return min((_scaled(unit_multiply(apply_gl2z(phi, f.m), 1, f.t[0], f.t[1]))
-                for f in maps), key=_rep_key)
+    return min((_image(phi, f) for f in maps), key=_rep_key)
 
 
 def _normalized_polygons(r):
@@ -313,11 +313,6 @@ def catalog(r, char=0, experimental=False):
             if report.accepted:
                 entries[key] = (rep, report)
     return [entries[k] for k in sorted(entries) if entries[k]]
-
-
-def classify(r, char=0, experimental=False):
-    """The canonical representative of every class found at multiplicity r."""
-    return [rep for rep, _ in catalog(r, char, experimental)]
 
 
 def catalog_to_json(r, char=0, experimental=False):

@@ -57,11 +57,12 @@ def _genus(pts, r):
     return pick_counts(convex_hull(pts), pts)[1] - r * (r - 1) // 2
 
 
-def _report(triple, char, r, d, phi, dP, pts, nullity):
+def _report(triple, char, r, d, phi, dP, pts):
+    """The curve checks on phi, the lone generator of its cell's kernel."""
     a, b, c = triple
     # the Newton polygon lies in dP, so its jet kernel embeds in the one on
-    # pts: its nullity is at most that kernel's, the `nullity` given here
-    nct = is_nct(phi, r, nullity)
+    # pts: its nullity is at most that kernel's, which is 1
+    nct = is_nct(phi, r, 1)
     # the support lies in dP, so a support point on an edge's line is on the edge
     edge_ok = all(any(n[0] * x + n[1] * y == bound for x, y in phi.terms)
                   for n, bound in inward_normals(dP))
@@ -72,7 +73,7 @@ def _report(triple, char, r, d, phi, dP, pts, nullity):
         ("area", is_negative_pair(a, b, c, r, d)),
     ]
     return NegativeCurveReport(triple, char, r, d, phi, checks, nct,
-                               _genus(pts, r), nullity)
+                               _genus(pts, r), 1)
 
 
 Cell = namedtuple("Cell", "r d why nullity report")
@@ -109,7 +110,7 @@ def _degree_cells(triple, char, T, d, lo, cap):
         basis = kernel_polynomials(jet_matrix(pts, r, char))
         hit = None
         if len(basis) == 1 and not _splits(basis[0]):
-            report = _report(triple, char, r, d, basis[0], dP, pts, 1)
+            report = _report(triple, char, r, d, basis[0], dP, pts)
             if report.accepted:
                 hit = report
         cells.append(Cell(r, d, "visited", len(basis), hit))

@@ -11,16 +11,16 @@ entries stay small.  The support is a plain sorted tuple of points.
 
 The dimension of the degree-d piece is |dP| minus the rank of that system.
 `kernel` asks `nullspace`, which in char 0 lifts the basis from the
-eliminations mod the primes of `exact_arith._PRIMES` and checks it over Z.
-`nullity` asks the same question: bounds the caller knows that meet settle
-it with no elimination, and otherwise it counts `kernel`'s basis.  Ehrhart
-counting of the dilations gives the other side of the ledger.
+eliminations mod the primes of `exact_arith._PRIMES` and checks it over Z,
+and `nullity` counts that basis.  Ehrhart counting of the dilations gives
+the other side of the ledger.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
-from .exact_arith import binomial, nullspace
+from .exact_arith import nullspace
 from .lattice_geom import area2, pick_counts
 from .laurent_poly import LaurentPoly
 
@@ -30,7 +30,7 @@ JetMatrix = namedtuple("JetMatrix", "char support rows")
 
 def _binomial_rows(values, r):
     """[C(x, 0), ..., C(x, r-1)] for each x, one table per distinct value."""
-    table = {x: [binomial(x, i) for i in range(r)] for x in set(values)}
+    table = {x: [comb(x, i) for i in range(r)] for x in set(values)}
     return [table[x] for x in values]
 
 
@@ -71,16 +71,8 @@ def kernel_polynomials(jm):
     return out
 
 
-def nullity(jm, least=0, most=None):
-    """Dimension of the kernel: the size of `kernel`'s basis.
-
-    `least` and `most` are bounds the caller knows, such as 1 when a given
-    polynomial lies in the kernel, and the nullity of a larger support at
-    the same order and characteristic.  Bounds that meet are the nullity,
-    with no elimination.
-    """
-    if least == most:
-        return least
+def nullity(jm):
+    """Dimension of the kernel: the size of `kernel`'s basis."""
     return len(kernel(jm))
 
 

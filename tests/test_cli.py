@@ -35,7 +35,7 @@ def test_herzog_command(capsys):
 
 def test_search_command(capsys):
     rc, out, err = run(capsys, "search", "9", "10", "13", "--char", "2",
-                       "--rmax", "3", "--jobs", "1")
+                       "--rmax", "3")
     assert rc == 0
     doc = json.loads(out)
     assert [(h["r"], h["d"]) for h in doc["hits"]] == [(3, 100)]
@@ -44,7 +44,7 @@ def test_search_command(capsys):
 
 def test_search_walk_accounting(capsys):
     rc, out, err = run(capsys, "search", "9", "10", "13", "--char", "2",
-                       "--rmax", "3", "--jobs", "1")
+                       "--rmax", "3")
     assert rc == 0
     # stdout is the hits alone; the walk's accounting goes to stderr
     hits = [negcurve_to_json(rep) for _, _, rep in scan(9, 10, 13, 2, 3)]
@@ -60,8 +60,9 @@ def test_search_walk_accounting(capsys):
         "0 skipped after an empty kernel, "
         "175 skipped by a higher degree, "
         "3 cells in 1 degree without lattice points"]
-    _, out2, _ = run(capsys, "search", "9", "10", "13", "--char", "2",
-                     "--rmax", "3", "--jobs", "2")
+    # the top-level --jobs is accepted and changes nothing
+    _, out2, _ = run(capsys, "--jobs", "2", "search", "9", "10", "13", "--char",
+                     "2", "--rmax", "3")
     assert out2 == out
 
 
@@ -117,7 +118,7 @@ def test_char_p_commands_never_load_sympy(tmp_path, argv):
 
 def test_search_none_found_is_success(capsys):
     rc, out, _ = run(capsys, "search", "9", "10", "13", "--rmax", "1",
-                     "--jobs", "1", "--d", "30")
+                     "--d", "30")
     assert rc == 0
     assert json.loads(out)["hits"] == []
 
@@ -164,10 +165,11 @@ def test_classify_command(capsys):
 
 
 def test_jobs_is_a_count_that_search_reads(capsys):
-    # after a subcommand only search takes --jobs; the top-level option is
-    # kept for every command, since the benchmark passes --jobs 1 to all
+    # no subcommand takes --jobs; the top-level option is kept, checked and
+    # ignored, for every command, since the benchmark passes --jobs 1 to all
     for bad in (["classify", "--r", "2", "--jobs", "4"],
                 ["herzog", "9", "10", "13", "--jobs", "-3"],
+                ["search", "9", "10", "13", "--rmax", "1", "--jobs", "1"],
                 ["--jobs", "0", "search", "9", "10", "13", "--rmax", "1"]):
         with pytest.raises(SystemExit) as e:
             main(bad)
@@ -176,6 +178,14 @@ def test_jobs_is_a_count_that_search_reads(capsys):
     rc, out, _ = run(capsys, "--jobs", "1", "classify", "--r", "2")
     assert rc == 0
     assert out == run(capsys, "classify", "--r", "2")[1]
+
+
+def test_search_help_lists_no_jobs(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["search", "--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert "--rmax" in out and "--jobs" not in out
 
 
 def test_classify_r3_needs_flag(capsys):
@@ -289,7 +299,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
              "degree must be an integer"),
             (["ehrhart", str(poly), "--dilate", "x"], "dilation factor must be an integer"),
             (["search", "9", "10", "13", "--rmax", "1", "--jobs", "x"],
-             "worker count must be an integer"),
+             "unrecognized arguments: --jobs x"),
             (["--jobs", "1.5", "search", "9", "10", "13", "--rmax", "1"],
              "worker count must be an integer"),
             (["search", "9", "10", "13", "--rmax", "1", "--char", "x"],
@@ -300,6 +310,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
             (["classgroup", "a,b"], "each coordinate of ray 'a,b' must be an integer"),
             (["classgroup", "0,0 1,0 0,1"], "no zero ray"),
             (["classgroup", ""], "at least one ray"),
+            (["classgroup", "1,0 1,0 0,1 -1,-1"], "none repeated"),
+            (["classgroup", "1,0 2,0 0,1 -1,-1"], "each primitive"),
             (["nonsense"], "invalid choice")):
         with pytest.raises(SystemExit) as e:
             main(bad)
@@ -312,7 +324,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 def test_long_gate(capsys):
-    rc, _, err = run(capsys, "search", "5", "33", "49", "--rmax", "18", "--jobs", "1")
+    rc, _, err = run(capsys, "search", "5", "33", "49", "--rmax", "18")
     assert rc == 1 and "--long" in err
     assert "15365 cells" in err  # sum of isqrt(8085 r^2 - 1) over r <= 18
 

@@ -5,7 +5,6 @@ import sympy
 
 from negcurve import exact_arith
 from negcurve.exact_arith import (
-    binomial,
     det2,
     is_prime,
     nullspace,
@@ -27,24 +26,6 @@ def det_int(rows):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_int(minor)
     return total
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(4, 4) == 1
-    assert binomial(3, 5) == 0
-    # negative upper index: (-1)^k * C(k - n - 1, k)
-    assert binomial(-1, 3) == -1
-    assert binomial(-2, 2) == 3
-    assert binomial(-3, 0) == 1
-    assert binomial(-2, 1) == -2
-
-
-def test_binomial_pascal_spot():
-    for n in range(-6, 8):
-        for k in range(1, 7):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 def test_nullspace_trivial():

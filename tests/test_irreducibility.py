@@ -11,7 +11,9 @@ from negcurve.irreducibility import (
     exact_divide,
     factor_mod_p,
 )
-from negcurve.laurent_poly import LaurentPoly, apply_gl2z, monomial, parse, unit_multiply
+from negcurve.laurent_poly import LaurentPoly, monomial, parse, unit_multiply
+
+from gl2z import apply_gl2z
 
 PHI2 = "-v^2*w - vw^2 + 3vw - 1"
 PHI3 = "-1 + 6vw - 4v^2*w + v^3*w - 4vw^2 + v^2*w^2 + vw^3"

@@ -6,7 +6,6 @@ from negcurve.exact_arith import CharMismatch
 from negcurve.lattice_geom import area2
 from negcurve.laurent_poly import (
     ParseError,
-    apply_gl2z,
     from_json,
     monomial,
     multiplicity_at_one,
@@ -18,6 +17,8 @@ from negcurve.laurent_poly import (
     unit_multiply,
 )
 from negcurve.symbolic_power import jet_matrix
+
+from gl2z import apply_gl2z
 
 PHI3P = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
 

@@ -9,7 +9,6 @@ from negcurve import exact_arith
 from negcurve.irreducibility import certify
 from negcurve.lattice_geom import DegeneratePolygonError, area2, lattice_points, pick_counts
 from negcurve.laurent_poly import (
-    apply_gl2z,
     multiplicity_at_one,
     multiply,
     newton_polygon,
@@ -25,7 +24,6 @@ from negcurve.nct_catalog import (
     canonical_form,
     catalog,
     catalog_to_json,
-    classify,
     ggk_prime_family,
     is_nct,
     nct_to_json,
@@ -33,7 +31,14 @@ from negcurve.nct_catalog import (
 )
 from negcurve.negcurve_search import find
 
+from gl2z import apply_gl2z
+
 PHI2_CANON = parse("-1 - v + 3*v*w - v^2*w^3")
+
+
+def classes(r, char=0, experimental=False):
+    """The canonical representatives of `catalog`'s classes."""
+    return [rep for rep, _ in catalog(r, char, experimental)]
 
 
 def test_accepts_family_start():
@@ -84,6 +89,20 @@ def test_kernel_check_settled_by_known_bounds(eliminations):
     # without the bound the kernel is lifted from one modular elimination
     assert is_nct(phi_family(2), 2).accepted
     assert eliminations == [exact_arith._PRIMES[0]]
+
+
+def test_kernel_check_settled_by_bounds_builds_no_jet_matrix(monkeypatch):
+    # bounds that meet settle the kernel check before a jet matrix is built;
+    # without the caller's bound it takes one
+    from negcurve import nct_catalog
+    real, built = nct_catalog.jet_matrix, []
+    monkeypatch.setattr(nct_catalog, "jet_matrix",
+                        lambda *args: built.append(args) or real(*args))
+    phi = phi_family(3)
+    rep = is_nct(phi, 3, most=1)
+    assert rep.multiplicity == 3 and dict(rep.checks)["kernel"] and rep.accepted
+    assert built == []
+    assert is_nct(phi, 3).accepted and len(built) == 1
 
 
 def test_kernel_check_without_phi_in_kernel_is_exact(eliminations):
@@ -217,32 +236,32 @@ def test_normalized_polygon_pool_r4():
 
 
 def test_classify_r1():
-    assert classify(1) == [parse("v - 1")]
-    assert classify(1, char=3) == [parse("v - 1", char=3)]
+    assert classes(1) == [parse("v - 1")]
+    assert classes(1, char=3) == [parse("v - 1", char=3)]
 
 
 def test_classify_r2():
-    assert classify(2) == [PHI2_CANON]
+    assert classes(2) == [PHI2_CANON]
 
 
 def test_classify_r2_char_p():
     for p in (3, 5):
-        reps = classify(2, char=p)
+        reps = classes(2, char=p)
         assert len(reps) == 1
         assert reps[0] == canonical_form(phi_family(2).reduce_mod(p), 2)
 
 
 def test_classify_guard():
     with pytest.raises(ValueError, match="--experimental"):
-        classify(3)
+        classes(3)
     with pytest.raises(ValueError, match="--experimental"):
-        classify(4)
+        classes(4)
     with pytest.raises(ValueError, match="beyond r = 4"):
-        classify(5, experimental=True)
+        classes(5, experimental=True)
 
 
 def test_classify_r3_two_classes():
-    reps = classify(3, experimental=True)
+    reps = classes(3, experimental=True)
     assert len(reps) == 2
     assert canonical_form(phi_family(3), 3) in reps
     assert canonical_form(ggk_prime_family(3), 3) in reps

@@ -65,6 +65,25 @@ def test_hit_kernel_is_lifted(a, b, c, r, d, eliminations):
     assert eliminations == [exact_arith._PRIMES[0]]
 
 
+def test_hit_builds_one_jet_matrix(monkeypatch):
+    # the cell's jet matrix is the only one: its nullity 1 bounds the nct
+    # kernel check on the hit's Newton polygon, which is then settled
+    from negcurve import nct_catalog, symbolic_power
+    built = []
+
+    def counted(points, r, char=0):
+        built.append((r, char))
+        return symbolic_power.jet_matrix(points, r, char)
+
+    for module in (negcurve_search, nct_catalog):
+        monkeypatch.setattr(module, "jet_matrix", counted)
+    for a, b, c, char, r, d in ((9, 10, 13, 2, 3, 100), (8, 15, 43, 0, 9, 645)):
+        built.clear()
+        _, rep = find(a, b, c, char, r, d)
+        assert rep.accepted and dict(rep.nct.checks)["kernel"]
+        assert built == [(r, char)]
+
+
 def test_found_dim_is_one():
     # the negative curve spans the whole graded piece
     T = triangle(herzog_data(9, 10, 13))
@@ -258,7 +277,7 @@ def test_report_jet_membership_is_computed():
     # phi2 vanishes to order 2 only, so it is no member of the order-3 piece
     phi = parse("-v^2*w - vw^2 + 3vw - 1")
     P = newton_polygon(phi)
-    rep = _report((9, 10, 13), 0, 3, 100, phi, P, lattice_points(P), 1)
+    rep = _report((9, 10, 13), 0, 3, 100, phi, P, lattice_points(P))
     assert rep.nct.multiplicity == 2
     doc = negcurve_to_json(rep)
     assert ["jet_membership", False] in doc["checks"]
@@ -266,7 +285,7 @@ def test_report_jet_membership_is_computed():
     assert ["edge_touching", True] in doc["checks"]
     # in the box [0, 3]^2 the support misses the edge x = 3
     box = convex_hull([(0, 0), (3, 0), (3, 3), (0, 3)])
-    rep = _report((9, 10, 13), 0, 3, 100, phi, box, lattice_points(box), 1)
+    rep = _report((9, 10, 13), 0, 3, 100, phi, box, lattice_points(box))
     assert ["edge_touching", False] in negcurve_to_json(rep)["checks"]
 
 
@@ -324,9 +343,11 @@ def test_scan_split_check_agrees_with_certificate(monkeypatch, args, met):
 @pytest.mark.parametrize("char", [0, 2])
 def test_cells_beyond_nullity_one_hold_no_hit(monkeypatch, char):
     # by the uniqueness of the negative curve (see `_degree_cells`) the scan
-    # tries only a cell's lone generator: `_report` rejects every generator
-    # of the 22 cells of nullity >= 2 that scan(7, 11, 17, char, 6) visits,
-    # so trying them would find nothing
+    # tries only a cell's lone generator: `_report`'s four curve checks
+    # reject every generator of the 22 cells of nullity >= 2 that
+    # scan(7, 11, 17, char, 6) visits, so trying them would find nothing
+    # (the nct kernel check, which takes the cell's nullity as 1, is not
+    # among the four)
     triple = (7, 11, 17)
     cells = [cell for cell in _scan_cells(monkeypatch, *triple, char, 6)
              if len(cell[3]) > 1]
@@ -334,7 +355,7 @@ def test_cells_beyond_nullity_one_hold_no_hit(monkeypatch, char):
     for r, d, dP, basis in cells:
         pts = lattice_points(dP)
         for phi in basis:
-            report = _report(triple, char, r, d, phi, dP, pts, len(basis))
+            report = _report(triple, char, r, d, phi, dP, pts)
             assert not report.accepted, serialize(phi)
 
 
