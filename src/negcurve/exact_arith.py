@@ -4,7 +4,14 @@ No floating point anywhere: rationals are `fractions.Fraction`, prime fields
 are ints in [0, p).  One forward elimination, `_echelon`, serves both fields
 and differs between them only in how it updates a row below the pivot:
 Bareiss's fraction-free step over Q, so entries stay integral until the
-back-substitution, and plain elimination over F_p.  Pivoting is
+back-substitution, and over F_p one big-int multiply-add on packed rows.  A
+packed row is one int of fixed-width slots, column 0 in the top one.  The
+pivot row's slots are reduced and each multiplier is below p, so an update
+adds at most (p - 1)^2 to a slot; a row takes at most min(rows, cols) of
+them, so a slot holding (min(rows, cols) + 1)(p - 1)^2 + p never carries.
+Each column's slot, 0 mod p below the pivot, is cut off those rows, so the
+slots left of the current column are exactly 0: the row shifted right is its
+entry there, and a row whose entry is 0 is not touched.  Pivoting is
 deterministic (first nonzero in row-major order), so kernel bases are
 reproducible across runs.
 
@@ -20,6 +27,7 @@ same free columns: the basis Bareiss would give.  When the primes run out,
 Bareiss's elimination over Q decides.
 """
 
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -69,8 +77,11 @@ def _echelon(rows, ncols, p=0):
     Rows below a pivot are zero left of its column pc, so only pc: is updated.
     Over Q the update (piv*a - f*b) // prev is exact, every entry being a minor
     of the input up to sign; it must reach rows with f = 0 too, as it scales
-    them by piv/prev.  Over F_p (entries in [0, p)) such rows are skipped.
+    them by piv/prev.  Over F_p the rows, of any ints, are replaced by their
+    residues in echelon form (`_echelon_mod_p`).
     """
+    if p:
+        return _echelon_mod_p(rows, ncols, p)
     prev, pivots = 1, []
     for pc in range(ncols):
         pr = len(pivots)
@@ -82,16 +93,58 @@ def _echelon(rows, ncols, p=0):
         rows[pr], rows[pivot] = rows[pivot], rows[pr]
         tail = rows[pr][pc:]
         piv = tail[0]
-        inv = pow(piv, -1, p) if p else 0
         for ri in rows[pr + 1:]:
             f = ri[pc]
-            if not p:
-                ri[pc:] = [(piv * a - f * b) // prev for a, b in zip(ri[pc:], tail)]
-            elif f:
-                f = f * inv % p
-                ri[pc:] = [(a - f * b) % p for a, b in zip(ri[pc:], tail)]
+            ri[pc:] = [(piv * a - f * b) // prev for a, b in zip(ri[pc:], tail)]
         prev = piv
         pivots.append((pr, pc))
+    return pivots
+
+
+def _pack(vals, words):
+    """Residues, last column first, as one int of slots of `words` words."""
+    if words == 1:
+        return int.from_bytes(array("Q", vals), "little")
+    a = array("Q", bytes(8 * words * len(vals)))
+    for j in range(-(-max(vals, default=0).bit_length() // 64)):
+        a[j::words] = array("Q", [v >> 64 * j & 0xFFFFFFFFFFFFFFFF for v in vals])
+    return int.from_bytes(a, "little")
+
+
+def _echelon_mod_p(rows, ncols, p):
+    """`_echelon` over F_p.  A row stays a list of residues until an update
+    packs it, and a packed row is unpacked when it becomes a pivot row."""
+    n = len(rows)
+    words = -(-((min(n, ncols) + 1) * (p - 1) ** 2 + p).bit_length() // 64)
+    state = [[x % p for x in row] for row in rows]
+    pivots, shift = [], 64 * words * ncols
+    for pc in range(ncols):
+        pr, shift = len(pivots), shift - 64 * words
+        low, piv, tail = (1 << shift) - 1, None, None
+        for i in range(pr, n):
+            x = state[i]
+            packed = type(x) is int  # else residues no update has touched
+            f = x >> shift if packed else x[pc]
+            if not f:
+                continue
+            if packed:
+                x, f = x & low, f % p
+            if piv is None and f:
+                if packed:
+                    a = array("Q", x.to_bytes(shift // 8, "little"))  # right of pc
+                    vals = a[words - 1::words]
+                    for j in range(words - 2, -1, -1):
+                        vals = [(u << 64) + w for u, w in zip(vals, a[j::words])]
+                    x = [0] * pc + [f] + [u % p for u in reversed(vals)]
+                state[i], state[pr], piv = state[pr], x, x
+                pivots.append((pr, pc))
+                continue
+            if f:
+                if tail is None:
+                    tail, inv = _pack(piv[:pc:-1], words), pow(piv[pc], -1, p)
+                x = (x if packed else _pack(x[:pc:-1], words)) + (p - f) * inv % p * tail
+            state[i] = x
+    rows[:] = state[:len(pivots)] + [[0] * ncols for _ in range(n - len(pivots))]
     return pivots
 
 
@@ -137,7 +190,7 @@ def _reduced(int_rows, p, ncols=None):
     """
     if ncols is None:
         ncols = len(int_rows[0]) if int_rows else 0
-    rows = [[x % p for x in row] if p else list(row) for row in int_rows]
+    rows = list(int_rows) if p else [list(row) for row in int_rows]
     return rows, _echelon(rows, ncols, p)
 
 
@@ -331,10 +384,7 @@ def smith_normal_form(int_rows):
 
 def rat_str(x):
     """Serialize an exact rational as "num/den" (or "num" when integral)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(Fraction(x))
 
 
 def parse_rat(s):

@@ -8,8 +8,6 @@ import time
 from fractions import Fraction
 from math import gcd
 
-import pytest
-
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import (area2, convex_hull, dilate, lattice_points,
                                    pick_counts)
@@ -99,7 +97,6 @@ def test_criterion_4_8_15_43():
     _deadline(t0, 600)
 
 
-@pytest.mark.long
 def test_criterion_5_5_33_49():
     out = find(5, 33, 49, 0, 18, 1617)
     assert out is not None

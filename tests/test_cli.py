@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import time
 import pytest
 
 import negcurve
+from negcurve import exact_arith
 from negcurve.cli import main
 from negcurve.exact_arith import rat_str
 from negcurve.herzog_semigroup import herzog_data, triangle
@@ -92,6 +94,20 @@ def _child_env():
 def test_char0_search_never_loads_sympy(call):
     proc = subprocess.run([sys.executable, "-c", UNWANTED_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# perfbench/tracer.py wraps the package's functions right after `import
+# negcurve.cli`, looking each module up in sys.modules, so a module that a
+# command imported only when it runs would stop every traced benchmark run
+def test_cli_import_loads_every_traced_module():
+    perfbench = pathlib.Path(__file__).parents[1] / "perfbench"
+    code = ("import sys; sys.path.insert(0, %r); import tracer, negcurve.cli; "
+            "print([m for m, _ in tracer.WRAPPED if 'negcurve.' + m not in "
+            "sys.modules])" % str(perfbench))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -346,6 +362,16 @@ def test_long_gate_refusal_stays_small():
     rc, peak_kb = proc.stdout.split()
     assert rc == "1"
     assert int(peak_kb) < 60 * 1024
+
+
+def test_search_5_33_49_cell(capsys, eliminations):
+    # the (18, 1617) cell: its 171 x 171 jet kernel comes from one
+    # elimination mod the first prime of the char-0 lift
+    rc, out, _ = run(capsys, "search", "5", "33", "49", "--rmax", "18",
+                     "--d", "1617")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("574ce4a0")
+    assert eliminations == [exact_arith._PRIMES[0]]
 
 
 @pytest.mark.long

@@ -411,7 +411,6 @@ def test_indecomposable_split_check_skips_multiplicity(monkeypatch, a, b, c, cha
     assert not _splits(phi)
 
 
-@pytest.mark.long
 def test_find_5_33_49():
     phi, rep = find(5, 33, 49, 0, 18, 1617)
     assert rep.accepted

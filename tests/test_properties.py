@@ -325,6 +325,75 @@ def test_mod_p_kernel_matches_gauss_jordan(case, p):
     assert rank == ncols - len(basis)
 
 
+def _echelon_list_oracle(rows, ncols, p):
+    """(rows, pivots) of the list-based elimination over F_p that packed rows
+    replaced: entries reduced to [0, p) first, and each row below the pivot
+    updated entry by entry, (a - f*b) % p."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr == len(rows):
+            break
+        pivot = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
+        if pivot is None:
+            continue
+        rows[pr], rows[pivot] = rows[pivot], rows[pr]
+        tail = rows[pr][pc:]
+        inv = pow(tail[0], -1, p)
+        for ri in rows[pr + 1:]:
+            f = ri[pc]
+            if f:
+                f = f * inv % p
+                ri[pc:] = [(a - f * b) % p for a, b in zip(ri[pc:], tail)]
+        pivots.append((pr, pc))
+    return rows, pivots
+
+
+# small primes, the 30-bit primes of the char-0 lift, and one above 2^64,
+# whose residues take two 64-bit words of a slot
+ECHELON_PRIMES = (2, 3, 5, 7) + exact_arith._PRIMES + (2 ** 64 + 13,)
+
+
+@st.composite
+def fp_matrices(draw):
+    """(rows, ncols, p): 0 to 8 rows and columns; residues, unreduced
+    entries of either sign up to 2^80, and rows of all p - 1."""
+    p = draw(st.sampled_from(ECHELON_PRIMES))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = (st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+             | st.integers(-2 ** 80, 2 ** 80) | st.integers(2 ** 64, 2 ** 80))
+    row = st.lists(entry, min_size=n, max_size=n) | st.just([p - 1] * n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n, p
+
+
+def _stacked_updates(p, n):
+    """n - 1 rows, n columns: the last row takes an update adding (p - 1)^2
+    to its last slot at each of the first n - 2 pivots, while its slot of
+    column n - 2 still holds an entry to be read."""
+    rows = [[int(j == k) for j in range(n - 1)] + [p - 1] for k in range(n - 2)]
+    return rows + [[1] * n], n, p
+
+
+@settings(max_examples=300)
+@given(fp_matrices())
+@example(([], 3, 5))
+@example(([[], []], 0, 7))
+@example(_stacked_updates(exact_arith._PRIMES[1], 17))
+@example(_stacked_updates(exact_arith._PRIMES[1], 19))
+@example(_stacked_updates(2 ** 64 + 13, 6))
+def test_packed_echelon_matches_list_oracle(case):
+    rows, ncols, p = case
+    packed = [list(row) for row in rows]
+    pivots = exact_arith._echelon(packed, ncols, p)
+    oracle, oracle_pivots = _echelon_list_oracle(rows, ncols, p)
+    assert pivots == oracle_pivots
+    assert len(packed) == len(rows)
+    assert all(len(row) == ncols and all(0 <= x < p for x in row) for row in packed)
+    assert exact_arith._kernel_from_ref(packed, ncols, pivots, p) \
+        == exact_arith._kernel_from_ref(oracle, ncols, oracle_pivots, p)
+
+
 @st.composite
 def kernel_matrices(draw):
     """Integer matrices, wide, tall or square, of full or deficient rank,

@@ -34,6 +34,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_numpy_import():
+    # numpy is no dependency of the package, whatever the host has installed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def _public_defs():
     """(module, name) of every public module-level function and method."""
     for path in sorted(SRC.glob("*.py")):
