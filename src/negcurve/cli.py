@@ -1,13 +1,13 @@
 """Command-line front end; every pipeline, JSON or text reports."""
 
 import argparse
+import importlib.util
 import json
 import sys
 from collections import Counter
 from math import gcd
 
 from .exact_arith import is_prime, rat_str
-from .herzog_semigroup import herzog_data, herzog_to_json
 from .lattice_geom import (
     IntegralPolygon,
     dilate,
@@ -16,10 +16,24 @@ from .lattice_geom import (
     polygon_from_json,
 )
 from .laurent_poly import ParseError, from_json, newton_polygon, parse, serialize
-from .nct_catalog import catalog_to_json, ggk_prime_family, is_nct, nct_to_json
-from .negcurve_search import negcurve_to_json, region_size, walk
-from .symbolic_power import ehrhart_polynomial, hilbert_numerator
-from .toric_surface import DiagramContradiction, class_group, thm36_report, thm36_to_json
+
+
+def _lazy(name):
+    """Module `name` of the package, run when an attribute is first read, so
+    a command runs only the modules it reads; yet every module is in
+    sys.modules once cli is imported, where perfbench/tracer.py wraps it."""
+    name = "%s.%s" % (__package__, name)
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+herzog_semigroup, irreducibility, nct_catalog, negcurve_search, symbolic_power, \
+    toric_surface = map(_lazy, ("herzog_semigroup", "irreducibility", "nct_catalog",
+                                "negcurve_search", "symbolic_power", "toric_surface"))
 
 SCAN_CELL_BUDGET = 500
 
@@ -130,17 +144,17 @@ def _emit(doc, fmt):
 
 
 def cmd_herzog(args):
-    return herzog_to_json(herzog_data(args.a, args.b, args.c))
+    return herzog_semigroup.herzog_to_json(herzog_semigroup.herzog_data(args.a, args.b, args.c))
 
 
 def cmd_search(args):
-    cells = region_size(args.a, args.b, args.c, args.rmax, args.d)
+    cells = negcurve_search.region_size(args.a, args.b, args.c, args.rmax, args.d)
     if cells > SCAN_CELL_BUDGET and not args.long:
         raise ValueError("%d cells to scan; pass --long to run it" % cells)
     tally = Counter()
     empty_degrees = set()  # degrees built without a lattice point
     hits = []
-    for cell in walk(args.a, args.b, args.c, args.char, args.rmax, args.d):
+    for cell in negcurve_search.walk(args.a, args.b, args.c, args.char, args.rmax, args.d):
         tally[cell.why] += 1
         if cell.why == "no points":
             empty_degrees.add(cell.d)
@@ -159,26 +173,26 @@ def cmd_search(args):
         "triple": [args.a, args.b, args.c],
         "char": args.char,
         "rmax": args.rmax,
-        "hits": [negcurve_to_json(cell.report) for cell in sorted(hits)],
+        "hits": [negcurve_search.negcurve_to_json(cell.report) for cell in sorted(hits)],
     }
 
 
 def cmd_check_nct(args):
     phi = _load_poly(args.file, args.char)
-    return nct_to_json(is_nct(phi, args.r))
+    return nct_catalog.nct_to_json(nct_catalog.is_nct(phi, args.r))
 
 
 def cmd_thm36(args):
     phi = _load_poly(args.file, args.char)
-    return thm36_to_json(thm36_report(phi, args.r))
+    return toric_surface.thm36_to_json(toric_surface.thm36_report(phi, args.r))
 
 
 def cmd_classify(args):
-    return catalog_to_json(args.r, args.char, experimental=args.experimental)
+    return nct_catalog.catalog_to_json(args.r, args.char, experimental=args.experimental)
 
 
 def cmd_ggk(args):
-    g = ggk_prime_family(args.r)
+    g = nct_catalog.ggk_prime_family(args.r)
     P = newton_polygon(g)
     pts = lattice_points(P)
     B, I = pick_counts(P, pts)
@@ -202,9 +216,9 @@ def cmd_ehrhart(args):
                    for n in range(1, args.dilate + 1)],
     }
     if isinstance(P, IntegralPolygon) and P.dim == 2:
-        c2, c1, c0 = ehrhart_polynomial(P, pts)
+        c2, c1, c0 = symbolic_power.ehrhart_polynomial(P, pts)
         doc["ehrhart"] = [rat_str(c2), rat_str(c1), rat_str(c0)]
-        doc["hilbert_numerator"] = hilbert_numerator(P, pts)
+        doc["hilbert_numerator"] = symbolic_power.hilbert_numerator(P, pts)
     else:
         doc["ehrhart"] = None
         doc["hilbert_numerator"] = None
@@ -213,7 +227,7 @@ def cmd_ehrhart(args):
 
 
 def cmd_classgroup(args):
-    cg = class_group(args.rays)
+    cg = toric_surface.class_group(args.rays)
     return {
         "free_rank": cg.free_rank,
         "torsion": cg.torsion,
@@ -296,12 +310,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
-    except DiagramContradiction as exc:
-        print("contradiction: %s" % exc, file=sys.stderr)
-        return 2
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except toric_surface.DiagramContradiction as exc:  # looked up only for other errors
+        print("contradiction: %s" % exc, file=sys.stderr)
+        return 2
     _emit(doc, args.format)
     return 0
 

@@ -4,16 +4,14 @@ No floating point anywhere: rationals are `fractions.Fraction`, prime fields
 are ints in [0, p).  One forward elimination, `_echelon`, serves both fields
 and differs between them only in how it updates a row below the pivot:
 Bareiss's fraction-free step over Q, so entries stay integral until the
-back-substitution, and over F_p one big-int multiply-add on packed rows.  A
-packed row is one int of fixed-width slots, column 0 in the top one.  The
-pivot row's slots are reduced and each multiplier is below p, so an update
-adds at most (p - 1)^2 to a slot; a row takes at most min(rows, cols) of
-them, so a slot holding (min(rows, cols) + 1)(p - 1)^2 + p never carries.
-Each column's slot, 0 mod p below the pivot, is cut off those rows, so the
-slots left of the current column are exactly 0: the row shifted right is its
-entry there, and a row whose entry is 0 is not touched.  Pivoting is
-deterministic (first nonzero in row-major order), so kernel bases are
-reproducible across runs.
+back-substitution, and over F_p one big-int multiply-add on a packed row,
+one int of fixed-width slots with column 0 on top.  The multiplier and the
+pivot row's slots are reduced, and a row takes at most min(rows, cols)
+updates, so a slot holding (min(rows, cols) + 1)(p - 1)^2 + p never carries.
+Each column's slot, 0 mod p below the pivot, is cut off there, so the slots
+left of the current column are exactly 0 and a row shifted right is its
+entry in that column.  Pivoting is deterministic (first nonzero in row-major
+order), so kernel bases are reproducible across runs.
 
 A kernel over Q is lifted from kernels mod the 30-bit primes of `_PRIMES`,
 one elimination per prime.  Full column rank mod a prime proves the kernel
@@ -77,8 +75,7 @@ def _echelon(rows, ncols, p=0):
     Rows below a pivot are zero left of its column pc, so only pc: is updated.
     Over Q the update (piv*a - f*b) // prev is exact, every entry being a minor
     of the input up to sign; it must reach rows with f = 0 too, as it scales
-    them by piv/prev.  Over F_p the rows, of any ints, are replaced by their
-    residues in echelon form (`_echelon_mod_p`).
+    them by piv/prev.  Over F_p the rows become residues (`_echelon_mod_p`).
     """
     if p:
         return _echelon_mod_p(rows, ncols, p)

@@ -99,9 +99,9 @@ def test_char0_search_never_loads_sympy(call):
 
 
 # perfbench/tracer.py wraps the package's functions right after `import
-# negcurve.cli`, looking each module up in sys.modules, so a module that a
-# command imported only when it runs would stop every traced benchmark run
-def test_cli_import_loads_every_traced_module():
+# negcurve.cli`, looking each module up in sys.modules, so a module missing
+# there would stop every traced benchmark run
+def test_cli_import_registers_every_traced_module():
     perfbench = pathlib.Path(__file__).parents[1] / "perfbench"
     code = ("import sys; sys.path.insert(0, %r); import tracer, negcurve.cli; "
             "print([m for m, _ in tracer.WRAPPED if 'negcurve.' + m not in "
@@ -110,6 +110,35 @@ def test_cli_import_loads_every_traced_module():
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the package modules a command has run; the others are still lazy stubs
+MODULES_RUN = ("import json, sys, types, negcurve.cli; "
+               "assert negcurve.cli.main(%r) == 0; "
+               "print(json.dumps(sorted(m[len('negcurve.'):] for m, v in "
+               "sys.modules.items() if m.startswith('negcurve.') "
+               "and type(v) is types.ModuleType)))")
+EVERY_MODULE = {"cli", "exact_arith", "herzog_semigroup", "irreducibility",
+                "lattice_geom", "laurent_poly", "nct_catalog", "negcurve_search",
+                "symbolic_power", "toric_surface"}
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["thm36", "PHI2", "--r", "2"],
+     {"cli", "exact_arith", "lattice_geom", "laurent_poly", "toric_surface"}),
+    (["search", "8", "15", "43", "--rmax", "9", "--d", "645"],
+     EVERY_MODULE - {"toric_surface"}),
+    (["classify", "--r", "3", "--experimental"],
+     EVERY_MODULE - {"negcurve_search", "toric_surface", "herzog_semigroup"}),
+], ids=["thm36", "search", "classify"])
+def test_command_runs_only_its_modules(tmp_path, argv, run):
+    phi = tmp_path / "phi2.json"
+    phi.write_text(json.dumps(PHI2_DOC))
+    argv = [str(phi) if a == "PHI2" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", MODULES_RUN % argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == run
 
 
 PHI3P_TEXT = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
