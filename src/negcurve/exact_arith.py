@@ -381,7 +381,10 @@ def smith_normal_form(int_rows):
 
 def rat_str(x):
     """Serialize an exact rational as "num/den" (or "num" when integral)."""
-    return str(Fraction(x))
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def parse_rat(s):
