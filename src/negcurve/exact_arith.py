@@ -99,7 +99,8 @@ def _echelon(rows, ncols, p=0):
 
 
 def _pack(vals, words):
-    """Residues, last column first, as one int of slots of `words` words."""
+    """Residues, last column first, as one int of slots of `words` words; the
+    array items are read as little-endian words, as on x86-64 and arm64."""
     if words == 1:
         return int.from_bytes(array("Q", vals), "little")
     a = array("Q", bytes(8 * words * len(vals)))
