@@ -1,10 +1,8 @@
 """Exact linear algebra on plain integer rows, over Q or a prime field F_p.
 
 No floating point anywhere: rationals are `fractions.Fraction`, prime fields
-are ints in [0, p).  One forward elimination, `_echelon`, serves both fields
-and differs between them only in how it updates a row below the pivot:
-Bareiss's fraction-free step over Q, so entries stay integral until the
-back-substitution, and over F_p one big-int multiply-add on a packed row,
+are ints in [0, p).  Every elimination runs over F_p, in `_echelon`, which
+updates a row below the pivot by one big-int multiply-add on a packed row,
 one int of fixed-width slots with column 0 on top.  The multiplier and the
 pivot row's slots are reduced, and a row takes at most min(rows, cols)
 updates, so a slot holding (min(rows, cols) + 1)(p - 1)^2 + p never carries.
@@ -13,16 +11,22 @@ left of the current column are exactly 0 and a row shifted right is its
 entry in that column.  Pivoting is deterministic (first nonzero in row-major
 order), so kernel bases are reproducible across runs.
 
-A kernel over Q is lifted from kernels mod the 30-bit primes of `_PRIMES`,
-one elimination per prime.  Full column rank mod a prime proves the kernel
-empty.  Otherwise the residues of the mod-p basis, combined by CRT across
-primes, are rationally reconstructed (Wang, Guy and Davenport, SIGSAM Bull.
-16, 1982) or, for an integral vector, read as least absolute residues, and
-the vectors are returned only when each one satisfies row . v == 0 over Z
-on the input rows.  rank mod p is at most rank over Q, so verified
+A kernel over Q is lifted from kernels mod the primes of `_primes()`, one
+elimination each: the 30-bit primes of `_PRIMES`, then the other primes
+below 2^30 in descending order.  Full column rank mod a prime proves the
+kernel empty.  Otherwise the residues of the mod-p basis, combined by CRT
+across primes, are rationally reconstructed (Wang, Guy and Davenport, SIGSAM
+Bull. 16, 1982) or, for an integral vector, read as least absolute residues,
+and the vectors are returned only when each one satisfies row . v == 0 over
+Z on the input rows.  rank mod p is at most rank over Q, so verified
 vectors, one ending at each free column mod p, are a basis over Q with the
-same free columns: the basis Bareiss would give.  When the primes run out,
-Bareiss's elimination over Q decides.
+same free columns.  The stream ends: a prime is unlucky, with a lower rank
+or later pivot columns than over Q, only when it divides one of finitely
+many nonzero minors, and `_lifted_kernel` never prefers it to a lucky one;
+and each basis entry is a ratio of minors within a Hadamard bound H, which
+Wang's reconstruction recovers once the lucky primes multiply past 2 H^2.
+The primes below 2^30 multiply to about 2^(1.5e9); a matrix whose minors
+outlast them makes `_lifted_kernel` raise ValueError.
 """
 
 from array import array
@@ -69,35 +73,6 @@ def _residue(value, p):
     return value % p
 
 
-def _echelon(rows, ncols, p=0):
-    """Row echelon form over Q (p = 0) or F_p, in place; returns the pivots.
-
-    Rows below a pivot are zero left of its column pc, so only pc: is updated.
-    Over Q the update (piv*a - f*b) // prev is exact, every entry being a minor
-    of the input up to sign; it must reach rows with f = 0 too, as it scales
-    them by piv/prev.  Over F_p the rows become residues (`_echelon_mod_p`).
-    """
-    if p:
-        return _echelon_mod_p(rows, ncols, p)
-    prev, pivots = 1, []
-    for pc in range(ncols):
-        pr = len(pivots)
-        if pr == len(rows):
-            break
-        pivot = next((i for i in range(pr, len(rows)) if rows[i][pc]), None)
-        if pivot is None:
-            continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        tail = rows[pr][pc:]
-        piv = tail[0]
-        for ri in rows[pr + 1:]:
-            f = ri[pc]
-            ri[pc:] = [(piv * a - f * b) // prev for a, b in zip(ri[pc:], tail)]
-        prev = piv
-        pivots.append((pr, pc))
-    return pivots
-
-
 def _pack(vals, words):
     """Residues, last column first, as one int of slots of `words` words; the
     array items are read as little-endian words, as on x86-64 and arm64."""
@@ -109,9 +84,13 @@ def _pack(vals, words):
     return int.from_bytes(a, "little")
 
 
-def _echelon_mod_p(rows, ncols, p):
-    """`_echelon` over F_p.  A row stays a list of residues until an update
-    packs it, and a packed row is unpacked when it becomes a pivot row."""
+def _echelon(rows, ncols, p):
+    """Row echelon form over F_p, in place; returns the pivots (row, col).
+
+    The rows become residues in [0, p), zero rows last.  A row stays a list
+    of residues until an update packs it, and a packed row is unpacked when
+    it becomes a pivot row.
+    """
     n = len(rows)
     words = -(-((min(n, ncols) + 1) * (p - 1) ** 2 + p).bit_length() // 64)
     state = [[x % p for x in row] for row in rows]
@@ -146,27 +125,26 @@ def _echelon_mod_p(rows, ncols, p):
     return pivots
 
 
-def _kernel_from_ref(rows, ncols, pivots, p=0):
-    """Kernel basis from a row echelon form, over Q (p = 0) or F_p.
+def _kernel_from_ref(rows, ncols, pivots, p):
+    """Kernel basis over F_p from a row echelon form.
 
-    One vector per free column f, in ascending order, with 1 at f and 0 at
-    the other free columns and right of f: Fractions over Q, residues in
-    [0, p) over F_p.
+    One vector of residues per free column f, in ascending order, with 1 at
+    f and 0 at the other free columns and right of f.
     """
     pivot_cols = {pc for _, pc in pivots}
     basis = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = [0 if p else Fraction(0)] * ncols
-        vec[f] = 1 if p else Fraction(1)
+        vec = [0] * ncols
+        vec[f] = 1
         solved = []
         for pr, pc in reversed(pivots):
             # the row vanishes left of pc; right of it only f and the
             # pivot columns already solved can be nonzero in vec
             row = rows[pr]
             s = row[f] + sum(row[c] * vec[c] for c in solved)
-            vec[pc] = -s * pow(row[pc], -1, p) % p if p else Fraction(-s, row[pc])
+            vec[pc] = -s * pow(row[pc], -1, p) % p
             solved.append(pc)
         basis.append(vec)
     return basis
@@ -182,13 +160,13 @@ def _monic(vec, p=0):
 
 
 def _reduced(int_rows, p, ncols=None):
-    """(rows, pivots) of `_echelon` on a copy of int_rows, reduced mod p if p.
+    """(rows, pivots) of `_echelon` mod p on a copy of int_rows.
 
     ncols defaults to the width of the first row, or 0 with no rows.
     """
     if ncols is None:
         ncols = len(int_rows[0]) if int_rows else 0
-    rows = list(int_rows) if p else [list(row) for row in int_rows]
+    rows = list(int_rows)
     return rows, _echelon(rows, ncols, p)
 
 
@@ -234,9 +212,16 @@ def _lift(int_rows, vec, m):
     return None
 
 
+def _primes():
+    """`_PRIMES`, then the other primes below 2^30 in descending order."""
+    yield from _PRIMES
+    yield from (n for n in range(2 ** 30 - 1, 1, -1)
+                if n not in _PRIMES and is_prime(n))
+
+
 def _lifted_kernel(int_rows, ncols):
-    """The char-0 basis of `_kernel_from_ref`, lifted from F_p; None if no
-    prime of `_PRIMES` gets there.
+    """The kernel basis over Q, one vector per free column up to scale as
+    `_kernel_from_ref` gives it mod p, lifted from the primes of `_primes()`.
 
     A prime whose (rank, pivot columns) differ from those kept so far
     replaces the kept residues when its rank is higher, or its rank is
@@ -244,7 +229,7 @@ def _lifted_kernel(int_rows, ncols):
     i-th pivot column over Q is never right of the i-th mod p.
     """
     kept = None
-    for p in _PRIMES:
+    for p in _primes():
         rows, pivots = _reduced(int_rows, p, ncols)
         if len(pivots) == ncols:
             return []
@@ -262,7 +247,7 @@ def _lifted_kernel(int_rows, ncols):
         basis = [_lift(int_rows, vec, m) for vec in residues]
         if None not in basis:
             return basis
-    return None
+    raise ValueError("kernel entries beyond the primes below 2^30")
 
 
 def nullspace(int_rows, ncols, char=0):
@@ -270,24 +255,28 @@ def nullspace(int_rows, ncols, char=0):
 
     One vector per free column, in ascending order, scaled so its first
     nonzero entry is 1: Fractions over Q, residues in [0, char) over F_char.
-    Over Q the basis is lifted from F_p (`_lifted_kernel`) when it can be,
-    and taken from Bareiss's elimination otherwise.
+    Over F_char it comes from one elimination; over Q it is lifted from
+    eliminations mod primes and checked over Z (`_lifted_kernel`).
     """
-    basis = None if char else _lifted_kernel(int_rows, ncols)
-    if basis is None:
+    if char:
         rows, pivots = _reduced(int_rows, char, ncols)
         basis = _kernel_from_ref(rows, ncols, pivots, char)
+    else:
+        basis = _lifted_kernel(int_rows, ncols)
     return [_monic(vec, char) for vec in basis]
 
 
+# no package module calls the two rank helpers; perfbench/tracer.py wraps
+# them by name in WRAPPED
 def rank_mod_p(int_rows, p):
     """Rank of an integer matrix reduced mod p."""
     return len(_reduced(int_rows, p)[1])
 
 
 def rational_rank(int_rows):
-    """Rank over Q of an integer matrix."""
-    return len(_reduced(int_rows, 0)[1])
+    """Rank over Q of an integer matrix: its columns less its kernel's."""
+    ncols = len(int_rows[0]) if int_rows else 0
+    return ncols - len(_lifted_kernel(int_rows, ncols))
 
 
 def _identity(n):

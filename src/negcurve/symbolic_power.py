@@ -10,9 +10,9 @@ the normalised kernel basis are those of the uncentred system, while the
 entries stay small.  The support is a plain sorted tuple of points.
 
 The dimension of the degree-d piece is |dP| minus the rank of that system.
-`kernel` asks `nullspace`, which in char 0 lifts the basis from the
-eliminations mod the primes of `exact_arith._PRIMES` and checks it over Z,
-and `nullity` counts that basis.  Ehrhart counting of the dilations gives
+`kernel` asks `nullspace`, which in char 0 lifts the basis from
+eliminations mod the stream of primes `exact_arith._primes()`, the primes of
+`_PRIMES` first, and checks it over Z, and `nullity` counts that basis.  Ehrhart counting of the dilations gives
 the other side of the ledger.
 """
 

@@ -37,11 +37,11 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The field of every `exact_arith._echelon` call from here on, 0 for Q."""
+    """The prime of every `exact_arith._echelon` call from here on."""
     from negcurve import exact_arith
     real, calls = exact_arith._echelon, []
 
-    def echelon(rows, ncols, p=0):
+    def echelon(rows, ncols, p):
         calls.append(p)
         return real(rows, ncols, p)
 

@@ -61,20 +61,41 @@ def test_nullspace_mod_p():
     assert nullspace([[1, 2], [2, 1]], 2, 3) == [[1, 1]]
 
 
-def test_nullspace_lift_combines_primes_then_falls_back(eliminations):
+def test_nullspace_lift_combines_primes_then_streams_more(eliminations):
     big = 2 ** 40 + 1
     # the kernel vector (-big/3, 1) needs about 84 bits of modulus: three
-    # primes by CRT, and no elimination over Q
+    # primes by CRT
     assert nullspace([[3, big]], 2) == [[1, Fraction(-3, big)]]
     assert eliminations == list(exact_arith._PRIMES[:3])
     # with 45-bit entries the kernel holds ratios of 90-bit minors, beyond
-    # what the primes reconstruct, so Bareiss decides after all of them
+    # what the primes of _PRIMES reconstruct, so the stream goes on to the
+    # two largest primes below 2^30 that _PRIMES lacks; the cross product
+    # is the reference over Q
     eliminations.clear()
     (x0, x1, x2), (y0, y1, y2) = M = [[2 ** 45 + 3, 2 ** 44 + 7, 2 ** 43 + 5],
                                       [2 ** 42 + 11, 2 ** 45 + 13, 2 ** 41 + 17]]
     cross = [x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0]
     assert nullspace(M, 3) == [[Fraction(c, cross[0]) for c in cross]]
-    assert eliminations == list(exact_arith._PRIMES) + [0]
+    assert eliminations == list(exact_arith._PRIMES) + [1073741723, 1073741719]
+    assert rational_rank(M) == 2
+
+
+def test_prime_stream_follows_primes_with_the_primes_below_2_30():
+    stream = exact_arith._primes()
+    head = [next(stream) for _ in range(len(exact_arith._PRIMES) + 3)]
+    # 1073741789, 1073741783 and 1073741741 are the largest primes below
+    # 2^30, and _PRIMES holds them; the stream skips them the second time
+    assert head == list(exact_arith._PRIMES) + [1073741723, 1073741719, 1073741717]
+    assert all(is_prime(p) for p in head)
+    assert not any(is_prime(n) for n in range(1073741790, 2 ** 30))
+
+
+def test_lift_beyond_the_stream_is_a_value_error(monkeypatch):
+    # a stream that ends before the modulus reaches the kernel's minors ends
+    # in ValueError, not in a basis that was not checked
+    monkeypatch.setattr(exact_arith, "_primes", lambda: iter((3, 5, 7)))
+    with pytest.raises(ValueError, match="2\\^30"):
+        nullspace([[3, 2 ** 40 + 1]], 2)
 
 
 def test_nullspace_lift_prefers_earlier_pivots(monkeypatch, eliminations):

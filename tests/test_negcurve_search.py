@@ -57,8 +57,8 @@ def test_find_pentagon():
 @pytest.mark.parametrize("a, b, c, r, d", [(8, 15, 43, 9, 645), (5, 33, 49, 18, 1617)])
 def test_hit_kernel_is_lifted(a, b, c, r, d, eliminations):
     # the hit's kernel is lifted from one elimination mod the first prime,
-    # and the nct check reads its nullity from that kernel: no elimination
-    # over Q (no Bareiss fallback), and no second one mod p
+    # and the nct check reads its nullity from that kernel: no further prime
+    # of the stream, and no second elimination mod the first
     from negcurve import exact_arith
     phi, rep = find(a, b, c, 0, r, d)
     assert rep.accepted and rep.nullity == 1 and dict(rep.nct.checks)["kernel"]

@@ -1,6 +1,7 @@
 """Randomized invariant checks tying the modules against each other."""
 
 import functools
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, floor, gcd, lcm
@@ -315,9 +316,10 @@ def int_matrices(draw):
 @given(int_matrices(), st.sampled_from((0, 2, 3, 5, 7, 634227673)))
 @example(([[2, 0, 0], [0, 1, 0], [0, -1, 1]], 3), 0)
 def test_mod_p_kernel_matches_gauss_jordan(case, p):
-    # p = 0 is the rational kernel, lifted from F_p; the example needs
-    # Bareiss's fraction-free update applied to rows whose entry in the
-    # pivot column is 0, which `rational_rank` still runs
+    # p = 0 is the rational kernel, lifted from F_p, and `rational_rank`
+    # reads its size; in the example the third row has no entry in the
+    # first pivot's column, so it is left as it is there, and takes an
+    # update at the second pivot
     rows, ncols = case
     basis = nullspace(rows, ncols, p)
     assert basis == _kernel_gauss_jordan(rows, ncols, p)
@@ -424,15 +426,32 @@ def _nullspace_with_primes(primes, rows, ncols):
 @example(([[2 ** 45 + 3, 2 ** 44 + 7, 2 ** 43 + 5],
            [2 ** 42 + 11, 2 ** 45 + 13, 2 ** 41 + 17]], 3))
 @example(([[2, 0, 0], [0, 1, 0], [0, -1, 1]], 3))
-def test_lifted_kernel_equals_bareiss(case):
-    # with no primes nullspace is Bareiss's elimination alone; the primes 2
-    # and 3 are unlucky for many matrices, and the lift must still agree
+def test_lifted_kernel_matches_gauss_jordan(case):
+    # the lift must give the Gauss-Jordan kernel over Q whatever primes
+    # start the stream: none, so it starts below 2^30, or 2 and 3, which
+    # are unlucky for many matrices
     rows, ncols = case
-    bareiss = _nullspace_with_primes((), rows, ncols)
+    reference = _kernel_gauss_jordan(rows, ncols, 0)
     lifted = nullspace(rows, ncols)
-    assert lifted == bareiss
+    assert lifted == reference
     assert all(isinstance(x, Fraction) for vec in lifted for x in vec)
-    assert _nullspace_with_primes((2, 3), rows, ncols) == bareiss
+    assert _nullspace_with_primes((), rows, ncols) == reference
+    assert _nullspace_with_primes((2, 3), rows, ncols) == reference
+
+
+def test_stream_lifts_a_kernel_beyond_the_primes(eliminations):
+    # a seeded 10 x 12 matrix of 60-bit entries: its kernel holds ratios of
+    # 10 x 10 minors of about 600 bits, so the lift reads dozens of primes
+    # of the stream past _PRIMES, and must end at the kernel over Q
+    rng = random.Random(20211)
+    rows = [[rng.randrange(-2 ** 60, 2 ** 60) for _ in range(12)] for _ in range(10)]
+    reference = _kernel_gauss_jordan(rows, 12, 0)
+    assert len(reference) == 2
+    assert nullspace(rows, 12) == reference
+    assert len(eliminations) > 2 * len(exact_arith._PRIMES)
+    assert eliminations[:len(exact_arith._PRIMES)] == list(exact_arith._PRIMES)
+    for primes in ((), (2, 3)):
+        assert _nullspace_with_primes(primes, rows, 12) == reference
 
 
 @given(st.lists(st.integers(0, 3), max_size=9).map(sorted), st.integers(0, 10))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import convex_hull, dilate, lattice_points
@@ -172,18 +173,14 @@ def test_hilbert_numerator():
     assert sum(f) == 8 and all(c >= 0 for c in f)
 
 
-def test_nullity_prefilter_agrees(monkeypatch):
-    # the lifted kernel's size must be the nullity Bareiss's elimination
-    # over Q gives, with no prime to lift from
-    from negcurve import exact_arith
+def test_nullity_prefilter_agrees():
+    # the lifted kernel's size must be the nullity over Q: the columns less
+    # sympy's exact rank of the jet matrix
     for S, r in ((lattice_points(dilate(P_PHI2, 3)), 2),
                  (lattice_points(P_PHI3P), 4),
                  ([(x, 0) for x in range(6)], 3)):
         jm = jet_matrix(S, r)
-        with monkeypatch.context() as m:
-            m.setattr(exact_arith, "_PRIMES", ())
-            bareiss = len(kernel(jm))
-        assert nullity(jm) == bareiss
+        assert nullity(jm) == len(S) - sympy.Matrix(jm.rows).rank()
 
 
 def test_failed_prefilter_costs_one_modular_rank(eliminations):
@@ -195,19 +192,16 @@ def test_failed_prefilter_costs_one_modular_rank(eliminations):
     assert eliminations == [exact_arith._PRIMES[0]]
 
 
-def test_full_rank_square_kernel_skips_elimination(monkeypatch, eliminations):
-    # the order-r system on the triangle a + b < r is square and invertible
+def test_full_rank_square_kernel_skips_elimination(eliminations):
+    # the order-r system on the triangle a + b < r is square and invertible:
+    # sympy's exact rank over Q is full
     r = 4
     S = [(a, b) for a in range(r) for b in range(r - a)]
     jm = jet_matrix(S, r)
-    assert len(jm.rows) == len(S)
+    assert len(jm.rows) == len(S) == sympy.Matrix(jm.rows).rank()
     from negcurve import exact_arith
-    with monkeypatch.context() as m:
-        m.setattr(exact_arith, "_PRIMES", ())
-        bareiss = exact_arith.nullspace(jm.rows, len(S))
-    eliminations.clear()
-    # one elimination mod the first prime each, and none over Q
-    assert kernel(jm) == bareiss == []
+    # one elimination mod the first prime each, and no further prime
+    assert kernel(jm) == []
     assert nullity(jm) == 0
     assert eliminations == [exact_arith._PRIMES[0]] * 2
 
