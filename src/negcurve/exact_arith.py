@@ -84,16 +84,17 @@ def _pack(vals, words):
     return int.from_bytes(a, "little")
 
 
-def _echelon(rows, ncols, p):
-    """Row echelon form over F_p, in place; returns the pivots (row, col).
+def _echelon(int_rows, ncols, p):
+    """(rows, pivots): a row echelon form of int_rows over F_p and its
+    pivots (row, col).
 
-    The rows become residues in [0, p), zero rows last.  A row stays a list
-    of residues until an update packs it, and a packed row is unpacked when
-    it becomes a pivot row.
+    The rows are new lists of residues in [0, p), zero rows last.  A row
+    stays a list until an update packs it, and is unpacked when it becomes
+    a pivot row.
     """
-    n = len(rows)
+    n = len(int_rows)
     words = -(-((min(n, ncols) + 1) * (p - 1) ** 2 + p).bit_length() // 64)
-    state = [[x % p for x in row] for row in rows]
+    state = [[x % p for x in row] for row in int_rows]
     pivots, shift = [], 64 * words * ncols
     for pc in range(ncols):
         pr, shift = len(pivots), shift - 64 * words
@@ -121,8 +122,7 @@ def _echelon(rows, ncols, p):
                     tail, inv = _pack(piv[:pc:-1], words), pow(piv[pc], -1, p)
                 x = (x if packed else _pack(x[:pc:-1], words)) + (p - f) * inv % p * tail
             state[i] = x
-    rows[:] = state[:len(pivots)] + [[0] * ncols for _ in range(n - len(pivots))]
-    return pivots
+    return state[:len(pivots)] + [[0] * ncols for _ in range(n - len(pivots))], pivots
 
 
 def _kernel_from_ref(rows, ncols, pivots, p):
@@ -157,17 +157,6 @@ def _monic(vec, p=0):
         inv = pow(lead, -1, p)
         return [x * inv % p for x in vec]
     return [x / lead for x in vec]
-
-
-def _reduced(int_rows, p, ncols=None):
-    """(rows, pivots) of `_echelon` mod p on a copy of int_rows.
-
-    ncols defaults to the width of the first row, or 0 with no rows.
-    """
-    if ncols is None:
-        ncols = len(int_rows[0]) if int_rows else 0
-    rows = list(int_rows)
-    return rows, _echelon(rows, ncols, p)
 
 
 def _rational(u, m):
@@ -230,7 +219,7 @@ def _lifted_kernel(int_rows, ncols):
     """
     kept = None
     for p in _primes():
-        rows, pivots = _reduced(int_rows, p, ncols)
+        rows, pivots = _echelon(int_rows, ncols, p)
         if len(pivots) == ncols:
             return []
         key = (-len(pivots), [pc for _, pc in pivots])
@@ -259,7 +248,7 @@ def nullspace(int_rows, ncols, char=0):
     eliminations mod primes and checked over Z (`_lifted_kernel`).
     """
     if char:
-        rows, pivots = _reduced(int_rows, char, ncols)
+        rows, pivots = _echelon(int_rows, ncols, char)
         basis = _kernel_from_ref(rows, ncols, pivots, char)
     else:
         basis = _lifted_kernel(int_rows, ncols)
@@ -270,7 +259,7 @@ def nullspace(int_rows, ncols, char=0):
 # them by name in WRAPPED
 def rank_mod_p(int_rows, p):
     """Rank of an integer matrix reduced mod p."""
-    return len(_reduced(int_rows, p)[1])
+    return len(_echelon(int_rows, len(int_rows[0]) if int_rows else 0, p)[1])
 
 
 def rational_rank(int_rows):

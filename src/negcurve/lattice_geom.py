@@ -13,7 +13,7 @@ appear only in rational vertices and in the exact bounds of inward_normals.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact_arith import det2
+from .exact_arith import det2, parse_rat
 
 
 class DegeneratePolygonError(ValueError):
@@ -437,7 +437,6 @@ def minkowski_decompositions(P):
 
 
 def polygon_from_json(doc):
-    from .exact_arith import parse_rat
     try:
         verts = [(parse_rat(x), parse_rat(y)) for x, y in doc["vertices"]]
     except (KeyError, TypeError, ValueError) as exc:

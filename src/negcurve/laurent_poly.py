@@ -3,10 +3,10 @@
 Coefficients are plain Fractions at char 0 and residues in [1, p) at char p;
 the zero coefficient is never stored.  The jet of phi at the point v = w = 1
 is taken in coordinates s = v - 1, t = w - 1: the entry of order (i, j) is
-sum_{(a,b)} c_{(a,b)} * binomial(a, i) * binomial(b, j).  Multiplicities are
-read on the centred support, where every exponent is nonnegative, from
-`integer_terms`, the one scaling to coprime integer coefficients.  `parse`
-reads text; `from_json` reads the JSON term list that `serialize` writes.
+sum_{(a,b)} c_{(a,b)} * binomial(a, i) * binomial(b, j), read on the centred
+support, where every exponent is nonnegative, from `centred_binomials`, the
+package's one binomial table.  `parse` reads text; `from_json` reads the
+JSON term list that `serialize` writes.
 """
 
 import re
@@ -235,14 +235,19 @@ def integer_terms(phi):
     return {e: c // content for e, c in ints.items()}
 
 
-def _order_vanishes(terms, s, char):
-    for i in range(s + 1):
-        val = sum(c * comb(a, i) * comb(b, s - i) for a, b, c in terms)
-        if char:
-            val %= char
-        if val:
-            return False
-    return True
+def centred_binomials(points, r):
+    """The rows [C(a - a0, i) for i < r] and [C(b - b0, j) for j < r] of
+    each point (a, b), as two lists.
+
+    (a0, b0) is the least corner of the points' bounding box, and each
+    distinct centred coordinate gets one table.
+    """
+    a0 = min((a for a, _ in points), default=0)
+    b0 = min((b for _, b in points), default=0)
+    xs = [a - a0 for a, _ in points]
+    ys = [b - b0 for _, b in points]
+    table = {x: [comb(x, i) for i in range(r)] for x in {*xs, *ys}}
+    return [table[x] for x in xs], [table[y] for y in ys]
 
 
 def multiplicity_at_one(phi):
@@ -250,18 +255,19 @@ def multiplicity_at_one(phi):
 
     The order of vanishing is unchanged by a unit v^alpha w^beta and by a
     nonzero scalar, so the jets are those of `integer_terms(phi)` on its
-    centred support, the one whose bounding box starts at (0, 0).
+    centred support; order s reads binomials up to s only.
     """
     if not phi.terms:
         raise ValueError("zero polynomial has infinite multiplicity")
-    a0 = min(a for a, _ in phi.terms)
-    b0 = min(b for _, b in phi.terms)
-    terms = [(a - a0, b - b0, c) for (a, b), c in integer_terms(phi).items()]
+    terms = integer_terms(phi)
+    pts, coeffs = list(terms), list(terms.values())
     # total degree bounds the multiplicity of a polynomial
-    bound = max(a for a, _, _ in terms) + max(b for _, b, _ in terms)
-    s = 0
-    while _order_vanishes(terms, s, phi.char):
-        s += 1
-        if s > bound:
-            raise RuntimeError("multiplicity exceeded the degree bound")
-    return s
+    bound = (max(a for a, _ in pts) - min(a for a, _ in pts)
+             + max(b for _, b in pts) - min(b for _, b in pts))
+    for s in range(bound + 1):
+        ca, cb = centred_binomials(pts, s + 1)
+        for i in range(s + 1):
+            val = sum(c * x[i] * y[s - i] for c, x, y in zip(coeffs, ca, cb))
+            if val % phi.char if phi.char else val:
+                return s
+    raise RuntimeError("multiplicity exceeded the degree bound")

@@ -60,8 +60,9 @@ def is_nct(phi, r, most=None):
     """Run every defining check on phi at multiplicity r.
 
     `most` is an upper bound the caller knows on the nullity of the jet
-    kernel on the Newton polygon's lattice points.  When it meets the lower
-    bound that phi gives, it is the nullity, and no jet matrix is built.
+    kernel on the Newton polygon's lattice points.  No jet matrix is built
+    when it meets the lower bound from phi and the column count, or when
+    that bound is 2 or more.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -84,9 +85,11 @@ def is_nct(phi, r, most=None):
     ]
     if r >= 2:
         checks.append(("collinear", not collinear_exceeds(pts, r)))
-    # mult >= r puts phi itself in the kernel, so the nullity is at least 1
-    least = 1 if mult >= r else 0
-    null = least if least == most else nullity(jet_matrix(pts, r, phi.char))
+    # a lower bound: mult >= r puts phi itself in the kernel, and the
+    # r(r+1)/2 jet rows leave at least |pts| - r(r+1)/2 free columns
+    null = max(1 if mult >= r else 0, len(pts) - r * (r + 1) // 2)
+    if null < 2 and null != most:
+        null = nullity(jet_matrix(pts, r, phi.char))
     checks.append(("kernel", null == 1))
     return NctReport(r, A, B, I, len(pts), mult, cert, checks)
 
@@ -181,7 +184,8 @@ def canonical_form(phi, r):
 
 
 def _normalized_polygons(r):
-    """Convex lattice polygons in base position inside Omega, r-pruned."""
+    """(P, its lattice points) for each convex lattice polygon P in base
+    position inside Omega, r-pruned."""
     r2 = r * r
     bound = r * (r + 1) // 2 + 1
     grid = [(x, y) for y in range(1, r2) for x in range(0, 3 * r2 + 1)
@@ -203,10 +207,11 @@ def _normalized_polygons(r):
         if A2 >= r2 or (A2 + S + gcd(*vk) + 2) // 2 > bound:
             return
         P = IntegralPolygon(chain)
-        if collinear_exceeds(lattice_points(P), r):
+        pts = lattice_points(P)
+        if collinear_exceeds(pts, r):
             return
         if vk[1] > vk[0] >= 0:
-            out.append(P)
+            out.append((P, pts))
         for w in grid:
             e = (w[0] - vk[0], w[1] - vk[1])
             # a left turn follows ek in angle unless it passes direction (1, 0)
@@ -280,7 +285,7 @@ def _kernel_generators(r, char):
         # only the primitive segment fits the 2-point budget; no polygon has area2 < 1
         supports = [[(0, 0), (1, 0)]]
     else:
-        supports = (lattice_points(P) for P in _normalized_polygons(r))
+        supports = (pts for _, pts in _normalized_polygons(r))
     psis = []
     for pts in supports:
         # a class generator spans its jet kernel

@@ -4,34 +4,28 @@ A Laurent polynomial supported on S lies in (v-1, w-1)^r exactly when the
 r(r+1)/2 jet entries of order below r vanish; each is a linear form in the
 coefficients.  The entries are taken on the centred support, the one whose
 bounding box starts at (0, 0): C(a - a0, i) * C(b - b0, j) at the support
-point (a, b).  Centring multiplies by the unit v^-a0 w^-b0, which maps jets
-by an integer unipotent triangular matrix, so the row space, every rank and
-the normalised kernel basis are those of the uncentred system, while the
-entries stay small.  The support is a plain sorted tuple of points.
+point (a, b), from `laurent_poly.centred_binomials`.  Centring multiplies
+by the unit v^-a0 w^-b0, which maps jets by an integer unipotent triangular
+matrix, so the row space, every rank and the normalised kernel basis are
+those of the uncentred system, while the entries stay small.  The support
+is a plain sorted tuple of points.
 
 The dimension of the degree-d piece is |dP| minus the rank of that system.
 `kernel` asks `nullspace`, which in char 0 lifts the basis from
 eliminations mod the stream of primes `exact_arith._primes()`, the primes of
-`_PRIMES` first, and checks it over Z, and `nullity` counts that basis.  Ehrhart counting of the dilations gives
-the other side of the ledger.
+`_PRIMES` first, and checks it over Z, and `nullity` counts that basis.
+Ehrhart counting of the dilations gives the other side of the ledger.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
 
 from .exact_arith import nullspace
 from .lattice_geom import area2, pick_counts
-from .laurent_poly import LaurentPoly
+from .laurent_poly import LaurentPoly, centred_binomials
 
 
 JetMatrix = namedtuple("JetMatrix", "char support rows")
-
-
-def _binomial_rows(values, r):
-    """[C(x, 0), ..., C(x, r-1)] for each x, one table per distinct value."""
-    table = {x: [comb(x, i) for i in range(r)] for x in set(values)}
-    return [table[x] for x in values]
 
 
 def jet_matrix(points, r, char=0):
@@ -39,16 +33,13 @@ def jet_matrix(points, r, char=0):
 
     The columns are the points, deduplicated and sorted lex, kept as the
     support.  (a0, b0) is the least corner of their bounding box, so the
-    entries are those of the centred support, read from one binomial table
-    per column; the columns keep the labels of the points.
+    entries are those of the centred support, from `centred_binomials`;
+    the columns keep the labels of the points.
     """
     if r < 1:
         raise ValueError("jet order must be at least 1")
     S = tuple(sorted(set(points)))
-    a0 = min((a for a, _ in S), default=0)
-    b0 = min((b for _, b in S), default=0)
-    ca = _binomial_rows([a - a0 for a, _ in S], r)
-    cb = _binomial_rows([b - b0 for _, b in S], r)
+    ca, cb = centred_binomials(S, r)
     rows = []
     for i in range(r):
         for j in range(r - i):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -401,6 +402,39 @@ def test_search_5_33_49_cell(capsys, eliminations):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest().startswith("574ce4a0")
     assert eliminations == [exact_arith._PRIMES[0]]
+
+
+PHI2_TEXT = "-1 + 3*v*w - v^2*w - v*w^2"
+
+# stdout sha256 prefixes of commands whose output every change must keep;
+# PHI2 stands for a file holding PHI2_TEXT
+PINNED_STDOUT = [
+    ("search 9 10 13 --char 2 --rmax 8 --long", "4469faa2"),
+    ("search 8 15 43 --rmax 9 --long", "6445846a"),
+    ("search 5 33 49 --rmax 18 --d 1617", "574ce4a0"),
+    ("search 13 19 20 --rmax 6 --long", "d3ee5886"),
+    ("search 25 29 72 --rmax 3 --long", "7d8e8efc"),
+    ("--format text search 9 10 13 --rmax 2", "7d43cca8"),
+    ("classify --r 2", "601abe71"),
+    ("classify --r 3 --experimental", "c10dff1b"),
+    ("classify --r 3 --experimental --char 2", "d5676ba9"),
+    ("herzog 9 10 13", "ea70431a"),
+    ("ggk --r 6", "8bb6d1e2"),
+    ('classgroup "2,-1 -2,-1 0,1"', "5589eb8a"),
+    ("check-nct PHI2 --r 2", "433c1ac6"),
+    ("thm36 PHI2 --r 2", "9e8ca32e"),
+]
+
+
+@pytest.mark.parametrize("command, prefix", PINNED_STDOUT,
+                         ids=[command for command, _ in PINNED_STDOUT])
+def test_pinned_stdout(tmp_path, capsys, command, prefix):
+    phi = tmp_path / "phi2.txt"
+    phi.write_text(PHI2_TEXT)
+    argv = [str(phi) if a == "PHI2" else a for a in shlex.split(command)]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:8] == prefix
 
 
 @pytest.mark.long

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from negcurve.exact_arith import CharMismatch
 from negcurve.lattice_geom import area2
 from negcurve.laurent_poly import (
     ParseError,
+    centred_binomials,
     from_json,
     monomial,
     multiplicity_at_one,
@@ -155,11 +157,27 @@ def test_multiplicity():
 
 
 def test_multiplicity_bound_check_raises(monkeypatch):
-    # an order test that never stops must trip the degree bound, even under -O
+    # jets that vanish at every order must trip the degree bound, even under -O
     from negcurve import laurent_poly
-    monkeypatch.setattr(laurent_poly, "_order_vanishes", lambda *args: True)
+    monkeypatch.setattr(laurent_poly, "centred_binomials",
+                        lambda pts, r: ([[0] * r] * len(pts), [[0] * r] * len(pts)))
     with pytest.raises(RuntimeError):
         multiplicity_at_one(phi(2))
+
+
+def test_multiplicity_reads_binomials_only_up_to_its_order():
+    # the order-0 jet settles it; a table built to the degree bound, 20000
+    # binomials per coordinate, would not return within a minute
+    start = time.perf_counter()
+    assert multiplicity_at_one(parse("1 + v^20000")) == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_centred_binomials():
+    pts = [(3, -1), (5, 2), (3, 2)]
+    assert centred_binomials(pts, 3) == ([[1, 0, 0], [1, 2, 1], [1, 0, 0]],
+                                         [[1, 0, 0], [1, 3, 3], [1, 3, 3]])
+    assert centred_binomials([], 2) == ([], [])
 
 
 def test_multiplicity_invariance():

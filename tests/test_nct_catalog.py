@@ -105,6 +105,19 @@ def test_kernel_check_settled_by_bounds_builds_no_jet_matrix(monkeypatch):
     assert is_nct(phi, 3).accepted and len(built) == 1
 
 
+def test_wide_support_fails_the_kernel_check_with_no_jet_matrix(monkeypatch):
+    # 3 jet rows at r = 2 leave at least 3321 - 3 free columns on the
+    # triangle's lattice points: the nullity is at least 2 before any
+    # elimination, so the check fails with no 3 x 3321 matrix to lift
+    from negcurve import nct_catalog
+    real, built = nct_catalog.jet_matrix, []
+    monkeypatch.setattr(nct_catalog, "jet_matrix",
+                        lambda *args: built.append(args) or real(*args))
+    rep = is_nct(parse("1 + v^80 + w^80"), 2)
+    assert rep.lattice_count == 3321 and rep.checks[-1] == ("kernel", False)
+    assert built == []
+
+
 def test_kernel_check_without_phi_in_kernel_is_exact(eliminations):
     # the lattice points of phi_2's triangle carry a kernel line at r = 2,
     # though phi has multiplicity 0
@@ -198,16 +211,16 @@ def test_canonical_segment():
 
 
 def test_normalized_polygon_pool_r2():
-    assert [P.vertices for P in _normalized_polygons(2)] == [
+    assert [P.vertices for P, _ in _normalized_polygons(2)] == [
         ((0, 0), (1, 0), (0, 1)),
         ((0, 0), (1, 0), (1, 1), (0, 1)),
         ((0, 0), (1, 0), (2, 3)),
     ]
-    for P in _normalized_polygons(2):
-        assert len(lattice_points(P)) <= 4
+    for _, pts in _normalized_polygons(2):
+        assert len(pts) <= 4
     # the r = 3 pool in order, as the enumerator that sorted edges by a
     # Fraction angle key produced it
-    pool = [P.vertices for P in _normalized_polygons(3)]
+    pool = [P.vertices for P, _ in _normalized_polygons(3)]
     assert len(pool) == 85
     assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
         "8e9b9c16d2448552b4dd28bab34f7b48028d1efedd08f2fff695ebf8d0d031db"
@@ -216,9 +229,9 @@ def test_normalized_polygon_pool_r2():
 @pytest.mark.parametrize("r", [2, 3])
 def test_normalized_polygon_pool_bounds_and_pick(r):
     # the enumerator prunes on twice the area and on the lattice count from
-    # Pick, (area2 + B + 2) // 2, without listing the points
-    for P in _normalized_polygons(r):
-        pts = lattice_points(P)
+    # Pick, (area2 + B + 2) // 2, before it lists the points it yields
+    for P, pts in _normalized_polygons(r):
+        assert pts == lattice_points(P)
         A2 = area2(P)
         B, _ = pick_counts(P, pts)
         assert A2 < r * r
@@ -229,7 +242,7 @@ def test_normalized_polygon_pool_bounds_and_pick(r):
 @pytest.mark.long
 def test_normalized_polygon_pool_r4():
     # captured from the enumerator that took the convex hull of every chain
-    pool = [P.vertices for P in _normalized_polygons(4)]
+    pool = [P.vertices for P, _ in _normalized_polygons(4)]
     assert len(pool) == 1395
     assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
         "9ad1afe01e61e22a8bcd42d48b205e751bac048099a9f0a12f3c066841e88197"

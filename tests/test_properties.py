@@ -386,8 +386,9 @@ def _stacked_updates(p, n):
 @example(_stacked_updates(2 ** 64 + 13, 6))
 def test_packed_echelon_matches_list_oracle(case):
     rows, ncols, p = case
-    packed = [list(row) for row in rows]
-    pivots = exact_arith._echelon(packed, ncols, p)
+    given_rows = [list(row) for row in rows]
+    packed, pivots = exact_arith._echelon(rows, ncols, p)
+    assert rows == given_rows  # the input is left as it is
     oracle, oracle_pivots = _echelon_list_oracle(rows, ncols, p)
     assert pivots == oracle_pivots
     assert len(packed) == len(rows)

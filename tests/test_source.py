@@ -50,6 +50,24 @@ def test_no_numpy_import():
     assert found == []
 
 
+def test_binomials_are_read_in_laurent_poly_only():
+    # the jets at (1, 1) take their binomials from one table,
+    # laurent_poly.centred_binomials
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                reads = any(alias.name == "comb" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                reads = node.attr == "comb" and isinstance(node.value, ast.Name) \
+                    and node.value.id == "math"
+            else:
+                continue
+            if reads:
+                found.append(path.name)
+    assert found == ["laurent_poly.py"]
+
+
 def _public_defs():
     """(module, name) of every public module-level function and method."""
     for path in sorted(SRC.glob("*.py")):
