@@ -2,14 +2,14 @@
 
 An indecomposable Newton polygon, or a Newton segment of lattice length 1,
 certifies irreducibility over every field.  Past that, a longer segment
-included, char 0 and char p part ways.  Over the rationals sympy's complete
-factorization over ZZ[v, w] settles the question, and one reduction mod p
-then labels an irreducible input by whether it stays irreducible there.
-Over F_p, factoring goes through the Kronecker substitution w = v^M, an
-in-package Cantor-Zassenhaus factorization of the univariate image, and
-recombination of factor subsets constrained by Minkowski summands of the
-Newton polygon.  In char p alone can an exhausted budget end Inconclusive.
-sympy is imported only in the char-0 step, so char p never loads it.
+included, each characteristic has one path.  Over the rationals sympy's
+complete factorization over ZZ[v, w] settles the question: one factor reads
+IrreducibleOverQ.  Over F_p, factoring goes through the Kronecker
+substitution w = v^M, an in-package Cantor-Zassenhaus factorization of the
+univariate image, and recombination of factor subsets constrained by
+Minkowski summands of the Newton polygon; one factor reads IrreducibleModP.
+In char p alone can an exhausted budget end Inconclusive.  sympy is imported
+only in the char-0 step, so char p never loads it.
 """
 
 from collections import namedtuple
@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import count, zip_longest
 from math import gcd
 
-from .exact_arith import is_prime
 from .lattice_geom import minkowski_decompositions
 from .laurent_poly import (
     LaurentPoly,
@@ -32,8 +31,8 @@ class FactorBudgetError(RuntimeError):
     """Splitting or recombination work exceeded the desk-scale budget."""
 
 
-# verdict: IrreduciblePolytope | IrreducibleModP | IrreducibleOverQ | Factored
-# | Inconclusive (char p only)
+# verdict: IrreduciblePolytope | IrreducibleOverQ (char 0 only)
+# | IrreducibleModP (char p only) | Factored | Inconclusive (char p only)
 IrreducibilityCertificate = namedtuple(
     "IrreducibilityCertificate", "verdict details p factors unit",
     defaults=(0, (), None))
@@ -235,21 +234,21 @@ def _edf(f, n, p, tickets, k0):
                     + _edf(_pdivmod(f, g, p)[0], n, p, tickets, k + 1))
 
 
-def _univariate_factors(phi, M, tickets=None):
+def _univariate_factors(phi, M, tickets):
     """Kronecker image factored over F_p, t-power and scalar dropped.
 
     Cantor and Zassenhaus (Math. Comp. 36, 1981): squarefree, distinct- and
     equal-degree splitting.  Monic factors, as (exponent, coefficient)
     tuples repeated by multiplicity, sorted by (degree, tuple).  Each
-    splitting attempt takes an item of tickets, None for no bound; none
-    left raises FactorBudgetError.
+    splitting attempt takes an item of tickets; none left raises
+    FactorBudgetError.
     """
     p = phi.char
     enc = {a + M * b: c % p for (a, b), c in phi.terms.items()}
     f = [enc.get(e, 0) for e in range(min(enc), max(enc) + 1)]
     out = []
     for g, mult in _sqf(_pgcd(f, [], p), p):
-        for q in _ddf(g, p, count() if tickets is None else tickets):
+        for q in _ddf(g, p, tickets):
             out += [tuple((e, c) for e, c in enumerate(q) if c)] * mult
     return sorted(out, key=lambda f: (f[-1][0], f))
 
@@ -340,8 +339,10 @@ def factor_mod_p(phi, budget=2 ** 14):
 def certify(phi, budget=2 ** 14):
     """Typed irreducibility certificate for a nonzero nonunit phi.
 
-    budget bounds the splitting attempts and recombination candidates
-    together in char p; char 0 needs none.
+    Past the Newton polygon test, char p reads `factor_mod_p`, with budget
+    bounding its splitting attempts and recombination candidates together,
+    and char 0 reads sympy's complete factorization over ZZ, which needs no
+    budget.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -367,41 +368,17 @@ def certify(phi, budget=2 ** 14):
                 "IrreducibleModP", "no splitting over the ground field",
                 p=phi.char)
         return _factored(phi, facs)
-    return _certify_char0(phi, body)
-
-
-def _certify_char0(phi, body):
-    """A complete factorization over ZZ; one reduction mod p labels a lone factor.
-
-    The reduction is by the first prime dividing no coefficient, so every
-    factor keeps its Newton polygon mod p, and w = v^M with M one past the
-    v-spread is injective on the support box: a reducible body always has at
-    least two image factors.  Reading sympy first therefore gives the same
-    certificate as reading the image first, and skips the image whenever
-    the body splits.
-    """
     import sympy
 
-    ints = integer_terms(body)
     v, w = sympy.symbols("v w")
-    _, facs = sympy.Poly.from_dict(ints, v, w, domain="ZZ").factor_list()
+    poly = sympy.Poly.from_dict(integer_terms(body), v, w, domain="ZZ")
     # body is divisible by neither v nor w, so every factor is a nonunit
-    if len(facs) > 1 or facs[0][1] > 1:
-        found = []
-        for f, mult in facs:
-            found += [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)] * mult
-        return _factored(phi, found)
-    p = 2
-    while not is_prime(p) or any(c % p == 0 for c in ints.values()):
-        p += 1
-    M = 1 + max(a for a, _ in ints)
-    image = LaurentPoly({e: c % p for e, c in ints.items()}, p)
-    if len(_univariate_factors(image, M)) == 1:
+    facs = [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)
+            for f, mult in poly.factor_list()[1] for _ in range(mult)]
+    if len(facs) == 1:
         return IrreducibilityCertificate(
-            "IrreducibleModP",
-            "irreducible after reduction, support preserved", p=p)
-    return IrreducibilityCertificate(
-        "IrreducibleOverQ", "no factor over the integers")
+            "IrreducibleOverQ", "no factor over the integers")
+    return _factored(phi, facs)
 
 
 def _factored(phi, facs):

@@ -404,10 +404,15 @@ def test_search_5_33_49_cell(capsys, eliminations):
     assert eliminations == [exact_arith._PRIMES[0]]
 
 
-PHI2_TEXT = "-1 + 3*v*w - v^2*w - v*w^2"
+# polynomial files the pinned commands name: each key stands for a file
+# holding its text
+POLYS = {
+    "PHI2": "-1 + 3*v*w - v^2*w - v*w^2",
+    "SEGMENT": "v^2 + v + 1",
+    "LONE": "-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2",
+}
 
-# stdout sha256 prefixes of commands whose output every change must keep;
-# PHI2 stands for a file holding PHI2_TEXT
+# stdout sha256 prefixes of commands whose output every change must keep
 PINNED_STDOUT = [
     ("search 9 10 13 --char 2 --rmax 8 --long", "4469faa2"),
     ("search 8 15 43 --rmax 9 --long", "6445846a"),
@@ -423,18 +428,56 @@ PINNED_STDOUT = [
     ('classgroup "2,-1 -2,-1 0,1"', "5589eb8a"),
     ("check-nct PHI2 --r 2", "433c1ac6"),
     ("thm36 PHI2 --r 2", "9e8ca32e"),
+    # one certificate path per characteristic: sympy alone over Q,
+    # factor_mod_p alone over F_p
+    ("check-nct SEGMENT --r 1", "e6513309"),
+    ("check-nct SEGMENT --r 1 --char 2", "2861120a"),
+    ("check-nct LONE --r 2", "c6fc219d"),
 ]
 
 
 @pytest.mark.parametrize("command, prefix", PINNED_STDOUT,
                          ids=[command for command, _ in PINNED_STDOUT])
 def test_pinned_stdout(tmp_path, capsys, command, prefix):
-    phi = tmp_path / "phi2.txt"
-    phi.write_text(PHI2_TEXT)
-    argv = [str(phi) if a == "PHI2" else a for a in shlex.split(command)]
+    files = {}
+    for name, text in POLYS.items():
+        files[name] = tmp_path / (name + ".txt")
+        files[name].write_text(text)
+    argv = [str(files.get(a, a)) for a in shlex.split(command)]
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:8] == prefix
+
+
+def test_char0_certificate_is_coordinate_free(tmp_path, capsys):
+    # (a, b) -> (a, 2a + b) maps v^2 + v + 1 to 1 + v w^2 + v^2 w^4
+    outs = []
+    for text in (POLYS["SEGMENT"], "1 + v*w^2 + v^2*w^4"):
+        f = tmp_path / "phi.txt"
+        f.write_text(text)
+        rc, out, _ = run(capsys, "check-nct", str(f), "--r", "1")
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["certificate"]["verdict"] == "IrreducibleOverQ"
+
+
+@pytest.mark.long
+def test_check_nct_wide_segment_returns(tmp_path):
+    # a wide segment, whose certificate reads sympy's factorization alone
+    f = tmp_path / "phi.txt"
+    f.write_text("1 + v^300 + w^300")
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "check-nct",
+                           str(f), "--r", "2"],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    wall = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "rejected"
+    assert doc["certificate"]["verdict"] == "IrreducibleOverQ"
+    assert wall < 20.0
 
 
 @pytest.mark.long

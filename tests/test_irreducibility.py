@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,10 @@ def test_certify_polytope():
 def test_certify_segments():
     cert = certify(parse("vw - 1"))
     assert cert.verdict == "IrreduciblePolytope"
+    # over Q sympy alone decides; over F_2 the lone factor names its prime
     cert = certify(parse("v^2 + v + 1"))
+    assert cert.verdict == "IrreducibleOverQ" and cert.p == 0
+    cert = certify(parse("v^2 + v + 1", char=2))
     assert cert.verdict == "IrreducibleModP" and cert.p == 2
     cert = certify(parse("v^2 - 1"))
     assert cert.verdict == "Factored"
@@ -79,8 +83,6 @@ def test_certify_segments():
 
 
 def test_certify_over_q():
-    # mod 2, the first prime that keeps the support, v^2 + 1 = (v + 1)^2,
-    # so the factorization over the integers decides
     cert = certify(parse("v^2 + 1"))
     assert cert.verdict == "IrreducibleOverQ"
     assert not cert.factors
@@ -170,6 +172,15 @@ def test_splitting_attempts_count_against_the_budget():
     assert certify(phi, budget=2).verdict == "Factored"
 
 
+def test_wide_char0_input_reads_sympy_alone():
+    # a wide segment: sympy factors it over ZZ in hundredths of a second
+    certify(parse("v^2 + 1"))  # loads sympy outside the timed call
+    start = time.monotonic()
+    cert = certify(parse("1 + v^30 + w^30"))
+    assert cert.verdict == "IrreducibleOverQ"
+    assert time.monotonic() - start < 1.0
+
+
 def test_char2_splitting_tries_odd_powers_of_t():
     # the image of 1 + v^20 + w^20 mod 2 has degree 420 and 20 factors, 12
     # of degree 28; the traces of t, t^3, t^5, ... split it within 8
@@ -192,5 +203,6 @@ def test_polytope_cert_invariance():
 def test_cert_json():
     doc = cert_to_json(certify(parse("v^2 - 1")))
     assert doc["verdict"] == "Factored" and len(doc["factors"]) == 2
-    doc = cert_to_json(certify(parse("v^2 + v + 1")))
-    assert doc["p"] == 2
+    doc = cert_to_json(certify(parse("v^2 + v + 1", char=2)))
+    assert doc["verdict"] == "IrreducibleModP" and doc["p"] == 2
+    assert "p" not in cert_to_json(certify(parse("v^2 + v + 1")))
