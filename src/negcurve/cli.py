@@ -36,6 +36,9 @@ herzog_semigroup, irreducibility, nct_catalog, negcurve_search, symbolic_power, 
                                 "negcurve_search", "symbolic_power", "toric_surface"))
 
 SCAN_CELL_BUDGET = 500
+# ggk's jet matrix has r(r+1)/2 rows and one column more: 1830 x 1831 at
+# r = 60 takes seconds, and 20100 x 20101 at r = 200 ran out of memory
+GGK_R_MAX = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,6 +195,10 @@ def cmd_classify(args):
 
 
 def cmd_ggk(args):
+    if args.r > GGK_R_MAX:
+        n = args.r * (args.r + 1) // 2
+        raise ValueError("r = %d needs a %d x %d jet matrix; ggk stops at r = %d"
+                         % (args.r, n, n + 1, GGK_R_MAX))
     g = nct_catalog.ggk_prime_family(args.r)
     P = newton_polygon(g)
     pts = lattice_points(P)
@@ -210,16 +217,19 @@ def cmd_ehrhart(args):
     with open(args.file) as fh:
         P = polygon_from_json(json.load(fh))
     pts = lattice_points(P)
-    doc = {
-        "vertices": [[rat_str(x), rat_str(y)] for x, y in P.vertices],
-        "counts": [len(pts) if n == 1 else len(lattice_points(dilate(P, n)))
-                   for n in range(1, args.dilate + 1)],
-    }
+    ns = range(1, args.dilate + 1)
+    doc = {"vertices": [[rat_str(x), rat_str(y)] for x, y in P.vertices]}
     if isinstance(P, IntegralPolygon) and P.dim == 2:
         c2, c1, c0 = symbolic_power.ehrhart_polynomial(P, pts)
+        # the polynomial counts each dilate without listing its points; its
+        # coefficients (area, B/2, 1) are integers once doubled
+        k2, k1, k0 = (int(2 * c) for c in (c2, c1, c0))
+        doc["counts"] = [((k2 * n + k1) * n + k0) // 2 for n in ns]
         doc["ehrhart"] = [rat_str(c2), rat_str(c1), rat_str(c0)]
         doc["hilbert_numerator"] = symbolic_power.hilbert_numerator(P, pts)
     else:
+        doc["counts"] = [len(pts) if n == 1 else len(lattice_points(dilate(P, n)))
+                         for n in ns]
         doc["ehrhart"] = None
         doc["hilbert_numerator"] = None
         doc["note"] = "quasi-polynomial counting only for this polygon"

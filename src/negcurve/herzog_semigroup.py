@@ -36,28 +36,24 @@ def _holds(a, b, c, s, s2, s3, t, t1, t3, u, u1, u2):
             and min(s2, t1, u1, u2) >= 0)
 
 
-def _decompositions(n, p, q):
-    """All (x, y) >= 0 with x*p + y*q = n."""
-    out = []
-    for y in range(n // q + 1):
-        r = n - y * q
-        if r % p == 0:
-            out.append((r // p, y))
-    return out
-
-
 def _presentation(a, b, c):
     # u is the least multiple of c with n*c = s3*a + t3*b, s3 and t3 both
     # positive; n*c - a - b >= (a-1)(b-1) is always representable, hence the
-    # cap.  Then a == t*u - t3*u2 and b == s2*u + s3*u2 give t and s2 for
-    # each u2 in [0, u], and the other exponents follow from the sums.
+    # cap.  Each n has one least s3 >= 1 with s3*a = n*c (mod b), and t3 >= 1
+    # holds there or at no s3, since s3 + b takes a from t3.
+    inv = pow(a, -1, b)
     for n in range(1, a * b // c + 3):
-        u_decs = [(x, y) for x, y in _decompositions(n * c, a, b) if x and y]
-        if u_decs:
+        s3 = (n * c * inv - 1) % b + 1
+        if n * c - s3 * a >= b:
             u = n
             break
     else:
         return None
+    # every decomposition of u*c, t3 ascending.  Then a == t*u - t3*u2 and
+    # b == s2*u + s3*u2 give t and s2 for each u2 in [0, u], and the other
+    # exponents follow from the sums.
+    u_decs = [(x, (u * c - x * a) // b)
+              for x in reversed(range(s3, (u * c - b) // a + 1, b))]
     for s3, t3 in u_decs:
         for u2 in range(u + 1):
             if (a + t3 * u2) % u or (b - s3 * u2) % u:

@@ -370,15 +370,22 @@ def normalized_maps(P, r):
     best = None
     winners = []
     for f in _base_maps(P):
-        Q = IntegralPolygon([f.apply(v) for v in P.vertices])
-        if not all(omega_contains(v, r) for v in Q.vertices):
-            raise RuntimeError("base position %s escapes Omega" % (Q.vertices,))
-        if best is None or Q.vertices < best.vertices:
-            best = Q
+        # a unimodular map keeps the vertex cycle, and one of determinant -1
+        # reverses it: the image's ccw list from its lex-min vertex is the
+        # hull's, with no hull built
+        vs = [f.apply(v) for v in P.vertices]
+        if det2(*f.m) < 0:
+            vs.reverse()
+        i = vs.index(min(vs))
+        vs = tuple(vs[i:] + vs[:i])
+        if not all(omega_contains(v, r) for v in vs):
+            raise RuntimeError("base position %s escapes Omega" % (vs,))
+        if best is None or vs < best:
+            best = vs
             winners = [f]
-        elif Q.vertices == best.vertices:
+        elif vs == best:
             winners.append(f)
-    return best, winners
+    return IntegralPolygon(best), winners
 
 
 def _walk(edge_vectors):

@@ -2,9 +2,8 @@
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .exact_arith import det2
 from .irreducibility import IrreducibilityCertificate, cert_to_json, certify, exact_divide
 from .lattice_geom import (
     DegeneratePolygonError,
@@ -16,7 +15,6 @@ from .lattice_geom import (
     lattice_points,
     minkowski_decompositions,
     normalized_maps,
-    omega_contains,
     pick_counts,
 )
 from .laurent_poly import (
@@ -188,8 +186,8 @@ def _normalized_polygons(r):
     position inside Omega, r-pruned."""
     r2 = r * r
     bound = r * (r + 1) // 2 + 1
-    grid = [(x, y) for y in range(1, r2) for x in range(0, 3 * r2 + 1)
-            if omega_contains((x, y), r)]
+    # the rows 1 <= y < r2 of Omega run over 0 <= x <= y + isqrt(2 r^4)
+    slack = isqrt(2 * r2 * r2)
     out = []
 
     # Every emitted chain turns left at each vertex, the closing turns at
@@ -201,31 +199,45 @@ def _normalized_polygons(r):
     # survives is its own hull: twice its area is the shoelace sum A2 of
     # det2(v_k, w), and its boundary count is S, the gcds of its edges, plus
     # the closing edge's, so Pick gives its lattice count before any point
-    # is listed.  (r >= 2 here: the grid is empty at r = 1.)
+    # is listed.  Points are listed only for a chain that closes: a line
+    # past r points stays in the hull of every extension, so the collinear
+    # cut there rejects what a cut on the open chain would have pruned.
+    # (r >= 2 here: Omega has no row at r = 1.)
     def rec(chain, ek, A2, S):
-        vk = chain[-1]
-        if A2 >= r2 or (A2 + S + gcd(*vk) + 2) // 2 > bound:
+        a, b = chain[-1]
+        if A2 >= r2 or (A2 + S + gcd(a, b) + 2) // 2 > bound:
             return
-        P = IntegralPolygon(chain)
-        pts = lattice_points(P)
-        if collinear_exceeds(pts, r):
-            return
-        if vk[1] > vk[0] >= 0:
-            out.append((P, pts))
-        for w in grid:
-            e = (w[0] - vk[0], w[1] - vk[1])
-            # a left turn follows ek in angle unless it passes direction (1, 0)
-            if det2(ek, e) <= 0 or ek[1] < 0 <= e[1]:
+        if b > a >= 0:
+            P = IntegralPolygon(chain)
+            pts = lattice_points(P)
+            if not collinear_exceeds(pts, r):
+                out.append((P, pts))
+        # v_k = (a, b) has b >= 1, so each condition on w = (x, y) is linear
+        # in x along a row: the origin strictly left of the new edge,
+        # a*y - b*x > 0, with the area below r2, a*y - b*x < r2 - A2; and a
+        # left turn after ek, det2(ek, w - v_k) = c - q*x > 0, which follows
+        # ek in angle unless it passes direction (1, 0), so a downward ek
+        # keeps y < b
+        p, q = ek
+        for y in range(1, b if q < 0 else r2):
+            c = p * (y - b) + q * a
+            lo = max(0, (a * y - r2 + A2) // b + 1)
+            hi = min(y + slack, (a * y - 1) // b)
+            if q > 0:
+                hi = min(hi, (c - 1) // q)
+            elif q < 0:
+                lo = max(lo, c // q + 1)
+            elif c <= 0:
                 continue
-            # the origin strictly left of the new edge, the area below r2
-            t = det2(vk, w)
-            if 0 < t < r2 - A2:
-                rec(chain + [w], e, A2 + t, S + gcd(*e))
+            for x in range(lo, hi + 1):
+                e = (x - a, y - b)
+                rec(chain + [(x, y)], e, A2 + a * y - b * x, S + gcd(*e))
 
     # base edge (0,0)-(a,0) carries a+1 collinear lattice points
     for a in range(1, max(2, r)):
-        for w in grid:
-            rec([(0, 0), (a, 0), w], (w[0] - a, w[1]), a * w[1], a + gcd(w[0] - a, w[1]))
+        for y in range(1, r2):
+            for x in range(y + slack + 1):
+                rec([(0, 0), (a, 0), (x, y)], (x - a, y), a * y, a + gcd(x - a, y))
     return out
 
 

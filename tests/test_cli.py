@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
@@ -247,6 +248,26 @@ def test_ggk_command(capsys):
     assert (doc["lattice_count"], doc["B"], doc["I"]) == (11, 5, 6)
 
 
+def _address_space_cap():
+    # runs in the child between fork and exec, so the cap is the child's alone
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_ggk_refuses_an_r_whose_jet_matrix_cannot_fit():
+    # r = 200 asks for a 20100 x 20101 jet matrix, which ran out of memory;
+    # under the cap a refusal that came after the allocation fails here
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "ggk", "--r", "200"],
+                          capture_output=True, text=True, env=_child_env(),
+                          preexec_fn=_address_space_cap, timeout=30)
+    wall = time.monotonic() - start
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert proc.stdout == ""
+    assert wall < 5.0
+
+
 def test_ehrhart_command(tmp_path, capsys):
     f = tmp_path / "sq.json"
     f.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
@@ -256,6 +277,22 @@ def test_ehrhart_command(tmp_path, capsys):
     assert doc["counts"] == [4, 9, 16]
     assert doc["ehrhart"] == ["1", "2", "1"]
     assert doc["hilbert_numerator"] == [1, 1]
+
+
+def test_ehrhart_counts_large_dilates_without_listing_them(tmp_path):
+    # the listing of each dilate did not end within 30 s at --dilate 3000
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps({"vertices": [[0, 0], [3, 0], [0, 3]]}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "ehrhart", str(f),
+                           "--dilate", "100000"],
+                          capture_output=True, text=True, env=_child_env(), timeout=30)
+    wall = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)["counts"]
+    assert len(counts) == 100000
+    assert counts[-1] == (9 * 100000 ** 2 + 9 * 100000) // 2 + 1
+    assert wall < 2.0
 
 
 def test_ehrhart_rational_polygon(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
@@ -7,6 +8,7 @@ import pytest
 
 from negcurve.herzog_semigroup import (
     HerzogData,
+    _holds,
     herzog_data,
     herzog_to_json,
     triangle,
@@ -144,6 +146,17 @@ def test_presentation_pinned_on_small_weights():
             if gcd(a, b) == gcd(b, c) == gcd(a, c) == 1]
     assert len(rows) == 7798
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:8] == "dab5739c"
+
+
+def test_presentation_of_large_weights_returns():
+    # one modular inverse per multiple of c; the scan of every t3 per
+    # multiple took 18.5 s on these weights
+    start = time.monotonic()
+    d = herzog_data(100003, 100019, 100043)
+    wall = time.monotonic() - start
+    assert _holds(d.a, d.b, d.c, *tuple_of(d))
+    check_identities(d)
+    assert wall < 1.0
 
 
 def test_errors():

@@ -239,13 +239,25 @@ def test_normalized_polygon_pool_bounds_and_pick(r):
         assert (A2 + B + 2) // 2 == len(pts)
 
 
-@pytest.mark.long
 def test_normalized_polygon_pool_r4():
     # captured from the enumerator that took the convex hull of every chain
     pool = [P.vertices for P, _ in _normalized_polygons(4)]
     assert len(pool) == 1395
     assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
         "9ad1afe01e61e22a8bcd42d48b205e751bac048099a9f0a12f3c066841e88197"
+
+
+@pytest.mark.long
+def test_normalized_polygon_pool_r5():
+    # captured from the enumerator that tested every Omega grid point per
+    # chain and listed the points of every chain, in about 55 s
+    start = time.monotonic()
+    pool = [P.vertices for P, _ in _normalized_polygons(5)]
+    wall = time.monotonic() - start
+    assert len(pool) == 17617
+    assert hashlib.sha256(repr(pool).encode()).hexdigest() == \
+        "6a89b68cad87cf809efc99dd1f3afc650a505c8b357e0725f384bc5114137976"
+    assert wall < 15.0
 
 
 def test_classify_r1():

@@ -23,9 +23,9 @@ from negcurve.laurent_poly import (LaurentPoly, multiplicity_at_one, multiply,
                                    newton_polygon, to_text, unit_multiply)
 from negcurve.nct_catalog import (canonical_form, catalog, ggk_prime_family,
                                   is_nct, phi_family)
-from negcurve.symbolic_power import (hilbert_numerator, jet_matrix, kernel,
-                                     kernel_polynomials, lemma_eu_check,
-                                     nullity)
+from negcurve.symbolic_power import (ehrhart_polynomial, hilbert_numerator,
+                                     jet_matrix, kernel, kernel_polynomials,
+                                     lemma_eu_check, nullity)
 from negcurve.toric_surface import (IMPLICATIONS, divisor_square,
                                     k2_via_refinement, normal_fan,
                                     thm36_report)
@@ -69,6 +69,14 @@ def test_hilbert_numerator_matches_dilation_counts(P):
     # the numerator of a lattice polygon has degree at most 2, so the
     # truncation at s^8 leaves a vanishing tail
     assert hilbert_numerator(P, lattice_points(P)) == _hilbert_numerator_reference(P)
+
+
+@given(polygons())
+def test_ehrhart_polynomial_matches_dilation_counts(P):
+    # the ehrhart command prints these values as its counts
+    c2, c1, c0 = ehrhart_polynomial(P, lattice_points(P))
+    for n in range(1, 7):
+        assert c2 * n * n + c1 * n + c0 == len(lattice_points(dilate(P, n)))
 
 
 @st.composite
