@@ -11,6 +11,7 @@ from .exact_arith import is_prime, rat_str
 from .lattice_geom import (
     IntegralPolygon,
     dilate,
+    lattice_count,
     lattice_points,
     pick_counts,
     polygon_from_json,
@@ -216,10 +217,10 @@ def cmd_ggk(args):
 def cmd_ehrhart(args):
     with open(args.file) as fh:
         P = polygon_from_json(json.load(fh))
-    pts = lattice_points(P)
     ns = range(1, args.dilate + 1)
     doc = {"vertices": [[rat_str(x), rat_str(y)] for x, y in P.vertices]}
     if isinstance(P, IntegralPolygon) and P.dim == 2:
+        pts = lattice_points(P)
         c2, c1, c0 = symbolic_power.ehrhart_polynomial(P, pts)
         # the polynomial counts each dilate without listing its points; its
         # coefficients (area, B/2, 1) are integers once doubled
@@ -228,8 +229,7 @@ def cmd_ehrhart(args):
         doc["ehrhart"] = [rat_str(c2), rat_str(c1), rat_str(c0)]
         doc["hilbert_numerator"] = symbolic_power.hilbert_numerator(P, pts)
     else:
-        doc["counts"] = [len(pts) if n == 1 else len(lattice_points(dilate(P, n)))
-                         for n in ns]
+        doc["counts"] = [lattice_count(dilate(P, n)) for n in ns]
         doc["ehrhart"] = None
         doc["hilbert_numerator"] = None
         doc["note"] = "quasi-polynomial counting only for this polygon"

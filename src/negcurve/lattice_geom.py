@@ -180,8 +180,9 @@ def _halfplanes(P):
             (s[0], s[1], _ceil(sa)), (-s[0], -s[1], -_floor(sb))]
 
 
-def lattice_points(P):
-    """All lattice points of P, sorted lex."""
+def _columns(P):
+    """(x, lo, hi) for each integer x across P that no side excludes: the
+    column's lattice points of P are (x, y) with lo <= y <= hi."""
     lower, upper, sides = [], [], []
     for nx, ny, c in _halfplanes(P):
         if ny > 0:
@@ -191,15 +192,21 @@ def lattice_points(P):
         else:
             sides.append((nx, c))
     xs = [v[0] for v in P.vertices]
-    out = []
-    # one column per integer x, bottom to top, so the list comes out lex
     for x in range(_ceil(min(xs)), _floor(max(xs)) + 1):
         if any(nx * x < c for nx, c in sides):
             continue
-        lo = max(-((nx * x - c) // ny) for nx, ny, c in lower)
-        hi = min((nx * x - c) // ny for nx, ny, c in upper)
-        out.extend((x, y) for y in range(lo, hi + 1))
-    return out
+        yield (x, max(-((nx * x - c) // ny) for nx, ny, c in lower),
+               min((nx * x - c) // ny for nx, ny, c in upper))
+
+
+def lattice_points(P):
+    """All lattice points of P, sorted lex: column by column, bottom to top."""
+    return [(x, y) for x, lo, hi in _columns(P) for y in range(lo, hi + 1)]
+
+
+def lattice_count(P):
+    """The number of lattice points of P, counted per column, none listed."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _columns(P))
 
 
 def pick_counts(P, pts):
@@ -262,28 +269,18 @@ def halfplane_polygon(constraints):
 
 
 def collinear_exceeds(pts, k):
-    """True when some affine line holds more than k of the lex-sorted points.
+    """True when some affine line holds more than k of the points, all the
+    lattice points of a convex set (`lattice_points`).
 
-    The points are a polygon's `lattice_points`.  The scan stops at the first
-    line past k.  A polygon whose lines all stay within k has few lattice
-    points, on the order of k^2, so only small inputs are scanned in full.
+    Such a line exists exactly when two of the points are congruent mod k:
+    p = q mod k puts the k + 1 lattice points p + t (q - p)/k, 0 <= t <= k,
+    in the set, and a line meets the set in a segment whose lattice points
+    step by a primitive d, so k + 1 of them hold p and p + k d.  Past k^2
+    points two share a class mod k.
     """
-    if len(pts) <= k:
-        return False
-    if k < 2:
-        return True  # one point, or two, always lie on a line
-    for i, (xi, yi) in enumerate(pts[:-1]):
-        # pts ascend in lex order, so the directions to later points are
-        # lex-positive and each line is counted from its least point
-        dirs = {}
-        for x, y in pts[i + 1:]:
-            g = gcd(x - xi, y - yi)
-            d = ((x - xi) // g, (y - yi) // g)
-            n = dirs.get(d, 1) + 1
-            if n > k:
-                return True
-            dirs[d] = n
-    return False
+    if len(pts) > k * k:
+        return True
+    return len({(x % k, y % k) for x, y in pts}) < len(pts)
 
 
 class UnimodularAffineMap:

@@ -27,7 +27,7 @@ from .laurent_poly import (
     parse,
     serialize,
 )
-from .symbolic_power import jet_matrix, kernel_polynomials, nullity
+from .symbolic_power import graded_piece, jet_matrix, nullity
 
 
 class NctReport(namedtuple("NctReport", "r area2 B I lattice_count "
@@ -138,7 +138,7 @@ def ggk_prime_family(r):
     pts = lattice_points(P)
     if len(pts) != r * (r + 1) // 2 + 1:
         raise RuntimeError("lattice count %d is off at r = %d" % (len(pts), r))
-    basis = kernel_polynomials(jet_matrix(pts, r))
+    basis = graded_piece(pts, r)
     if len(basis) != 1:
         raise RuntimeError("jet kernel dimension is not 1 at r = %d" % r)
     psi = basis[0]
@@ -151,13 +151,14 @@ def ggk_prime_family(r):
     return LaurentPoly(ints) * (-1 if ints[min(ints)] > 0 else 1)
 
 
-def _image(phi, f):
-    """phi with its exponents mapped by f, scaled to coefficient -1 at the
-    least support point."""
-    terms = {f.apply(e): c for e, c in phi.terms.items()}
-    c0 = terms[min(terms)]
-    unit = -pow(c0, -1, phi.char) if phi.char else Fraction(-1) / c0
-    return LaurentPoly({e: c * unit for e, c in terms.items()}, phi.char)
+def _image_key(phi, f):
+    """`_rep_key` of phi with its exponents mapped by f, scaled to
+    coefficient -1 at the least support point, with no polynomial built."""
+    terms = sorted((f.apply(e), c) for e, c in phi.terms.items())
+    p, c0 = phi.char, terms[0][1]
+    unit = -pow(c0, -1, p) if p else Fraction(-1) / c0
+    return (tuple(e for e, _ in terms),
+            tuple(c * unit % p if p else c * unit for _, c in terms))
 
 
 def _rep_key(phi):
@@ -178,7 +179,7 @@ def canonical_form(phi, r):
         maps = [_edge_map(V, W), _edge_map(W, V)]
     else:
         _, maps = normalized_maps(P, r)
-    return min((_image(phi, f) for f in maps), key=_rep_key)
+    return LaurentPoly(dict(zip(*min(_image_key(phi, f) for f in maps))), phi.char)
 
 
 def _normalized_polygons(r):
@@ -285,7 +286,7 @@ def _splits(rep):
     for Q1, _ in pairs:
         pts = lattice_points(Q1)
         for m in range(1, mult):
-            basis = kernel_polynomials(jet_matrix(pts, m, rep.char))
+            basis = graded_piece(pts, m, rep.char)
             if len(basis) == 1 and exact_divide(rep, basis[0]) is not None:
                 return True
     return False
@@ -301,7 +302,7 @@ def _kernel_generators(r, char):
     psis = []
     for pts in supports:
         # a class generator spans its jet kernel
-        basis = kernel_polynomials(jet_matrix(pts, r, char))
+        basis = graded_piece(pts, r, char)
         if len(basis) == 1:
             psis.append(basis[0])
     return psis

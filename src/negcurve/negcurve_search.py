@@ -11,7 +11,7 @@ from .herzog_semigroup import _check_weights, herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, inward_normals, lattice_points, pick_counts
 from .laurent_poly import serialize
 from .nct_catalog import _splits, is_nct, nct_to_json, report_status
-from .symbolic_power import jet_matrix, kernel_polynomials
+from .symbolic_power import graded_piece
 
 
 def is_negative_pair(a, b, c, r, d):
@@ -107,7 +107,7 @@ def _degree_cells(triple, char, T, d, lo, cap):
     # irreducibility check (see `_splits`).
     cells = []
     for r in range(lo, cap):
-        basis = kernel_polynomials(jet_matrix(pts, r, char))
+        basis = graded_piece(pts, r, char)
         hit = None
         if len(basis) == 1 and not _splits(basis[0]):
             report = _report(triple, char, r, d, basis[0], dP, pts)

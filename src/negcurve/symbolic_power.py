@@ -15,6 +15,12 @@ The dimension of the degree-d piece is |dP| minus the rank of that system.
 eliminations mod the stream of primes `exact_arith._primes()`, the primes of
 `_PRIMES` first, and checks it over Z, and `nullity` counts that basis.
 Ehrhart counting of the dilations gives the other side of the ledger.
+
+`graded_piece` first tries a proof mod 2.  By Lucas' theorem C(x, i) is odd
+exactly when i & x == i, so the centred mod-2 row (i, j) is A_i & B_j, where
+A_i, B_j mask the columns whose x, y hold i, j bitwise.  Rank over F_2 is at
+most rank over Q: full column rank proves the char-0 kernel empty, and in
+char 2 these are the jet rows.
 """
 
 from collections import namedtuple
@@ -60,6 +66,32 @@ def kernel_polynomials(jm):
         out.append(LaurentPoly(
             {pt: c for pt, c in zip(jm.support, vec) if c}, jm.char))
     return out
+
+
+def _rank_mod_2(points, r):
+    """Rank of the order-r jet rows mod 2 on the distinct points: XOR
+    elimination of the Lucas bit rows A_i & B_j, keyed by leading bit."""
+    S = sorted(set(points))
+    masks = []
+    for ax in (0, 1):
+        cols, lo = {}, min((p[ax] for p in S), default=0)
+        for k, p in enumerate(S):
+            cols[p[ax] - lo] = cols.get(p[ax] - lo, 0) | 1 << k
+        masks.append([sum(m for x, m in cols.items() if i & x == i) for i in range(r)])
+    pivots = {}
+    for row in (a & b for i, a in enumerate(masks[0]) for b in masks[1][:r - i]):
+        while row and len(pivots) < len(S):
+            row ^= pivots.setdefault(row.bit_length(), row)
+    return len(pivots)
+
+
+def graded_piece(points, r, char=0):
+    """`kernel_polynomials(jet_matrix(points, r, char))`, with no jet matrix
+    built when, in char 0 or 2, the Lucas bit rows have full column rank."""
+    n = len(set(points))
+    if char in (0, 2) and 0 < n <= r * (r + 1) // 2 and _rank_mod_2(points, r) == n:
+        return []
+    return kernel_polynomials(jet_matrix(points, r, char))
 
 
 def nullity(jm):

@@ -295,6 +295,25 @@ def test_ehrhart_counts_large_dilates_without_listing_them(tmp_path):
     assert wall < 2.0
 
 
+def test_ehrhart_counts_rational_dilates_by_columns(tmp_path):
+    # a rational polygon's dilates are counted column by column, none
+    # listed: the listing did not end within 60 s at --dilate 1000
+    f = tmp_path / "tri.json"
+    f.write_text(json.dumps({"vertices": [["0", "0"], ["3/2", "0"], ["0", "3"]]}))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "ehrhart", str(f),
+                           "--dilate", "1000"],
+                          capture_output=True, text=True, env=_child_env(), timeout=30)
+    wall = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ehrhart"] is None and len(doc["counts"]) == 1000
+    # the 1000th dilate is the lattice triangle (0,0), (1500,0), (0,3000):
+    # by Pick, area 2250000 and 6000 boundary points
+    assert doc["counts"][-1] == 2250000 + 6000 // 2 + 1
+    assert wall < 10.0
+
+
 def test_ehrhart_rational_polygon(tmp_path, capsys):
     f = tmp_path / "r.json"
     f.write_text(json.dumps({"vertices": [["0", "0"], ["1/2", "0"], ["0", "1/2"]]}))

@@ -151,8 +151,10 @@ def test_collinear_exceeds():
     assert len(lattice_points(big)) == 496 and _most_collinear(big) == 31
 
 
-def test_collinear_exceeds_stops_at_the_first_long_line(monkeypatch):
-    # 4186 lattice points; the first column already holds 91 of them
+def test_collinear_exceeds_reads_residues_only(monkeypatch):
+    # 4186 lattice points, 91 of them on the first column and 91 on the
+    # hypotenuse: k = 3 is settled by the count past k^2, and k = 90, 91
+    # by the residues mod k, with no direction computed
     huge = convex_hull([(0, 0), (90, 0), (0, 90)])
     pts = lattice_points(huge)
     assert len(pts) == 4186
@@ -161,7 +163,8 @@ def test_collinear_exceeds_stops_at_the_first_long_line(monkeypatch):
     monkeypatch.setattr(lattice_geom, "gcd",
                         lambda a, b: calls.append(1) or real_gcd(a, b))
     assert collinear_exceeds(pts, 3)
-    assert len(calls) == 3  # (0, 1), (0, 2), (0, 3) seen from (0, 0)
+    assert collinear_exceeds(pts, 90) and not collinear_exceeds(pts, 91)
+    assert calls == []
 
 
 def _image(f, P):

@@ -65,17 +65,32 @@ def test_hit_kernel_is_lifted(a, b, c, r, d, eliminations):
     assert eliminations == [exact_arith._PRIMES[0]]
 
 
+def test_empty_cells_proven_mod_2_run_no_elimination(eliminations):
+    # every empty cell these walks visit has full column rank on the Lucas
+    # bit rows (71 of (8, 15, 43), 90 of (5, 33, 49), in char 2 every empty
+    # one of (9, 10, 13) up to r = 3): only the hit's kernel is eliminated
+    from negcurve import exact_arith
+    assert [(r, d) for r, d, _ in scan(8, 15, 43, 0, 9)] == [(9, 645)]
+    assert eliminations == [exact_arith._PRIMES[0]]
+    eliminations.clear()
+    assert [(r, d) for r, d, _ in scan(5, 33, 49, 0, 18)] == [(18, 1617)]
+    assert len(eliminations) == 1
+    eliminations.clear()
+    assert [(r, d) for r, d, _ in scan(9, 10, 13, 2, 3)] == [(3, 100)]
+    assert eliminations == [2]
+
+
 def test_hit_builds_one_jet_matrix(monkeypatch):
     # the cell's jet matrix is the only one: its nullity 1 bounds the nct
     # kernel check on the hit's Newton polygon, which is then settled
     from negcurve import nct_catalog, symbolic_power
-    built = []
+    real, built = symbolic_power.jet_matrix, []
 
     def counted(points, r, char=0):
         built.append((r, char))
-        return symbolic_power.jet_matrix(points, r, char)
+        return real(points, r, char)
 
-    for module in (negcurve_search, nct_catalog):
+    for module in (symbolic_power, nct_catalog):
         monkeypatch.setattr(module, "jet_matrix", counted)
     for a, b, c, char, r, d in ((9, 10, 13, 2, 3, 100), (8, 15, 43, 0, 9, 645)):
         built.clear()
@@ -315,9 +330,8 @@ def _scan_cells(monkeypatch, *args):
         monkeypatch.setattr(negcurve_search, name, wrapper)
 
     noted("dilate", lambda a, dP: at.update(d=a[1], dP=dP))
-    noted("jet_matrix", lambda a, jm: at.update(r=a[1]))
-    noted("kernel_polynomials",
-          lambda a, basis: cells.append((at["r"], at["d"], at["dP"], basis)))
+    noted("graded_piece",
+          lambda a, basis: cells.append((a[1], at["d"], at["dP"], basis)))
     scan(*args)
     return cells
 

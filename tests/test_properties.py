@@ -4,7 +4,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, count
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd
 
 import pytest
 import sympy
@@ -17,13 +17,15 @@ from negcurve.irreducibility import (_dense, _distinct_combinations, _pmul,
                                      _univariate_factors, certify)
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    collinear_exceeds, convex_hull, dilate,
-                                   lattice_points, normalized_maps,
-                                   omega_contains, pick_counts)
+                                   lattice_count, lattice_points,
+                                   normalized_maps, omega_contains,
+                                   pick_counts)
 from negcurve.laurent_poly import (LaurentPoly, multiplicity_at_one, multiply,
                                    newton_polygon, to_text, unit_multiply)
 from negcurve.nct_catalog import (canonical_form, catalog, ggk_prime_family,
                                   is_nct, phi_family)
-from negcurve.symbolic_power import (ehrhart_polynomial, hilbert_numerator,
+from negcurve.symbolic_power import (_rank_mod_2, ehrhart_polynomial,
+                                     graded_piece, hilbert_numerator,
                                      jet_matrix, kernel, kernel_polynomials,
                                      lemma_eu_check, nullity)
 from negcurve.toric_surface import (IMPLICATIONS, divisor_square,
@@ -94,6 +96,12 @@ def point_hulls(draw):
     else:
         pts = draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k))
     return RationalPolygon(pts) if rational else IntegralPolygon(pts)
+
+
+@given(point_hulls(), st.integers(1, 6))
+def test_lattice_count_matches_listing(P, n):
+    Q = dilate(P, n)
+    assert lattice_count(Q) == len(lattice_points(Q))
 
 
 def _cross(o, a, b):
@@ -185,6 +193,20 @@ def test_kernel_never_grows_with_r(pts, char):
     # which is what lets a scan stop a degree at its first empty kernel
     dims = [len(kernel(jet_matrix(pts, r, char))) for r in range(1, 6)]
     assert dims == sorted(dims, reverse=True)
+
+
+@given(st.sets(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=30),
+       st.integers(1, 8))
+def test_lucas_bit_rows_have_the_mod_2_jet_rank(pts, r):
+    jm = jet_matrix(pts, r, 2)
+    ncols = len(jm.support)
+    assert _rank_mod_2(pts, r) == ncols - len(nullspace(jm.rows, ncols, 2))
+
+
+@given(st.sets(points, min_size=1, max_size=15), st.integers(1, 5),
+       st.sampled_from((0, 2, 3)))
+def test_graded_piece_is_the_jet_kernel(pts, r, char):
+    assert graded_piece(pts, r, char) == kernel_polynomials(jet_matrix(pts, r, char))
 
 
 def binomial(n, k):
@@ -661,6 +683,33 @@ def test_collinear_exceeds_matches_brute_force(vertices):
     most = _max_collinear_reference(pts)
     for k in range(len(pts) + 1):
         assert collinear_exceeds(pts, k) == (most > k)
+
+
+def _collinear_exceeds_pair_scan(pts, k):
+    """The pair scan `collinear_exceeds` ran before it read residues: from
+    each point of the lex-sorted pts, the later points per primitive
+    direction, stopped at the first line past k."""
+    if len(pts) <= k:
+        return False
+    if k < 2:
+        return True
+    for i, (xi, yi) in enumerate(pts[:-1]):
+        dirs = {}
+        for x, y in pts[i + 1:]:
+            g = gcd(x - xi, y - yi)
+            d = ((x - xi) // g, (y - yi) // g)
+            dirs[d] = dirs.get(d, 1) + 1
+            if dirs[d] > k:
+                return True
+    return False
+
+
+@given(point_hulls(), st.integers(1, 4), st.integers(0, 9))
+def test_collinear_exceeds_matches_pair_scan(P, n, k):
+    # rational hulls and their dilates: the residue test needs only that
+    # the points are all the lattice points of a convex set
+    pts = lattice_points(dilate(P, n))
+    assert collinear_exceeds(pts, k) == _collinear_exceeds_pair_scan(pts, k)
 
 
 @given(polygons())

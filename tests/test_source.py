@@ -68,6 +68,28 @@ def test_binomials_are_read_in_laurent_poly_only():
     assert found == ["laurent_poly.py"]
 
 
+def _callee(node):
+    """The name a call calls, plain or as a module attribute."""
+    func = node.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_graded_pieces_come_from_symbolic_power():
+    # one function computes a graded piece, symbolic_power.graded_piece: no
+    # other module builds a jet matrix only to read its kernel
+    found = []
+    for top in ("src", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == SRC / "symbolic_power.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call) and _callee(node) == "kernel_polynomials" \
+                        and node.args and isinstance(node.args[0], ast.Call) \
+                        and _callee(node.args[0]) == "jet_matrix":
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
 def _public_defs():
     """(module, name) of every public module-level function and method."""
     for path in sorted(SRC.glob("*.py")):
