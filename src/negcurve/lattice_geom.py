@@ -278,9 +278,7 @@ def collinear_exceeds(pts, k):
     step by a primitive d, so k + 1 of them hold p and p + k d.  Past k^2
     points two share a class mod k.
     """
-    if len(pts) > k * k:
-        return True
-    return len({(x % k, y % k) for x, y in pts}) < len(pts)
+    return len(pts) > k * k or len({(x % k, y % k) for x, y in pts}) < len(pts)
 
 
 class UnimodularAffineMap:

@@ -250,8 +250,8 @@ def centred_binomials(points, r):
     return [table[x] for x in xs], [table[y] for y in ys]
 
 
-def multiplicity_at_one(phi):
-    """Largest r with phi in (v-1, w-1)^r.
+def multiplicity_at_one(phi, least=0):
+    """Largest r with phi in (v-1, w-1)^r; the caller knows r >= least.
 
     The order of vanishing is unchanged by a unit v^alpha w^beta and by a
     nonzero scalar, so the jets are those of `integer_terms(phi)` on its
@@ -264,7 +264,7 @@ def multiplicity_at_one(phi):
     # total degree bounds the multiplicity of a polynomial
     bound = (max(a for a, _ in pts) - min(a for a, _ in pts)
              + max(b for _, b in pts) - min(b for _, b in pts))
-    for s in range(bound + 1):
+    for s in range(least, bound + 1):
         ca, cb = centred_binomials(pts, s + 1)
         for i in range(s + 1):
             val = sum(c * x[i] * y[s - i] for c, x, y in zip(coeffs, ca, cb))

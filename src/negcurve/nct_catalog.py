@@ -54,13 +54,14 @@ def report_status(accepted, cert):
     return "accepted"
 
 
-def is_nct(phi, r, most=None):
+def is_nct(phi, r, most=None, least=0):
     """Run every defining check on phi at multiplicity r.
 
-    `most` is an upper bound the caller knows on the nullity of the jet
-    kernel on the Newton polygon's lattice points.  No jet matrix is built
-    when it meets the lower bound from phi and the column count, or when
-    that bound is 2 or more.
+    `most` and `least` are bounds the caller knows: on the nullity of the
+    jet kernel on the Newton polygon's lattice points, from above, and on
+    phi's multiplicity, from below.  No jet matrix is built when `most`
+    meets the lower bound from phi and the column count, or when that bound
+    is 2 or more.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -74,7 +75,7 @@ def is_nct(phi, r, most=None):
         cert = certify(phi)
     B, I = pick_counts(P, pts)
     A = area2(P)
-    mult = multiplicity_at_one(phi)
+    mult = multiplicity_at_one(phi, least)
     checks = [
         ("multiplicity", mult == r),
         ("irreducible", cert.verdict != "Factored"),

@@ -9,9 +9,9 @@ from math import isqrt
 
 from .herzog_semigroup import _check_weights, herzog_data, triangle
 from .lattice_geom import convex_hull, dilate, inward_normals, lattice_points, pick_counts
-from .laurent_poly import serialize
+from .laurent_poly import integer_terms, serialize
 from .nct_catalog import _splits, is_nct, nct_to_json, report_status
-from .symbolic_power import graded_piece
+from .symbolic_power import graded_piece, jet_matrix
 
 
 def is_negative_pair(a, b, c, r, d):
@@ -60,16 +60,20 @@ def _genus(pts, r):
 def _report(triple, char, r, d, phi, dP, pts):
     """The curve checks on phi, the lone generator of its cell's kernel."""
     a, b, c = triple
+    ints = integer_terms(phi)  # phi is in p^(r): its jets below order r vanish
+    jm = jet_matrix(ints, r, phi.char)
+    jets = (sum(e * ints[pt] for e, pt in zip(row, jm.support)) for row in jm.rows)
+    member = not any(j % phi.char if phi.char else j for j in jets)
     # the Newton polygon lies in dP, so its jet kernel embeds in the one on
     # pts: its nullity is at most that kernel's, which is 1
-    nct = is_nct(phi, r, 1)
+    nct = is_nct(phi, r, 1, r if member else 0)
     # the support lies in dP, so a support point on an edge's line is on the edge
     edge_ok = all(any(n[0] * x + n[1] * y == bound for x, y in phi.terms)
                   for n, bound in inward_normals(dP))
     checks = [
         ("irreducible", nct.certificate.verdict != "Factored"),
         ("edge_touching", edge_ok),
-        ("jet_membership", nct.multiplicity >= r),
+        ("jet_membership", member),
         ("area", is_negative_pair(a, b, c, r, d)),
     ]
     return NegativeCurveReport(triple, char, r, d, phi, checks, nct,

@@ -425,6 +425,26 @@ def test_indecomposable_split_check_skips_multiplicity(monkeypatch, a, b, c, cha
     assert not _splits(phi)
 
 
+def test_hit_multiplicity_is_read_from_order_r(monkeypatch):
+    # the jet rows of order below r settle membership, so `is_nct` starts
+    # the multiplicity at order r; a non-member starts it at order 0
+    from negcurve import nct_catalog
+    real, least = nct_catalog.multiplicity_at_one, []
+
+    def multiplicity(phi, lo=0):
+        least.append(lo)
+        return real(phi, lo)
+
+    monkeypatch.setattr(nct_catalog, "multiplicity_at_one", multiplicity)
+    phi, rep = find(9, 10, 13, 2, 3, 100)
+    assert least == [3] and rep.nct.multiplicity == 3
+    assert ["jet_membership", True] in negcurve_to_json(rep)["checks"]
+    phi2 = parse("-v^2*w - vw^2 + 3vw - 1")
+    P = newton_polygon(phi2)
+    _report((9, 10, 13), 0, 3, 100, phi2, P, lattice_points(P))
+    assert least == [3, 0]
+
+
 def test_find_5_33_49():
     phi, rep = find(5, 33, 49, 0, 18, 1617)
     assert rep.accepted

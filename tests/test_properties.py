@@ -281,7 +281,10 @@ def test_multiplicity_matches_raw_jets(pair, alpha, beta, den):
     f, g = pair
     scale = 1 if f.char else Fraction(1, den)
     phi = unit_multiply(multiply(f, g), scale, alpha, beta)
-    assert multiplicity_at_one(phi) == _multiplicity_reference(phi)
+    m = _multiplicity_reference(phi)
+    # any lower bound the caller knows gives the same multiplicity
+    assert multiplicity_at_one(phi) == multiplicity_at_one(phi, m) == m
+    assert multiplicity_at_one(phi, m // 2) == m
 
 
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
