@@ -81,8 +81,10 @@ def test_empty_cells_proven_mod_2_run_no_elimination(eliminations):
 
 
 def test_hit_builds_one_jet_matrix(monkeypatch):
-    # the cell's jet matrix is the only one: its nullity 1 bounds the nct
-    # kernel check on the hit's Newton polygon, which is then settled
+    # the cell's jet matrix is the only one whose kernel is taken: its
+    # nullity 1 bounds the nct kernel check on the hit's Newton polygon,
+    # which is then settled.  `_report` also builds the order-r rows on
+    # phi's own support, through its own binding, to check membership.
     from negcurve import nct_catalog, symbolic_power
     real, built = symbolic_power.jet_matrix, []
 
