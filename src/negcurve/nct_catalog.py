@@ -57,11 +57,10 @@ def report_status(accepted, cert):
 def is_nct(phi, r, most=None, least=0):
     """Run every defining check on phi at multiplicity r.
 
-    `most` and `least` are bounds the caller knows: on the nullity of the
-    jet kernel on the Newton polygon's lattice points, from above, and on
-    phi's multiplicity, from below.  No jet matrix is built when `most`
-    meets the lower bound from phi and the column count, or when that bound
-    is 2 or more.
+    The caller knows `most` >= the nullity of the jet kernel on the Newton
+    polygon's lattice points and `least` <= phi's multiplicity.  No jet
+    matrix is built when `most` meets the lower bound from phi and the
+    column count, or when that bound is 2 or more.
     """
     if not phi:
         raise ValueError("zero polynomial")
