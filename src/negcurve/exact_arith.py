@@ -88,39 +88,35 @@ def _echelon(int_rows, ncols, p):
     """(rows, pivots): a row echelon form of int_rows over F_p and its
     pivots (row, col).
 
-    The rows are new lists of residues in [0, p), zero rows last.  A row
-    stays a list until an update packs it, and is unpacked when it becomes
-    a pivot row.
+    The rows are new lists of residues in [0, p), zero rows last.  Every
+    row is packed once, on entry, and unpacked when it becomes a pivot row.
     """
     n = len(int_rows)
     words = -(-((min(n, ncols) + 1) * (p - 1) ** 2 + p).bit_length() // 64)
-    state = [[x % p for x in row] for row in int_rows]
+    state = [_pack([x % p for x in reversed(row)], words) for row in int_rows]
     pivots, shift = [], 64 * words * ncols
     for pc in range(ncols):
         pr, shift = len(pivots), shift - 64 * words
         low, piv, tail = (1 << shift) - 1, None, None
         for i in range(pr, n):
             x = state[i]
-            packed = type(x) is int  # else residues no update has touched
-            f = x >> shift if packed else x[pc]
+            f = x >> shift
             if not f:
                 continue
-            if packed:
-                x, f = x & low, f % p
+            x, f = x & low, f % p
             if piv is None and f:
-                if packed:
-                    a = array("Q", x.to_bytes(shift // 8, "little"))  # right of pc
-                    vals = a[words - 1::words]
-                    for j in range(words - 2, -1, -1):
-                        vals = [(u << 64) + w for u, w in zip(vals, a[j::words])]
-                    x = [0] * pc + [f] + [u % p for u in reversed(vals)]
+                a = array("Q", x.to_bytes(shift // 8, "little"))  # right of pc
+                vals = a[words - 1::words]
+                for j in range(words - 2, -1, -1):
+                    vals = [(u << 64) + w for u, w in zip(vals, a[j::words])]
+                x = [0] * pc + [f] + [u % p for u in reversed(vals)]
                 state[i], state[pr], piv = state[pr], x, x
                 pivots.append((pr, pc))
                 continue
             if f:
                 if tail is None:
                     tail, inv = _pack(piv[:pc:-1], words), pow(piv[pc], -1, p)
-                x = (x if packed else _pack(x[:pc:-1], words)) + (p - f) * inv % p * tail
+                x += (p - f) * inv % p * tail
             state[i] = x
     return state[:len(pivots)] + [[0] * ncols for _ in range(n - len(pivots))], pivots
 

@@ -31,6 +31,9 @@ class FactorBudgetError(RuntimeError):
     """Splitting or recombination work exceeded the desk-scale budget."""
 
 
+_BUDGET = 2 ** 14  # splitting attempts and candidates, together, per factor_mod_p
+
+
 # verdict: IrreduciblePolytope | IrreducibleOverQ (char 0 only)
 # | IrreducibleModP (char p only) | Factored | Inconclusive (char p only)
 IrreducibilityCertificate = namedtuple(
@@ -254,20 +257,14 @@ def _univariate_factors(phi, M, tickets):
 
 
 def _decode(f, M, p):
-    """Invert e = a + M*b on dense f, unwrapping v-exponents across the
-    largest gap."""
-    enc = [(e, c) for e, c in enumerate(f) if c]
-    residues = sorted({e % M for e, _ in enc})
-    k = len(residues)
-    if k > 1:
-        gaps = [(residues[(i + 1) % k] - residues[i]) % M for i in range(k)]
-        start = residues[(gaps.index(max(gaps)) + 1) % k]
-    else:
-        start = residues[0]
-    terms = {}
-    for e, c in enc:
-        a = start + (e - start) % M
-        terms[(a, (e - a) // M)] = c
+    """Invert e = a + M*b on dense f with a in the window |a| <= M // 2: a
+    factor g of cur (at the origin, M = 1 + 2 max spread) has image
+    g(t, t^M) / t^a1, a1 the least a at b = 0, so it decodes to v^-a1 g."""
+    h, terms = M // 2, {}
+    for e, c in enumerate(f):
+        if c:
+            a = (e + h) % M - h
+            terms[(a, (e - a) // M)] = c
     return LaurentPoly(terms, p)
 
 
@@ -289,8 +286,9 @@ def _distinct_combinations(items, size, start=0):
             yield (i,) + rest
 
 
-def factor_mod_p(phi, budget=2 ** 14):
-    """Complete factorization over F_p, up to a unit; budget as in `certify`."""
+def factor_mod_p(phi):
+    """Complete factorization over F_p, up to a unit; FactorBudgetError once
+    splitting attempts and recombination candidates spend `_BUDGET`."""
     if phi.char == 0:
         raise ValueError("factor_mod_p needs positive characteristic")
     if not phi:
@@ -302,7 +300,7 @@ def factor_mod_p(phi, budget=2 ** 14):
     spread_a = max(a for a, _ in cur.terms)
     spread_b = max(b for _, b in cur.terms)
     M = 1 + 2 * max(spread_a, spread_b)
-    tickets = iter(range(budget))  # one per splitting attempt or candidate
+    tickets = iter(range(_BUDGET))  # one per splitting attempt or candidate
     univ = _univariate_factors(cur, M, tickets)
     factors = []
     while len(cur.terms) > 1:
@@ -336,13 +334,13 @@ def factor_mod_p(phi, budget=2 ** 14):
     return factors
 
 
-def certify(phi, budget=2 ** 14):
+def certify(phi):
     """Typed irreducibility certificate for a nonzero nonunit phi.
 
-    Past the Newton polygon test, char p reads `factor_mod_p`, with budget
-    bounding its splitting attempts and recombination candidates together,
-    and char 0 reads sympy's complete factorization over ZZ, which needs no
-    budget.
+    Past the Newton polygon test, char p reads `factor_mod_p`, which ends
+    Inconclusive once its `_BUDGET` splitting attempts and recombination
+    candidates are spent, and char 0 reads sympy's complete factorization
+    over ZZ, which needs no budget.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -360,7 +358,7 @@ def certify(phi, budget=2 ** 14):
             "IrreduciblePolytope", "newton polygon has no proper summand")
     if phi.char:
         try:
-            facs = factor_mod_p(body, budget)
+            facs = factor_mod_p(body)
         except FactorBudgetError as e:
             return IrreducibilityCertificate("Inconclusive", str(e))
         if len(facs) == 1:

@@ -221,11 +221,14 @@ def pick_counts(P, pts):
 
 
 def dilate(P, d):
-    """Vertices scaled by the positive integer d."""
+    """Vertices scaled by the positive integer d.  A hull scaled by d > 0 is
+    the image's hull, ccw with the lex-least vertex first: none is rebuilt."""
     if d <= 0:
         raise ValueError("dilation factor must be positive")
-    cls = IntegralPolygon if isinstance(P, IntegralPolygon) else RationalPolygon
-    return cls([(d * x, d * y) for x, y in P.vertices])
+    Q = object.__new__(type(P))
+    Q.vertices = tuple((d * x, d * y) for x, y in P.vertices)
+    Q.dim = P.dim
+    return Q
 
 
 def _angle_key(v):

@@ -466,6 +466,7 @@ POLYS = {
     "PHI2": "-1 + 3*v*w - v^2*w - v*w^2",
     "SEGMENT": "v^2 + v + 1",
     "LONE": "-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2",
+    "HALF": '{"vertices": [[0, 0], ["3/2", 0], [0, 3]]}',
 }
 
 # stdout sha256 prefixes of commands whose output every change must keep
@@ -489,6 +490,12 @@ PINNED_STDOUT = [
     ("check-nct SEGMENT --r 1", "e6513309"),
     ("check-nct SEGMENT --r 1 --char 2", "2861120a"),
     ("check-nct LONE --r 2", "c6fc219d"),
+    # factor_mod_p recombines two factors, each read back by _decode
+    ("check-nct LONE --r 2 --char 3", "0fae354c"),
+    ("search 7 11 17 --char 3 --rmax 6 --long", "1e35f480"),
+    ("classify --r 3 --experimental --char 3", "75c44d02"),
+    # a rational polygon dilated by dilate and counted by lattice_count
+    ("ehrhart HALF --dilate 30", "f1ce23b5"),
 ]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,26 @@ def test_nullspace_lift_prefers_earlier_pivots(monkeypatch, eliminations):
     eliminations.clear()
     assert nullspace([[1, 2], [2, 1]], 2) == []
     assert eliminations == [3, 5]
+
+
+def test_packed_rows_are_little_endian_slot_sums():
+    # _pack reads array items as little-endian words: on a host where they
+    # are not, this fails, where the eliminations would be silently wrong
+    rng = random.Random(0)
+    for words, p in enumerate((1073741789, 2 ** 61 - 1, 2 ** 89 - 1), 1):
+        for n in (0, 1, 2, 9):
+            vals = [rng.getrandbits(rng.randint(0, 64 * words)) for _ in range(n)]
+            assert exact_arith._pack(vals, words) == sum(
+                v << 64 * words * k for k, v in enumerate(vals))
+        # one row over p takes slots of `words` words; its first nonzero
+        # entry makes it a pivot row, unpacked from the form packed on entry
+        assert -(-(2 * (p - 1) ** 2 + p).bit_length() // 64) == words
+        for ncols in (1, 2, 7):
+            for lead in range(ncols):
+                row = [0] * lead + [rng.randrange(1, p)] + [
+                    rng.randrange(-p * p, p * p) for _ in range(ncols - lead - 1)]
+                assert exact_arith._echelon([row], ncols, p) == (
+                    [[x % p for x in row]], [(0, lead)])
 
 
 def test_rank_mod_p():

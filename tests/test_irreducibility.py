@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from negcurve import irreducibility
 from negcurve.irreducibility import (
     FactorBudgetError,
     _factored,
@@ -154,12 +155,13 @@ def test_certify_char_p_factored():
     assert prod == parse("vw - 1", char=5) * parse(PHI2, char=5)
 
 
-def test_budget_gives_inconclusive():
-    cert = certify(parse("vw - 1", char=5) * parse(PHI2, char=5), budget=1)
+def test_budget_gives_inconclusive(monkeypatch):
+    monkeypatch.setattr(irreducibility, "_BUDGET", 1)
+    cert = certify(parse("vw - 1", char=5) * parse(PHI2, char=5))
     assert cert.verdict == "Inconclusive"
 
 
-def test_splitting_attempts_count_against_the_budget():
+def test_splitting_attempts_count_against_the_budget(monkeypatch):
     # (v + 1)(v + 2) mod 5: both factors have degree 1, so the image splits
     # only by an equal-degree attempt; the first, r = t, succeeds
     phi = parse("v^2 + 3v + 2", char=5)
@@ -168,8 +170,10 @@ def test_splitting_attempts_count_against_the_budget():
     assert _univariate_factors(phi, 3, iter(range(1))) == [((0, 1), (1, 1)),
                                                         ((0, 2), (1, 1))]
     # one attempt, then one recombination candidate
-    assert certify(phi, budget=1).verdict == "Inconclusive"
-    assert certify(phi, budget=2).verdict == "Factored"
+    monkeypatch.setattr(irreducibility, "_BUDGET", 1)
+    assert certify(phi).verdict == "Inconclusive"
+    monkeypatch.setattr(irreducibility, "_BUDGET", 2)
+    assert certify(phi).verdict == "Factored"
 
 
 def test_wide_char0_input_reads_sympy_alone():

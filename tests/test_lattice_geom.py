@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from negcurve import lattice_geom
+from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import (
     EmptyRegionError,
     RationalPolygon,
@@ -103,6 +104,20 @@ def test_dilate():
     B, I = pick_counts(P3, lattice_points(P3))
     assert B == 3 * 3  # each edge is primitive in P
     assert area2(dilate(P, 3)) == 2 * I + B - 2
+
+
+def test_dilate_builds_no_hull(monkeypatch):
+    # the scaled vertex list of a hull is already the image's hull
+    T = triangle(herzog_data(8, 15, 43))
+
+    def no_hull(points):
+        raise AssertionError("dilate took a hull")
+
+    monkeypatch.setattr(lattice_geom, "_hull_vertices", no_hull)
+    Q = dilate(T, 645)
+    assert type(Q) is type(T) and Q.dim == 2
+    assert Q.vertices == tuple((645 * x, 645 * y) for x, y in T.vertices)
+    assert len(lattice_points(Q)) > 0
 
 
 def test_halfplane_polygon():

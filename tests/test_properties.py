@@ -13,8 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from negcurve import exact_arith
 from negcurve.exact_arith import (nullspace, rank_mod_p, rational_rank,
                                   smith_normal_form)
-from negcurve.irreducibility import (_dense, _distinct_combinations, _pmul,
-                                     _univariate_factors, certify)
+from negcurve.irreducibility import (_decode, _dense, _distinct_combinations,
+                                     _pmul, _univariate_factors, certify)
 from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    collinear_exceeds, convex_hull, dilate,
                                    lattice_count, lattice_points,
@@ -102,6 +102,9 @@ def point_hulls(draw):
 def test_lattice_count_matches_listing(P, n):
     Q = dilate(P, n)
     assert lattice_count(Q) == len(lattice_points(Q))
+    # dilate keeps P's hull list, scaled: the hull of the scaled vertices
+    R = type(P)([(n * x, n * y) for x, y in P.vertices])
+    assert type(Q) is type(P) and Q == R and Q.dim == R.dim == P.dim
 
 
 def _cross(o, a, b):
@@ -539,6 +542,32 @@ def test_univariate_factors_match_sympy(case):
     for g in factors:
         prod = _pmul(prod, _dense(g), p)
     assert prod == f
+
+
+@st.composite
+def origin_polys(draw):
+    """(p, s, g): g over F_p with least a and least b both 0, a-spread <= s."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(0, 6))
+    pts = st.tuples(st.integers(0, s), st.integers(0, 4))
+    terms = draw(st.dictionaries(pts, st.integers(1, p - 1), min_size=1, max_size=8))
+    a0 = min(a for a, _ in terms)
+    b0 = min(b for _, b in terms)
+    return p, s, LaurentPoly({(a - a0, b - b0): c for (a, b), c in terms.items()}, p)
+
+
+@given(origin_polys())
+def test_decode_reads_a_factor_image_exactly(case):
+    # factor_mod_p's candidates: the image g(t, t^M) / t^a1 of a factor g at
+    # the origin, a1 its least a at b = 0, with M = 2s + 1 past twice g's
+    # a-spread, decodes to v^-a1 g itself, not another unit multiple
+    p, s, g = case
+    M = 2 * s + 1
+    a1 = min(a for a, b in g.terms if b == 0)
+    f = [0] * (max(a - a1 + M * b for a, b in g.terms) + 1)
+    for (a, b), c in g.terms.items():
+        f[a - a1 + M * b] = c
+    assert _decode(f, M, p) == unit_multiply(g, 1, -a1, 0)
 
 
 @settings(max_examples=15)
