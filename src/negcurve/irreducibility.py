@@ -257,9 +257,10 @@ def _univariate_factors(phi, M, tickets):
 
 
 def _decode(f, M, p):
-    """Invert e = a + M*b on dense f with a in the window |a| <= M // 2: a
-    factor g of cur (at the origin, M = 1 + 2 max spread) has image
-    g(t, t^M) / t^a1, a1 the least a at b = 0, so it decodes to v^-a1 g."""
+    """Invert e = a + M*b on dense f with a in the window |a| <= M // 2.
+    With M = 1 + 2 max spread of the polynomial `factor_mod_p` splits, a
+    factor g at the origin has image g(t, t^M) / t^a1, a1 its least a at
+    b = 0, and the window reads v^-a1 g exactly."""
     h, terms = M // 2, {}
     for e, c in enumerate(f):
         if c:
