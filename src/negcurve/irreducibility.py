@@ -1,30 +1,32 @@
 """Irreducibility certificates for Laurent polynomials.
 
 An indecomposable Newton polygon, or a Newton segment of lattice length 1,
-certifies irreducibility over every field.  Past that, a longer segment
-included, each characteristic has one path.  Over the rationals sympy's
-complete factorization over ZZ[v, w] settles the question: one factor reads
-IrreducibleOverQ.  Over F_p, factoring goes through the Kronecker
+certifies irreducibility over every field.  Past that, `rigid_factor`
+decides every negative-class input, every `search` and `classify`
+candidate among them, in every characteristic: IrreducibleByRigidity or
+Factored.  Other inputs are factored: over the rationals by sympy over
+ZZ[v, w] (one factor reads IrreducibleOverQ), over F_p by the Kronecker
 substitution w = v^M, an in-package Cantor-Zassenhaus factorization of the
 univariate image, and recombination of factor subsets constrained by
-Minkowski summands of the Newton polygon; one factor reads IrreducibleModP.
-In char p alone can an exhausted budget end Inconclusive.  sympy is imported
-only in the char-0 step, so char p never loads it.
+Minkowski summands of the Newton polygon (IrreducibleModP, or Inconclusive
+once the budget is spent).  Only the char-0 factorization imports sympy.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import count, zip_longest
-from math import gcd
+from itertools import chain, count, zip_longest
+from math import gcd, isqrt
 
-from .lattice_geom import minkowski_decompositions
+from .lattice_geom import area2, lattice_points, minkowski_decompositions
 from .laurent_poly import (
     LaurentPoly,
     integer_terms,
+    multiplicity_at_one,
     newton_polygon,
     serialize,
     unit_multiply,
 )
+from .symbolic_power import graded_piece
 
 
 class FactorBudgetError(RuntimeError):
@@ -34,8 +36,8 @@ class FactorBudgetError(RuntimeError):
 _BUDGET = 2 ** 14  # splitting attempts and candidates, together, per factor_mod_p
 
 
-# verdict: IrreduciblePolytope | IrreducibleOverQ (char 0 only)
-# | IrreducibleModP (char p only) | Factored | Inconclusive (char p only)
+# verdict: IrreduciblePolytope | IrreducibleByRigidity | IrreducibleOverQ (char 0)
+# | IrreducibleModP (char p) | Factored | Inconclusive (char p, not negative class)
 IrreducibilityCertificate = namedtuple(
     "IrreducibilityCertificate", "verdict details p factors unit",
     defaults=(0, (), None))
@@ -335,13 +337,68 @@ def factor_mod_p(phi):
     return factors
 
 
+def rigid_factor(phi):
+    """A proper factor of phi from a rigid split, or None.
+
+    A factor returned is proper for any phi.  None proves phi absolutely
+    irreducible when phi is negative-class: area2(P) < m^2, P its Newton
+    polygon and m its multiplicity at (1, 1).  Over the algebraic closure let
+    phi = prod phi_i^e_i, phi_i with polygon P_i and multiplicity m_i.
+    Polygons (Ostrowski) and multiplicities add, so on the blow-up at (1, 1)
+    of the toric surface of P the strict transform of phi is C = sum e_i C_i,
+    with C^2 = area2(P) - m^2 < 0 and C_i^2 = area2(P_i) - m_i^2.  Distinct
+    curves meet non-negatively, so some C_i^2 < 0 (Kurano and Matsuoka, J.
+    Algebra 322, 2009): C_i is rigid, as a D in its class has D.C_i < 0, so
+    contains C_i and is C_i.  So the jet kernel K(P_i, m_i) is 1-dimensional,
+    in every field extension, and phi_i is defined over the ground field up to
+    a scalar.  If phi is reducible, P_i is a proper Minkowski summand with
+    isqrt(area2(P_i)) < m_i <= m, and the loop below meets phi_i.  Conversely
+    a lone generator g of K(Q, k), k >= 1, on a proper summand Q vanishes at
+    (1, 1) and lies on Q, narrower than P in some direction, so g and phi / g
+    are nonunits.  Hence a negative-class phi irreducible over its ground
+    field is absolutely irreducible.  Every `search` candidate is
+    negative-class: it lies in the order-r jet kernel on dT, so m >= r, and P
+    lies in dT, so area2(P) <= d^2/abc < r^2; so is every `classify` form, of
+    order r on a pool polygon of area2 < r^2.
+
+    A segment of lattice length g is a unit times f(t), t the primitive
+    monomial along it, deg f = g; when m >= 1, 1 - t divides it, leaving a
+    nonunit as g >= 2.  A primitive segment or an indecomposable polygon
+    returns None before any multiplicity is computed.
+    """
+    P = newton_polygon(phi)
+    if P.dim < 2:
+        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
+        g = gcd(x1 - x0, y1 - y0)
+        if g < 2 or not multiplicity_at_one(phi):
+            return None
+        return LaurentPoly({(0, 0): 1, ((x1 - x0) // g, (y1 - y0) // g): -1}, phi.char)
+    pairs = minkowski_decompositions(P)
+    if not pairs:
+        return None
+    m = multiplicity_at_one(phi)
+    for Q in chain.from_iterable(pairs):
+        pts = lattice_points(Q)
+        # the order-k jet rows are among the order-(k + 1) rows, so the
+        # first empty kernel ends Q
+        for k in range(isqrt(area2(Q)) + 1, m + 1):
+            basis = graded_piece(pts, k, phi.char)
+            if not basis:
+                break
+            if len(basis) == 1 and exact_divide(phi, basis[0]) is not None:
+                return basis[0]
+    return None
+
+
 def certify(phi):
     """Typed irreducibility certificate for a nonzero nonunit phi.
 
-    Past the Newton polygon test, char p reads `factor_mod_p`, which ends
-    Inconclusive once its `_BUDGET` splitting attempts and recombination
-    candidates are spent, and char 0 reads sympy's complete factorization
-    over ZZ, which needs no budget.
+    Past the Newton polygon test, a negative-class phi reads `rigid_factor`
+    in every characteristic, with no factorization.  Any other phi is
+    factored: char p reads `factor_mod_p`, which ends Inconclusive once its
+    `_BUDGET` splitting attempts and recombination candidates are spent, and
+    char 0 reads sympy's complete factorization over ZZ, which needs no
+    budget.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -357,6 +414,12 @@ def certify(phi):
     elif not minkowski_decompositions(P):
         return IrreducibilityCertificate(
             "IrreduciblePolytope", "newton polygon has no proper summand")
+    if area2(P) < multiplicity_at_one(body) ** 2:
+        factor = rigid_factor(body)
+        if factor is None:
+            return IrreducibilityCertificate(
+                "IrreducibleByRigidity", "absolutely irreducible: no rigid split")
+        return _factored(phi, [factor, exact_divide(body, factor)])
     if phi.char:
         try:
             facs = factor_mod_p(body)

@@ -4,7 +4,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .irreducibility import IrreducibilityCertificate, cert_to_json, certify, exact_divide
+from .irreducibility import IrreducibilityCertificate, cert_to_json, certify
 from .lattice_geom import (
     DegeneratePolygonError,
     IntegralPolygon,
@@ -13,7 +13,6 @@ from .lattice_geom import (
     collinear_exceeds,
     convex_hull,
     lattice_points,
-    minkowski_decompositions,
     normalized_maps,
     pick_counts,
 )
@@ -42,16 +41,7 @@ class NctReport(namedtuple("NctReport", "r area2 B I lattice_count "
 
     @property
     def status(self):
-        return report_status(self.accepted, self.certificate)
-
-
-def report_status(accepted, cert):
-    """Verdict of a report: its checks, softened by an inconclusive certificate."""
-    if not accepted:
-        return "rejected"
-    if cert.verdict == "Inconclusive":
-        return "conditionally accepted"
-    return "accepted"
+        return "accepted" if self.accepted else "rejected"
 
 
 def is_nct(phi, r, most=None, least=0):
@@ -242,56 +232,6 @@ def _normalized_polygons(r):
     return out
 
 
-# If rep = g*h with nonunits g and h, then Newton(rep) = Newton(g) + Newton(h)
-# (Ostrowski), so for some pair (Q1, Q2) of `minkowski_decompositions` one
-# factor, say g, lies on a translate of Q1 and h on one of Q2, and
-# mult(g) + mult(h) = mult(rep) = M.  A catalog candidate spans a
-# 1-dimensional jet kernel K(P, M) on its polygon P, and that kernel holds
-# K(Q1, mult g) * K(Q2, mult h).  By the linear Cauchy-Davenport bound
-# dim(A*B) >= dim A + dim B - 1 (Hou, Leung and Xiang, J. Number Theory 97,
-# 2002; leading monomials under a term order reduce it to |X + Y| >= |X| +
-# |Y| - 1 in Z^2, over any field), both factor kernels are 1-dimensional.
-# K(Q, 0) has one dimension per lattice point of Q, at least 2, so
-# 0 < mult g < M, and g is the lone generator of K(Q1, mult g) up to a unit.
-# Conversely, a lone generator g of K(Q1, m) with m >= 1 vanishes at (1, 1),
-# and lies on Q1, narrower than P in some direction, so a quotient rep / g
-# is a nonunit too: a split proves rep reducible in every characteristic,
-# and a candidate that factors always splits.
-#
-# A `search` candidate phi generates a 1-dimensional jet kernel K(dT, r) on
-# the dilated triangle dT.  Its polygon P lies in dT and M = mult(phi) >= r,
-# so K(P, M) lies in K(P, r), which embeds in K(dT, r) by extending with
-# zeros: phi spans K(P, M), and when P is 2-dimensional the argument above
-# holds for it unchanged.
-#
-# On a segment of lattice length g, rep is a unit times f(t), where t is the
-# primitive monomial along the segment and deg f = g.  If rep vanishes at
-# (1, 1), then t - 1, the lone generator of the primitive summand's kernel
-# at m = 1, divides f, and the quotient is a nonunit when g >= 2; with
-# g = 1, f is linear and rep irreducible.  So on every candidate, which
-# has multiplicity at least 1 and nullity 1, a split is exactly a
-# factorization, on a segment or a polygon alike.
-def _splits(rep):
-    """True when rep is a multiple of a summand's lone jet-kernel generator."""
-    P = newton_polygon(rep)
-    if P.dim < 2:
-        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
-        return gcd(x1 - x0, y1 - y0) > 1 and multiplicity_at_one(rep) > 0
-    # every curve found so far has an indecomposable polygon: it returns
-    # here, before the multiplicity is computed
-    pairs = minkowski_decompositions(P)
-    if not pairs:
-        return False
-    mult = multiplicity_at_one(rep)
-    for Q1, _ in pairs:
-        pts = lattice_points(Q1)
-        for m in range(1, mult):
-            basis = graded_piece(pts, m, rep.char)
-            if len(basis) == 1 and exact_divide(rep, basis[0]) is not None:
-                return True
-    return False
-
-
 def _kernel_generators(r, char):
     """The lone generator of each 1-dimensional jet kernel on the r-pruned pool."""
     if r == 1:
@@ -316,20 +256,14 @@ def catalog(r, char=0, experimental=False):
         raise ValueError("no enumeration beyond r = 4")
     if r >= 3 and not experimental:
         raise ValueError("r = %d needs --experimental" % r)
-    # each canonical form is checked once; a rejected one keeps None, and a
-    # form that splits would fail the irreducibility check, so it gets no
-    # certificate
+    # each canonical form is checked once, and a rejected one keeps None
     entries = {}
     for psi in _kernel_generators(r, char):
         rep = canonical_form(psi, r)
         key = _rep_key(rep)
-        if key in entries:
-            continue
-        entries[key] = None
-        if not _splits(rep):
+        if key not in entries:
             report = is_nct(rep, r)
-            if report.accepted:
-                entries[key] = (rep, report)
+            entries[key] = (rep, report) if report.accepted else None
     return [entries[k] for k in sorted(entries) if entries[k]]
 
 

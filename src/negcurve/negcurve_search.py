@@ -8,9 +8,10 @@ from collections import namedtuple
 from math import isqrt
 
 from .herzog_semigroup import _check_weights, herzog_data, triangle
+from .irreducibility import rigid_factor
 from .lattice_geom import convex_hull, dilate, inward_normals, lattice_points, pick_counts
 from .laurent_poly import integer_terms, serialize
-from .nct_catalog import _splits, is_nct, nct_to_json, report_status
+from .nct_catalog import is_nct, nct_to_json
 from .symbolic_power import graded_piece, jet_matrix
 
 
@@ -31,7 +32,7 @@ class NegativeCurveReport(namedtuple("NegativeCurveReport", "triple char r d "
 
     @property
     def status(self):
-        return report_status(self.accepted, self.nct.certificate)
+        return "accepted" if self.accepted else "rejected"
 
 
 def negcurve_to_json(report):
@@ -107,13 +108,13 @@ def _degree_cells(triple, char, T, d, lo, cap):
     # Kurano and Matsuoka, J. Algebra 322, 2009).  Over a non-closed field
     # each Galois conjugate component of C is negative too, so phi divides g,
     # and g, of the same degree, is a constant times phi.  A hit is thus the
-    # lone generator of its cell, and a split one would fail the
-    # irreducibility check (see `_splits`).
+    # lone generator of its cell, and one with a rigid split (a
+    # factorization here: see `rigid_factor`) fails the irreducibility check.
     cells = []
     for r in range(lo, cap):
         basis = graded_piece(pts, r, char)
         hit = None
-        if len(basis) == 1 and not _splits(basis[0]):
+        if len(basis) == 1 and rigid_factor(basis[0]) is None:
             report = _report(triple, char, r, d, basis[0], dP, pts)
             if report.accepted:
                 hit = report

@@ -86,13 +86,16 @@ def _child_env():
     "pass",
     "negcurve.cli.main(['--jobs', '1', 'search', '8', '15', '43', "
     "'--rmax', '9', '--d', '645'])",
-    # every reducible candidate is a lone generator that splits
+    # every reducible candidate is a lone generator with a rigid split
     "assert negcurve.cli.main(['--jobs', '1', 'search', '13', '19', '20', "
     "'--rmax', '6', '--long']) == 0",
-    # catalog's reducible forms split before any certificate needs sympy
+    # every catalog form is negative-class: the rigid split, not sympy,
+    # decides it
     "assert negcurve.cli.main(['classify', '--r', '2']) == 0",
     "assert negcurve.cli.main(['classify', '--r', '3', '--experimental']) == 0",
-], ids=["import", "search", "search-13-19-20", "classify-r2", "classify-r3"])
+    "assert negcurve.cli.main(['classify', '--r', '4', '--experimental']) == 0",
+], ids=["import", "search", "search-13-19-20", "classify-r2", "classify-r3",
+        "classify-r4"])
 def test_char0_search_never_loads_sympy(call):
     proc = subprocess.run([sys.executable, "-c", UNWANTED_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
@@ -467,6 +470,8 @@ POLYS = {
     "SEGMENT": "v^2 + v + 1",
     "LONE": "-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2",
     "HALF": '{"vertices": [[0, 0], ["3/2", 0], [0, 3]]}',
+    # (1 + v + w^2)(1 + v^2*w + w)
+    "PROD": "1 + w + w^2 + w^3 + v + v*w + v^2*w + v^2*w^3 + v^3*w",
 }
 
 # stdout sha256 prefixes of commands whose output every change must keep
@@ -490,10 +495,16 @@ PINNED_STDOUT = [
     ("check-nct SEGMENT --r 1", "e6513309"),
     ("check-nct SEGMENT --r 1 --char 2", "2861120a"),
     ("check-nct LONE --r 2", "c6fc219d"),
-    # factor_mod_p recombines two factors, each read back by _decode
-    ("check-nct LONE --r 2 --char 3", "0fae354c"),
+    # LONE mod 3 is w^2 (1 - v^3), a negative-class segment: 1 - v, the
+    # rigid factor, and its cofactor
+    ("check-nct LONE --r 2 --char 3", "c13fcdf9"),
+    # outside the negative class (multiplicity 0) factor_mod_p recombines
+    # 6 Kronecker factors into 2, each read back by _decode
+    ("check-nct PROD --r 2 --char 5", "791b456f"),
     ("search 7 11 17 --char 3 --rmax 6 --long", "1e35f480"),
     ("classify --r 3 --experimental --char 3", "75c44d02"),
+    # the rigid split decides every form, one of them IrreducibleByRigidity
+    ("classify --r 4 --experimental", "407f956c"),
     # a rational polygon dilated by dilate and counted by lattice_count
     ("ehrhart HALF --dilate 30", "f1ce23b5"),
 ]

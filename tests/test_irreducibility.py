@@ -20,6 +20,8 @@ from gl2z import apply_gl2z
 PHI2 = "-v^2*w - vw^2 + 3vw - 1"
 PHI3 = "-1 + 6vw - 4v^2*w + v^3*w - 4vw^2 + v^2*w^2 + vw^3"
 PHI3P = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
+# (1 + v + w^2)(1 + v^2*w + w): mod 5, multiplicity 0 and area2 14
+PROD = "1 + w + w^2 + w^3 + v + v*w + v^2*w + v^2*w^3 + v^3*w"
 
 
 def is_unit(f):
@@ -156,9 +158,22 @@ def test_certify_char_p_factored():
 
 
 def test_budget_gives_inconclusive(monkeypatch):
+    # outside the negative class certify factors; the Kronecker image of
+    # PROD mod 5 splits into 6 factors, recombined into 2
     monkeypatch.setattr(irreducibility, "_BUDGET", 1)
-    cert = certify(parse("vw - 1", char=5) * parse(PHI2, char=5))
-    assert cert.verdict == "Inconclusive"
+    assert certify(parse(PROD, char=5)).verdict == "Inconclusive"
+
+
+def test_negative_class_char3_input_splits_rigidly():
+    # area2 14 < 4^2, so the rigid split decides it and finds 2 + vw^2 at
+    # once; factor_mod_p spends its whole budget on it, for seconds
+    phi = parse("2 + v + 2*v^2*w^2 + v^2*w^5 + v^3*w^6 + 2*v^4*w^9", char=3)
+    cert = certify(phi)
+    assert cert.verdict == "Factored" and len(cert.factors) == 2
+    prod = cert.unit
+    for f in cert.factors:
+        prod = prod * f
+    assert prod == phi
 
 
 def test_splitting_attempts_count_against_the_budget(monkeypatch):

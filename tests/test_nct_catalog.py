@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from negcurve import exact_arith
-from negcurve.irreducibility import certify
+from negcurve.irreducibility import certify, rigid_factor
 from negcurve.lattice_geom import DegeneratePolygonError, area2, lattice_points, pick_counts
 from negcurve.laurent_poly import (
     multiplicity_at_one,
@@ -20,7 +20,6 @@ from negcurve.nct_catalog import (
     _kernel_generators,
     _normalized_polygons,
     _rep_key,
-    _splits,
     canonical_form,
     catalog,
     catalog_to_json,
@@ -31,6 +30,7 @@ from negcurve.nct_catalog import (
 )
 from negcurve.negcurve_search import find
 
+from factor_oracle import factor_count
 from gl2z import apply_gl2z
 
 PHI2_CANON = parse("-1 - v + 3*v*w - v^2*w^3")
@@ -293,57 +293,80 @@ def test_classify_r3_two_classes():
 
 
 def test_catalog_checks_each_canonical_form_once(monkeypatch):
-    # 40 kernel generators at r = 3 fall into 5 canonical forms: 3 split
-    # through a summand's kernel, and the 2 others reach is_nct once each
+    # 40 kernel generators at r = 3 fall into 5 canonical forms, each checked
+    # once: 3 split, so their certificates read Factored, and 2 are accepted
     from negcurve import nct_catalog
     assert len(_kernel_generators(3, 0)) == 40
-    real_splits, real_is_nct = nct_catalog._splits, nct_catalog.is_nct
-    splits, checked = [], []
+    real_is_nct, checked = nct_catalog.is_nct, []
 
-    def split(rep):
-        splits.append(real_splits(rep))
-        return splits[-1]
+    def is_nct(phi, r):
+        checked.append((phi, real_is_nct(phi, r)))
+        return checked[-1][1]
 
-    monkeypatch.setattr(nct_catalog, "_splits", split)
-    monkeypatch.setattr(nct_catalog, "is_nct",
-                        lambda phi, r: checked.append(phi) or real_is_nct(phi, r))
+    monkeypatch.setattr(nct_catalog, "is_nct", is_nct)
     entries = catalog(3, experimental=True)
-    assert len(splits) == 5 and sum(splits) == 3
-    assert sorted(map(_rep_key, checked)) == [_rep_key(rep) for rep, _ in entries]
+    assert len(checked) == 5
+    assert sum(rep.certificate.verdict == "Factored" for _, rep in checked) == 3
+    assert sorted(_rep_key(phi) for phi, rep in checked if rep.accepted) \
+        == [_rep_key(rep) for rep, _ in entries]
 
 
 @pytest.mark.parametrize("r, char", [(r, char) for r in (2, 3) for char in (0, 2, 3)]
                          + [pytest.param(4, 0, marks=pytest.mark.long)])
 def test_split_check_agrees_with_certificate(r, char):
-    # sympy's factorization over ZZ[v, w] (char 0) and factor_mod_p (char p)
-    # are the oracles for every canonical form catalog builds
+    # the factorizers are the oracles, called directly: sympy's factor_list
+    # over ZZ[v, w] (char 0) and factor_mod_p (char p); every canonical form
+    # catalog builds is negative-class, so it has a rigid split, and a
+    # Factored certificate, exactly when it has more than one factor
     forms = {}
     for psi in _kernel_generators(r, char):
         rep = canonical_form(psi, r)
         forms[_rep_key(rep)] = rep
     for rep in forms.values():
-        assert _splits(rep) == (certify(rep).verdict == "Factored"), serialize(rep)
+        count = factor_count(rep)
+        if count is None:
+            continue  # factor_mod_p spent its budget
+        assert (rigid_factor(rep) is not None) == (count > 1), serialize(rep)
+        assert (certify(rep).verdict == "Factored") == (count > 1), serialize(rep)
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_planted_product_splits(char):
     prod = multiply(parse("vw - 1"), phi_family(2))
     phi = unit_multiply(apply_gl2z(prod, ((2, 1), (1, 1))), 1, 3, -2)
-    assert _splits(phi.reduce_mod(char) if char else phi)
+    phi = phi.reduce_mod(char) if char else phi
+    assert factor_count(phi) == 2
+    assert rigid_factor(phi) is not None
 
 
 def test_families_do_not_split():
-    assert not _splits(phi_family(3))
-    assert not _splits(ggk_prime_family(3))
+    for phi in (phi_family(3), ggk_prime_family(3)):
+        assert factor_count(phi) == 1
+        assert rigid_factor(phi) is None
 
 
 def test_lone_generator_must_divide_to_split():
     # the summand segment (0,0)-(3,-1) spans the lone order-1 kernel
-    # generator v^3 w^-1 - 1, which does not divide this irreducible phi
+    # generator v^3 w^-1 - 1, which does not divide this irreducible phi;
+    # with area2 12 >= 2^2 it is not negative-class, so certify factors it
     phi = parse("-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2")
     assert multiplicity_at_one(phi) == 2
+    assert factor_count(phi) == 1
     assert certify(phi).verdict == "IrreducibleOverQ"
-    assert not _splits(phi)
+    assert rigid_factor(phi) is None
+
+
+@pytest.mark.parametrize("char", [2, 3])
+def test_classify_r4_never_factors(monkeypatch, char):
+    # every form is negative-class: the rigid split decides each one
+    from negcurve import irreducibility
+
+    def factor_mod_p(phi):
+        raise AssertionError("factor_mod_p called")
+
+    monkeypatch.setattr(irreducibility, "factor_mod_p", factor_mod_p)
+    verdicts = {report.certificate.verdict for _, report in catalog(4, char, True)}
+    assert verdicts == {"IrreduciblePolytope", "IrreducibleByRigidity"}
 
 
 @pytest.mark.long

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from negcurve import negcurve_search
 from negcurve.herzog_semigroup import herzog_data, triangle
 from negcurve.lattice_geom import convex_hull, dilate, lattice_points, pick_counts
-from negcurve.irreducibility import certify
+from negcurve.irreducibility import certify, factor_mod_p, rigid_factor
 from negcurve.laurent_poly import newton_polygon, parse, serialize
-from negcurve.nct_catalog import _splits, canonical_form
+from negcurve.nct_catalog import canonical_form
 from negcurve.negcurve_search import (
     Cell,
     _report,
@@ -23,6 +23,8 @@ from negcurve.negcurve_search import (
     walk,
 )
 from negcurve.symbolic_power import jet_matrix, kernel, kernel_polynomials, nullity
+
+from factor_oracle import factor_count
 
 
 def test_is_negative_pair():
@@ -222,7 +224,7 @@ def test_scan_reaches_every_kernel_across_r(monkeypatch):
     # accept every kernel element, split ones included, so that every
     # visited cell with a kernel is a hit: the capped walk must still reach
     # each of them
-    monkeypatch.setattr(negcurve_search, "_splits", lambda phi: False)
+    monkeypatch.setattr(negcurve_search, "rigid_factor", lambda phi: None)
     monkeypatch.setattr(negcurve_search, "_report",
                         lambda *args: SimpleNamespace(accepted=True))
     T = triangle(herzog_data(2, 3, 5))
@@ -307,15 +309,16 @@ def test_report_jet_membership_is_computed():
 
 
 def test_find_factoring_probe_finishes():
-    # the cell's lone kernel generator splits, so find rejects it without a
-    # certificate; certified, it has 47 Kronecker factors, 25 of them copies
-    # of 1 + t: the recombination must count distinct factor subsets, not
-    # every index combination
+    # the cell's lone kernel generator has a rigid split, so find rejects it
+    # without a certificate, and certify reads that split; factored mod 2 it
+    # has 47 Kronecker factors, 25 of them copies of 1 + t: the
+    # recombination must count distinct factor subsets, not every index
+    # combination
     assert find(9, 10, 13, 2, 11, 372) is None
     T = triangle(herzog_data(9, 10, 13))
     [phi] = kernel_polynomials(jet_matrix(lattice_points(dilate(T, 372)), 11, 2))
-    cert = certify(phi)
-    assert cert.verdict == "Factored" and len(cert.factors) == 5
+    assert certify(phi).verdict == "Factored"
+    assert len(factor_mod_p(phi)) == 5
 
 
 def _scan_cells(monkeypatch, *args):
@@ -341,19 +344,18 @@ def _scan_cells(monkeypatch, *args):
 @pytest.mark.parametrize("args, met", [
     ((9, 10, 13, 2, 8), 6), ((9, 10, 13, 3, 8), 12), ((7, 11, 17, 0, 4), 32)])
 def test_scan_split_check_agrees_with_certificate(monkeypatch, args, met):
-    # certify is the oracle: a split is a factorization in every
-    # characteristic, on every generator of every visited cell; the split
-    # check meets the `met` generators of nullity 1, and on each of them,
-    # segment or polygon, every factoring generator splits (see
-    # `nct_catalog._splits`)
+    # the factorizers are the oracles, called directly: sympy's factor_list
+    # over ZZ (char 0) and factor_mod_p (char p).  Every generator of every
+    # visited cell is negative-class (see `rigid_factor`), so on each,
+    # segment or polygon, a rigid split is exactly a factorization; the
+    # scan's guard meets the `met` generators of nullity 1
     gens = [(phi, len(basis)) for *_, basis in _scan_cells(monkeypatch, *args)
             for phi in basis]
     assert sum(null == 1 for _, null in gens) == met
-    for phi, null in gens:
-        split, factored = _splits(phi), certify(phi).verdict == "Factored"
-        assert factored or not split, serialize(phi)
-        if null == 1:
-            assert split == factored, serialize(phi)
+    for phi, _ in gens:
+        count = factor_count(phi)
+        if count is not None:  # else factor_mod_p spent its budget
+            assert (rigid_factor(phi) is not None) == (count > 1), serialize(phi)
 
 
 @pytest.mark.parametrize("char", [0, 2])
@@ -415,16 +417,16 @@ def test_char_p_scan_certifies_only_the_hit(monkeypatch):
 @pytest.mark.parametrize("a, b, c, char, r, d", [
     (9, 10, 13, 2, 3, 100), (5, 33, 49, 0, 18, 1617)])
 def test_indecomposable_split_check_skips_multiplicity(monkeypatch, a, b, c, char, r, d):
-    # both hits have an indecomposable Newton polygon, so the split check
+    # both hits have an indecomposable Newton polygon, so the rigid split
     # returns before it computes a multiplicity
-    from negcurve import nct_catalog
+    from negcurve import irreducibility
     phi, _ = find(a, b, c, char, r, d)
 
     def multiplicity(phi):
         raise AssertionError("multiplicity computed")
 
-    monkeypatch.setattr(nct_catalog, "multiplicity_at_one", multiplicity)
-    assert not _splits(phi)
+    monkeypatch.setattr(irreducibility, "multiplicity_at_one", multiplicity)
+    assert rigid_factor(phi) is None
 
 
 def test_hit_multiplicity_is_read_from_order_r(monkeypatch):

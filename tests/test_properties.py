@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 from math import ceil, comb, floor, gcd
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from negcurve import exact_arith
+from negcurve import exact_arith, irreducibility
 from negcurve.exact_arith import (nullspace, rank_mod_p, rational_rank,
                                   smith_normal_form)
 from negcurve.irreducibility import (_decode, _dense, _distinct_combinations,
@@ -21,7 +22,7 @@ from negcurve.lattice_geom import (IntegralPolygon, RationalPolygon, area2,
                                    normalized_maps, omega_contains,
                                    pick_counts)
 from negcurve.laurent_poly import (LaurentPoly, multiplicity_at_one, multiply,
-                                   newton_polygon, to_text, unit_multiply)
+                                   newton_polygon, parse, to_text, unit_multiply)
 from negcurve.nct_catalog import (canonical_form, catalog, ggk_prime_family,
                                   is_nct, phi_family)
 from negcurve.symbolic_power import (_rank_mod_2, ehrhart_polynomial,
@@ -32,6 +33,7 @@ from negcurve.toric_surface import (IMPLICATIONS, divisor_square,
                                     k2_via_refinement, normal_fan,
                                     thm36_report)
 
+from factor_oracle import factor_count
 from gl2z import apply_gl2z
 
 points = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
@@ -603,6 +605,81 @@ def test_certify_invariant_under_symmetries(phi, m, alpha, beta, c):
         assert len(cert.factors) == len(base.factors)
 
 
+# irreducible negative-class inputs, each read in char 0, 2 and 3: φ₃′ (an
+# indecomposable polygon), the r = 4 class that reads IrreducibleByRigidity,
+# and, per characteristic, generators of 1-dimensional jet kernels of
+# orders 4 and 5 on random polygons (decomposable polygons)
+PHI3P = "-1 + 5vw - 3v^2*w + v^3*w - 2vw^2 - v^2*w^2 + v^2*w^3"
+R4 = "-1 - v + 5vw^2 + 5v^2*w^3 - 10v^2*w^4 - v^2*w^5 - v^3*w^5 + 5v^3*w^7 - v^4*w^10"
+PLANTED = {
+    0: [PHI3P, R4, "w^4 - 5v^2*w^3 + v^3*w^3 + v^4*w + 10v^4*w^2 - 5v^5*w "
+        "- 5v^5*w^2 + v^6*w^2 + v^7"],
+    2: [PHI3P, R4,
+        "vw^3 + vw^4 + vw^5 + v^2*w^3 + v^2*w^4 + v^5*w^2 + v^6*w + v^6*w^2"],
+    3: [PHI3P, R4, "v^2*w^3 + v^3*w + v^3*w^3 + v^4*w^2 + v^4*w^3 + v^4*w^4 "
+        "+ v^5*w^2 + v^5*w^4 + v^6*w^5",
+        "w + 2w^2 + 2vw^2 + 2v^2*w^3 + 2v^3*w^3 + v^4*w^3 + v^5*w^3 + v^6*w^3 "
+        "+ 2v^6*w^4 + v^6*w^5 + v^7*w^5 + 2v^7*w^6"],
+}
+
+
+@st.composite
+def kernel_elements(draw, char):
+    """A nonzero combination of a jet-kernel basis on a polygon in [0, 4]^2,
+    or a planted irreducible input."""
+    if draw(st.integers(0, 3)) == 0:
+        return parse(draw(st.sampled_from(PLANTED[char])), char)
+    box = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pts = lattice_points(convex_hull(draw(st.sets(box, min_size=2, max_size=6))))
+    basis = graded_piece(pts, draw(st.integers(1, 4)), char)
+    assume(basis)
+    phi = LaurentPoly({}, char)
+    for b in basis:
+        c = draw(st.integers(-2, 2))
+        if c and (char == 0 or c % char):
+            phi = phi + unit_multiply(b, c)
+    assume(phi)
+    return phi
+
+
+@st.composite
+def negative_class_polys(draw):
+    """One or two kernel elements multiplied, at char 0, 2 or 3, kept when
+    twice the area is below the square of the multiplicity at (1, 1)."""
+    char = draw(st.sampled_from((0, 2, 3)))
+    phi = draw(kernel_elements(char))
+    if draw(st.booleans()):
+        phi = multiply(phi, draw(kernel_elements(char)))
+    assume(len(phi.terms) > 1)
+    assume(area2(newton_polygon(phi)) < multiplicity_at_one(phi) ** 2)
+    return phi
+
+
+def _planted(test):
+    for char, texts in PLANTED.items():
+        for text in texts:
+            test = example(parse(text, char))(test)
+    return test
+
+
+@settings(max_examples=60)
+@given(negative_class_polys())
+@_planted
+def test_certify_factors_negative_class_as_the_factorizers_do(phi):
+    # the factorizers, called directly, are the oracle: certify reads
+    # Factored on a negative-class input exactly when sympy's factor_list
+    # over ZZ (char 0) or factor_mod_p (char p) finds more than one factor.
+    # A square such as R4^2 mod 2 runs factor_mod_p through its whole
+    # budget; at 2^10 tickets an oracle call stays short, and a spent one
+    # is skipped
+    with mock.patch.object(irreducibility, "_BUDGET", 2 ** 10):
+        count = factor_count(phi)
+    assume(count is not None)
+    verdict = certify(phi).verdict
+    assert (verdict == "Factored") == (count > 1), to_text(phi)
+    assert verdict != "Inconclusive"
+
+
 @st.composite
 def collinear_polys(draw):
     """Terms at multiples of one direction: single points, primitive and
@@ -791,6 +868,6 @@ def test_condition_diagram_consistent_on_pool():
 def test_pool_members_are_ncts():
     for phi, r in _nct_pool():
         rep = is_nct(phi, r)
-        assert rep.accepted or rep.status == "conditionally accepted"
+        assert rep.accepted
         assert rep.multiplicity == multiplicity_at_one(phi) == r
         assert rep.area2 == area2(newton_polygon(phi)) < r * r
