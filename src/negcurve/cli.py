@@ -169,15 +169,16 @@ def cmd_search(args):
             hits.append(cell)
     print("scan done: %d cells in region, %d visited, %d skipped after an "
           "empty kernel, %d skipped by a higher degree, %d cells in %d "
-          "degree%s without lattice points"
+          "degree%s without lattice points, %d past the hit"
           % (cells, tally["visited"], tally["after empty"], tally["capped"],
              tally["no points"], len(empty_degrees),
-             "" if len(empty_degrees) == 1 else "s"), file=sys.stderr)
+             "" if len(empty_degrees) == 1 else "s", tally["past the hit"]),
+          file=sys.stderr)
     return {
         "triple": [args.a, args.b, args.c],
         "char": args.char,
         "rmax": args.rmax,
-        "hits": [negcurve_search.negcurve_to_json(cell.report) for cell in sorted(hits)],
+        "hits": [negcurve_search.negcurve_to_json(cell.report) for cell in hits],
     }
 
 

@@ -84,52 +84,29 @@ def _report(triple, char, r, d, phi, dP, pts):
 Cell = namedtuple("Cell", "r d why nullity report")
 
 
-def _degree_cells(triple, char, T, d, lo, cap):
-    """Visited cells of degree d for lo <= r < cap, as `Cell` records, and
-    the least r at which d is then known to be empty.
+def _cell(triple, char, r, d, dP, pts):
+    """The visited `Cell` at (r, d), dP holding the lattice points pts.
 
-    The support is the lattice points of dT whatever r is, and the order-r
-    jet rows are a subset of the order-(r+1) rows, so the kernel can only
-    shrink as r grows: the walk stops at the first r with an empty kernel,
-    in every characteristic, and that r is returned.  A degree without
-    lattice points returns 0; a walk that keeps a kernel up to the cap
-    returns the cap.  Nothing is built when lo >= cap.
+    It carries the kernel dimension, and a report when the kernel's lone
+    generator passes the curve checks; a generator with a rigid split (a
+    factorization here: see `rigid_factor`) fails the irreducibility check
+    without one.
     """
-    if lo >= cap:
-        return [], cap
-    dP = dilate(T, d)
-    pts = lattice_points(dP)
-    if not pts:
-        return [], 0
-    # A cell of nullity >= 2 holds no hit.  An irreducible, edge-touching phi
-    # with mult >= r and d^2 < abc r^2 cuts out a curve C of class dH - mE,
-    # m >= r, and every g in the cell has (dH - rE).C = d^2/abc - rm < 0, so
-    # C is a component of V(g) (Cutkosky, J. reine angew. Math. 416, 1991;
-    # Kurano and Matsuoka, J. Algebra 322, 2009).  Over a non-closed field
-    # each Galois conjugate component of C is negative too, so phi divides g,
-    # and g, of the same degree, is a constant times phi.  A hit is thus the
-    # lone generator of its cell, and one with a rigid split (a
-    # factorization here: see `rigid_factor`) fails the irreducibility check.
-    cells = []
-    for r in range(lo, cap):
-        basis = graded_piece(pts, r, char)
-        hit = None
-        if len(basis) == 1 and rigid_factor(basis[0]) is None:
-            report = _report(triple, char, r, d, basis[0], dP, pts)
-            if report.accepted:
-                hit = report
-        cells.append(Cell(r, d, "visited", len(basis), hit))
-        if not basis:
-            return cells, r
-    return cells, cap
+    basis = graded_piece(pts, r, char)
+    hit = None
+    if len(basis) == 1 and rigid_factor(basis[0]) is None:
+        report = _report(triple, char, r, d, basis[0], dP, pts)
+        if report.accepted:
+            hit = report
+    return Cell(r, d, "visited", len(basis), hit)
 
 
 def find(a, b, c, char, r, d):
     """The cell's lone kernel generator at (r, d), when it passes the four
     curve conditions; a cell of larger nullity holds no curve."""
-    cells, _ = _degree_cells((a, b, c), char, triangle(herzog_data(a, b, c)),
-                             d, r, r + 1)
-    report = cells[0].report if cells else None
+    dP = dilate(triangle(herzog_data(a, b, c)), d)
+    pts = lattice_points(dP)
+    report = _cell((a, b, c), char, r, d, dP, pts).report if pts else None
     return None if report is None else (report.phi, report)
 
 
@@ -157,41 +134,69 @@ def region_size(a, b, c, r_max, d_filter=None):
 def walk(a, b, c, char, r_max, d_filter=None):
     """One `Cell` per cell of `cell_region`, in the order the walk takes.
 
-    Degrees are walked from the top, each over r from its least r in the
-    region (`_degree_cells`).  p^(r) is an ideal of a domain, so a monomial
-    of degree s in {a, b, c} embeds [p^(r)]_d in [p^(r)]_{d+s}: an empty
-    kernel at (r, d+s) proves (r, d) empty, in every characteristic, and so
-    by the r-monotone stop is every (r', d) with r' >= r.  stop[d] is the
-    least r at which d is known to be empty, and d walks only below its cap
-    min(stop[d+a], stop[d+b], stop[d+c]); r_max + 1 stands for none, and a
-    degree outside the region caps nothing.
+    The walk is r-major: for r = 1, ..., r_max it walks the region's
+    degrees from the top.  Two facts settle cells without computing them,
+    in every characteristic.  The support is the lattice points of dT
+    whatever r is, and the order-r jet rows are a subset of the order-(r+1)
+    rows, so an empty kernel at (r, d) proves every (r', d) with r' >= r
+    empty.  p^(r) is an ideal of a domain, so a monomial of degree s in
+    {a, b, c} embeds [p^(r)]_d in [p^(r)]_{d+s}: an empty kernel at
+    (r, d+s), walked earlier at the same r, proves (r, d) empty.  The walk
+    keeps each degree known empty from some r on; a degree outside the
+    region caps nothing.
+
+    The walk ends at its first hit.  An irreducible, edge-touching phi
+    with mult m >= r0 and d0^2 < abc r0^2, accepted at (r0, d0), cuts out
+    a curve C of class d0 H - m E.  Every region cell (r, d) has
+    d/r < sqrt(abc), as (r0, d0) has, so d d0 < abc r r0 <= abc r m and
+    (dH - rE).C = d d0/abc - rm < 0: C is a component of V(g) for every g
+    in the cell (Cutkosky, J. reine angew. Math. 416, 1991; Kurano and
+    Matsuoka, J. Algebra 322, 2009).  Over a
+    non-closed field each Galois conjugate component of C is negative too,
+    so phi divides g.  An accepted g, irreducible, is then a constant times
+    phi, of degree d0: a hit is the lone generator of its cell, and a
+    region holds hits in one degree only.  So past the first hit the walk
+    goes on in d0 alone, until its kernel is empty (phi is a hit again at
+    each r <= m), and every other cell is "past the hit".
 
     `why` is "visited", "after empty" (an earlier r of d had an empty
-    kernel), "capped" (a higher degree proved it empty) or "no points" (dT
-    was built and has no lattice point).  Only a visited cell has a
-    `nullity`, its kernel dimension, and a `report`, when accepted.
+    kernel), "capped" (a higher degree proved it empty), "no points" (dT
+    was built and has no lattice point) or "past the hit".  Only a visited
+    cell has a `nullity`, its kernel dimension, and a `report`, when
+    accepted.
     """
-    least_r = {}
-    for r, ds in cell_region(a, b, c, r_max, d_filter):
-        for d in ds:
-            least_r.setdefault(d, r)
+    triple = (a, b, c)
+    region = list(cell_region(a, b, c, r_max, d_filter))
     T = triangle(herzog_data(a, b, c))
-    stop = {}
-    for d in sorted(least_r, reverse=True):
-        lo = least_r[d]
-        cap = min(stop.get(d + s, r_max + 1) for s in (a, b, c))
-        cells, stop[d] = _degree_cells((a, b, c), char, T, d, lo, cap)
-        yield from cells
-        for r in range(lo + len(cells), r_max + 1):
-            if lo < cap and stop[d] == 0:
-                why = "no points"
-            else:
-                why = "capped" if r >= cap else "after empty"
-            yield Cell(r, d, why, None, None)
+    settled = {}  # degree -> the why of its cells from here on
+    hit = None  # the degree of the first hit
+    for r, ds in region:
+        for d in reversed(ds):
+            if hit is not None and d != hit:
+                yield Cell(r, d, "past the hit", None, None)
+                continue
+            why = settled.get(d)
+            if why in (None, "after empty") and (
+                    d + a in settled or d + b in settled or d + c in settled):
+                why = settled[d] = "capped"
+            if why is None:
+                dP = dilate(T, d)
+                pts = lattice_points(dP)
+                if not pts:
+                    why = settled[d] = "no points"
+            if why is not None:
+                yield Cell(r, d, why, None, None)
+                continue
+            cell = _cell(triple, char, r, d, dP, pts)
+            yield cell
+            if not cell.nullity:
+                settled[d] = "after empty"
+            elif cell.report is not None:
+                hit = d
 
 
 def scan(a, b, c, char, r_max, d_filter=None):
-    """The accepted cells of `walk` as (r, d, report), sorted by (r, d)."""
-    return sorted((cell.r, cell.d, cell.report)
-                  for cell in walk(a, b, c, char, r_max, d_filter)
-                  if cell.report is not None)
+    """The accepted cells of `walk` as (r, d, report): one degree, by r."""
+    return [(cell.r, cell.d, cell.report)
+            for cell in walk(a, b, c, char, r_max, d_filter)
+            if cell.report is not None]

@@ -54,16 +54,17 @@ def test_search_walk_accounting(capsys):
     hits = [negcurve_to_json(rep) for _, _, rep in scan(9, 10, 13, 2, 3)]
     assert out == json.dumps({"triple": [9, 10, 13], "char": 2, "rmax": 3,
                               "hits": hits}, indent=2) + "\n"
-    # a progress line at every 25th visited cell, degrees from the top; the
-    # capped walk: 26 + 0 + 175 + 3 = 204, d = 34 the one degree built
-    # without lattice points
+    # a progress line at every 25th visited cell, r by r and degrees from
+    # the top; the walk ends at the hit (3, 100), and the five reasons
+    # account for each cell once: 20 + 0 + 83 + 2 + 99 = 204, d = 34 the
+    # one degree built without lattice points
     assert err.splitlines() == [
-        "scan 1 visited of 204 cells (r=3 d=102)",
-        "scan 26 visited of 204 cells (r=1 d=26)",
-        "scan done: 204 cells in region, 26 visited, "
+        "scan 1 visited of 204 cells (r=1 d=33)",
+        "scan done: 204 cells in region, 20 visited, "
         "0 skipped after an empty kernel, "
-        "175 skipped by a higher degree, "
-        "3 cells in 1 degree without lattice points"]
+        "83 skipped by a higher degree, "
+        "2 cells in 1 degree without lattice points, "
+        "99 past the hit"]
     # the top-level --jobs is accepted and changes nothing
     _, out2, _ = run(capsys, "--jobs", "2", "search", "9", "10", "13", "--char",
                      "2", "--rmax", "3")
@@ -463,6 +464,22 @@ def test_search_5_33_49_cell(capsys, eliminations):
     assert eliminations == [exact_arith._PRIMES[0]]
 
 
+def test_search_5_33_49_stops_at_its_hit(capsys, eliminations):
+    # the walk ends at the hit (18, 1617), so r up to 40 runs the
+    # eliminations of r up to 18, one mod the first prime, for the same hit
+    seen = {}
+    for rmax in ("18", "40"):
+        eliminations.clear()
+        rc, out, _ = run(capsys, "search", "5", "33", "49", "--rmax", rmax,
+                         "--long")
+        assert rc == 0
+        seen[rmax] = (json.loads(out)["hits"], list(eliminations))
+    hits, primes = seen["18"]
+    assert [(h["r"], h["d"]) for h in hits] == [(18, 1617)]
+    assert primes == [exact_arith._PRIMES[0]]
+    assert seen["40"] == seen["18"]
+
+
 # polynomial files the pinned commands name: each key stands for a file
 # holding its text
 POLYS = {
@@ -556,11 +573,11 @@ def test_check_nct_wide_segment_returns(tmp_path):
 
 @pytest.mark.long
 def test_search_5_33_49_runs_in_seconds():
-    # the capped walk computes 91 of the 15365 cells; the degree-by-degree
-    # walk before it computed 1574 and took about 25 s
+    # r by r, the walk ends at the hit (18, 1617): it computes 88 of the
+    # 73709 cells, and the rest are capped or past the hit
     start = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "--jobs", "1",
-                           "search", "5", "33", "49", "--rmax", "18", "--long"],
+                           "search", "5", "33", "49", "--rmax", "40", "--long"],
                           capture_output=True, text=True, env=_child_env())
     wall = time.monotonic() - start
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from hashlib import sha256
 from math import gcd
 from types import SimpleNamespace
 
@@ -177,15 +179,23 @@ def test_scan_matches_exhaustive_find(triple, r_max, char):
 @given(coprime_triples, st.integers(1, 3), st.sampled_from((0, 2)),
        st.none() | st.sets(st.integers(1, 110), min_size=1, max_size=12))
 def test_scan_skips_only_empty_cells(triple, r_max, char, d_filter):
-    # the capped walk yields each cell of the region once, and every cell
-    # it does not visit has an empty kernel; a visited cell carries its
-    # kernel dimension, and only a cell of nullity 1 carries a report
+    # the walk yields each cell of the region once.  Up to its first hit
+    # every cell it does not visit has an empty kernel; past it, the walk
+    # goes on in the hit's degree alone.  A visited cell carries its kernel
+    # dimension, and only a cell of nullity 1 carries a report
     a, b, c = triple
     T = triangle(herzog_data(a, b, c))
     cells = list(walk(a, b, c, char, r_max, d_filter))
     region = _exhaustive(a, b, c, char, r_max, lambda r, d: True, d_filter)
     assert sorted((cell.r, cell.d) for cell in cells) == sorted(region)
-    for r, d, why, null, report in cells:
+    first = next((i for i, cell in enumerate(cells) if cell.report), len(cells))
+    hit_degrees = {cell.d for cell in cells if cell.report}
+    assert len(hit_degrees) <= 1
+    for i, (r, d, why, null, report) in enumerate(cells):
+        if why == "past the hit":
+            assert i > first and d not in hit_degrees
+            assert (null, report) == (None, None)
+            continue
         size = len(kernel(jet_matrix(lattice_points(dilate(T, d)), r, char)))
         if why == "visited":
             assert null == size
@@ -209,53 +219,106 @@ def test_scan_walk_counts(monkeypatch):
     seen = list(walk(8, 15, 43, 0, 9))
     assert [(r, d) for r, d, *_, report in seen if report] == [(9, 645)]
     assert calls == {"herzog_data": 1, "triangle": 1}
-    # 646 degrees in 3227 cells: 72 degrees visit one cell each, d = 65 is
-    # built without lattice points, and every other cell lies at or above
-    # the cap of a higher degree
-    assert len(seen) == 3227
+    # 646 degrees in 3227 cells, each (r, d) once: 65 degrees visit one
+    # cell each, d = 65 is built without lattice points, the hit ends the
+    # walk at r = 9 with the 644 degrees below it left, and every other
+    # cell lies at or above the cap of a higher degree
+    assert len(seen) == 3227 == len({(cell.r, cell.d) for cell in seen})
     assert Counter(cell.why for cell in seen) == {
-        "visited": 72, "capped": 3146, "no points": 9}
+        "visited": 65, "capped": 2510, "no points": 8, "past the hit": 644}
     visited = [cell.d for cell in seen if cell.why == "visited"]
-    assert len(set(visited)) == 72
+    assert len(set(visited)) == 65
     assert {cell.d for cell in seen if cell.why == "no points"} == {65}
+    assert {(cell.r, cell.d) for cell in seen if cell.why == "past the hit"} == {
+        (9, d) for d in range(1, 645)}
+
+
+def _size(T, r, d, char=0):
+    """The kernel dimension at (r, d), computed without the walk."""
+    return len(kernel(jet_matrix(lattice_points(dilate(T, d)), r, char)))
 
 
 def test_scan_reaches_every_kernel_across_r(monkeypatch):
-    # accept every kernel element, split ones included, so that every
-    # visited cell with a kernel is a hit: the capped walk must still reach
-    # each of them
-    monkeypatch.setattr(negcurve_search, "rigid_factor", lambda phi: None)
+    # reject every candidate, so that the walk meets no hit and runs to the
+    # end of its region: it must still visit each cell with a kernel, and
+    # give its exact nullity
     monkeypatch.setattr(negcurve_search, "_report",
-                        lambda *args: SimpleNamespace(accepted=True))
+                        lambda *args: SimpleNamespace(accepted=False))
     T = triangle(herzog_data(2, 3, 5))
-    expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: kernel(jet_matrix(
-        lattice_points(dilate(T, d)), r, 0)))
+    expected = _exhaustive(2, 3, 5, 0, 3, lambda r, d: _size(T, r, d))
     assert expected == [(1, 5), (2, 10), (3, 15), (3, 16)]
     seen = list(walk(2, 3, 5, 0, 3))
-    assert sorted((r, d) for r, d, *_, report in seen if report) == expected
-    # degrees from the top: (3, 14) and (3, 13) are empty, which caps d = 12
-    # and 11 at r = 3 and d = 10 above r = 2; the empty (1, 4) caps d = 2
-    # at r = 1, and d = 1 is capped before its lattice points are built
+    assert sorted((r, d, null) for r, d, _, null, _ in seen if null) == [
+        (r, d, _size(T, r, d)) for r, d in expected]
+    # r by r, degrees from the top: the empty (1, 4) caps d = 2 at r = 1,
+    # and d = 1 is capped before its lattice points are built; (3, 14) and
+    # (3, 13) are empty, which caps d = 12 and 11 at r = 3
     assert [(r, d) for r, d, why, *_ in seen if why == "visited"] == [
-        (3, 16), (3, 15), (3, 14), (3, 13), (2, 10), (2, 9), (2, 8),
-        (1, 5), (1, 4), (1, 3)]
+        (1, 5), (1, 4), (1, 3), (2, 10), (2, 9), (2, 8),
+        (3, 16), (3, 15), (3, 14), (3, 13)]
     assert {cell.why for cell in seen} == {"visited", "capped"}
     assert len(seen) == 31
 
 
-def _every_cell(triple, char, T, d, lo, cap):
-    """A stand-in walk that visits every r below the cap, hits each, and
-    never finds an empty kernel."""
-    return [Cell(r, d, "visited", 1, (r, d)) for r in range(lo, cap)], cap
+def test_walk_yields_only_past_the_hit_outside_its_degree(monkeypatch):
+    # accept the lone generator at (2, 10) alone: from there the walk goes
+    # on in d = 10 until its kernel is empty, and every other cell left in
+    # the region is past the hit
+    monkeypatch.setattr(negcurve_search, "rigid_factor", lambda phi: None)
+    monkeypatch.setattr(negcurve_search, "_report", lambda triple, char, r, d, *_:
+                        SimpleNamespace(accepted=(r, d) == (2, 10)))
+    seen = list(walk(2, 3, 5, 0, 3))
+    assert [(r, d) for r, d, *_, report in seen if report] == [(2, 10)]
+    at = next(i for i, cell in enumerate(seen) if cell.report)
+    assert at == 5 and seen[at].nullity == 1
+    assert "past the hit" not in {cell.why for cell in seen[:at]}
+    after = seen[at + 1:]
+    assert [cell for cell in after if cell.why != "past the hit"] == [
+        Cell(3, 10, "visited", 0, None)]
+    assert {(cell.r, cell.d) for cell in after} == {
+        (r, d) for r, ds in cell_region(2, 3, 5, 3) for d in ds if r >= 2
+        and (r, d) != (2, 10)}
+    assert len(seen) == region_size(2, 3, 5, 3)
+
+
+def _every_cell(triple, char, r, d, dP, pts):
+    """A stand-in for `_cell`: a hit of nullity 1 wherever it is visited."""
+    return Cell(r, d, "visited", 1, (r, d))
 
 
 def test_scan_sorts_hits_by_r(monkeypatch):
-    # the walk is degree-major; the hits must still come back r-major
-    monkeypatch.setattr(negcurve_search, "_degree_cells", _every_cell)
+    # hits come back r-major: the walk goes on in its first hit's degree
+    # alone, here the top degree with lattice points at r = 1 (d = 34 has
+    # none), where the stand-in never lets the kernel empty
+    monkeypatch.setattr(negcurve_search, "_cell", _every_cell)
     ds = set(range(30, 41))  # r = 1 reaches d = 34, r = 2 and 3 all of them
-    expected = [(r, d) for r, dr in cell_region(9, 10, 13, 3, ds) for d in dr]
     hits = scan(9, 10, 13, 2, 3, d_filter=ds)
-    assert [(r, d) for r, d, _ in hits] == expected
+    assert [(r, d) for r, d, _ in hits] == [(1, 33), (2, 33), (3, 33)]
+
+
+# sha256 of the JSON list [[a, b, c], char, [[r, d, phi], ...]] of the hits
+# of scan(a, b, c, char, 6), phi serialized, over the pairwise-coprime
+# 2 <= a < b < c <= 16 and char 0 and 2, in that order: captured from the
+# walk that visited every degree of the region to its end, whatever it hit
+HITS_C16_R6 = "6400a6ec2d5c022063b183b1f2c1291a615f8a7dabdc29aad21b9ada2ec1138c"
+
+
+def test_stopped_walk_keeps_the_full_walks_hits():
+    # 119 triples in 238 pairs, 231 of them with one hit and 7 with none
+    triples = [(a, b, c) for c in range(2, 17) for b in range(2, c)
+               for a in range(2, b) if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1]
+    rows = []
+    for a, b, c in triples:
+        for char in (0, 2):
+            cells = list(walk(a, b, c, char, 6))
+            assert len(cells) == region_size(a, b, c, 6)
+            hits = [cell for cell in cells if cell.report]
+            assert len({cell.d for cell in hits}) <= 1
+            rows.append([[a, b, c], char,
+                         [[cell.r, cell.d, serialize(cell.report.phi)] for cell in hits]])
+    assert len(rows) == 238
+    assert Counter(len(hits) for *_, hits in rows) == {1: 231, 0: 7}
+    assert sha256(json.dumps(rows).encode()).hexdigest() == HITS_C16_R6
 
 
 def test_walk_reasons_capped_and_after_empty():
@@ -322,8 +385,12 @@ def test_find_factoring_probe_finishes():
 
 
 def _scan_cells(monkeypatch, *args):
-    """(r, d, dP, basis) for each cell that scan(*args) visits, in order."""
+    """(r, d, dP, basis) for each cell that scan(*args) visits, in order,
+    with every candidate rejected, so that the walk meets no hit and runs
+    to the end of its region."""
     cells, at = [], {}
+    monkeypatch.setattr(negcurve_search, "_report",
+                        lambda *a: SimpleNamespace(accepted=False))
 
     def noted(name, note):
         real = getattr(negcurve_search, name)
@@ -360,10 +427,10 @@ def test_scan_split_check_agrees_with_certificate(monkeypatch, args, met):
 
 @pytest.mark.parametrize("char", [0, 2])
 def test_cells_beyond_nullity_one_hold_no_hit(monkeypatch, char):
-    # by the uniqueness of the negative curve (see `_degree_cells`) the scan
-    # tries only a cell's lone generator: `_report`'s four curve checks
-    # reject every generator of the 22 cells of nullity >= 2 that
-    # scan(7, 11, 17, char, 6) visits, so trying them would find nothing
+    # by the uniqueness of the negative curve (see `walk`) the scan tries
+    # only a cell's lone generator: `_report`'s four curve checks reject
+    # every generator of the 22 cells of nullity >= 2 that scan(7, 11, 17,
+    # char, 6) visits when it meets no hit, so trying them would find nothing
     # (the nct kernel check, which takes the cell's nullity as 1, is not
     # among the four)
     triple = (7, 11, 17)
