@@ -1,15 +1,14 @@
 """Irreducibility certificates for Laurent polynomials.
 
-An indecomposable Newton polygon, or a Newton segment of lattice length 1,
-certifies irreducibility over every field.  Past that, `rigid_factor`
-decides every negative-class input, every `search` and `classify`
-candidate among them, in every characteristic: IrreducibleByRigidity or
-Factored.  Other inputs are factored: over the rationals by sympy over
-ZZ[v, w] (one factor reads IrreducibleOverQ), over F_p by the Kronecker
-substitution w = v^M, an in-package Cantor-Zassenhaus factorization of the
-univariate image, and recombination of factor subsets constrained by
-Minkowski summands of the Newton polygon (IrreducibleModP, or Inconclusive
-once the budget is spent).  Only the char-0 factorization imports sympy.
+Only complete tests certify.  An indecomposable Newton polygon, or a Newton
+segment of lattice length 1, certifies irreducibility over every field, as
+the polygons of factors add (Ostrowski).  Past that, `rigid_factor` decides
+every negative-class input, every `search` and `classify` candidate among
+them, in every characteristic: IrreducibleByRigidity or Factored.  Other
+inputs get no certificate.  `factor_mod_p` factors over F_p completely, by
+the Kronecker substitution w = v^M, a Cantor-Zassenhaus factorization of the
+univariate image, and recombination of factor subsets constrained by the
+Minkowski summands of the Newton polygon, under a work budget.
 """
 
 from collections import namedtuple
@@ -20,7 +19,6 @@ from math import gcd, isqrt
 from .lattice_geom import area2, lattice_points, minkowski_decompositions
 from .laurent_poly import (
     LaurentPoly,
-    integer_terms,
     multiplicity_at_one,
     newton_polygon,
     serialize,
@@ -36,17 +34,15 @@ class FactorBudgetError(RuntimeError):
 _BUDGET = 2 ** 14  # splitting attempts and candidates, together, per factor_mod_p
 
 
-# verdict: IrreduciblePolytope | IrreducibleByRigidity | IrreducibleOverQ (char 0)
-# | IrreducibleModP (char p) | Factored | Inconclusive (char p, not negative class)
+# verdict: IrreduciblePolytope | IrreducibleByRigidity | Factored; is_nct
+# reads Inconclusive on a unit, which certify refuses
 IrreducibilityCertificate = namedtuple(
-    "IrreducibilityCertificate", "verdict details p factors unit",
-    defaults=(0, (), None))
+    "IrreducibilityCertificate", "verdict details factors unit",
+    defaults=((), None))
 
 
 def cert_to_json(cert):
     doc = {"verdict": cert.verdict, "details": cert.details}
-    if cert.verdict == "IrreducibleModP":
-        doc["p"] = cert.p
     if cert.verdict == "Factored":
         doc["factors"] = [serialize(f) for f in cert.factors]
         doc["unit"] = serialize(cert.unit)
@@ -289,6 +285,8 @@ def _distinct_combinations(items, size, start=0):
             yield (i,) + rest
 
 
+# no package module calls factor_mod_p; perfbench/tracer.py wraps it by name
+# in WRAPPED, and the tests read it as their char-p factorization oracle
 def factor_mod_p(phi):
     """Complete factorization over F_p, up to a unit; FactorBudgetError once
     splitting attempts and recombination candidates spend `_BUDGET`."""
@@ -337,6 +335,37 @@ def factor_mod_p(phi):
     return factors
 
 
+def _decompositions(P):
+    """Minkowski decompositions of polygon P, () on a segment of lattice length
+    >= 2, None on a primitive segment or an indecomposable polygon."""
+    if P.dim < 2:
+        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
+        return () if gcd(x1 - x0, y1 - y0) > 1 else None
+    return minkowski_decompositions(P) or None
+
+
+def _rigid_split(phi, P, pairs, m):
+    """`rigid_factor` on phi, given its Newton polygon P, its multiplicity m
+    at (1, 1) and pairs = _decompositions(P), not None."""
+    if P.dim < 2:
+        if not m:
+            return None
+        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
+        g = gcd(x1 - x0, y1 - y0)
+        return LaurentPoly({(0, 0): 1, ((x1 - x0) // g, (y1 - y0) // g): -1}, phi.char)
+    for Q in chain.from_iterable(pairs):
+        pts = lattice_points(Q)
+        # the order-k jet rows are among the order-(k + 1) rows, so the
+        # first empty kernel ends Q
+        for k in range(isqrt(area2(Q)) + 1, m + 1):
+            basis = graded_piece(pts, k, phi.char)
+            if not basis:
+                break
+            if len(basis) == 1 and exact_divide(phi, basis[0]) is not None:
+                return basis[0]
+    return None
+
+
 def rigid_factor(phi):
     """A proper factor of phi from a rigid split, or None.
 
@@ -352,11 +381,11 @@ def rigid_factor(phi):
     contains C_i and is C_i.  So the jet kernel K(P_i, m_i) is 1-dimensional,
     in every field extension, and phi_i is defined over the ground field up to
     a scalar.  If phi is reducible, P_i is a proper Minkowski summand with
-    isqrt(area2(P_i)) < m_i <= m, and the loop below meets phi_i.  Conversely
-    a lone generator g of K(Q, k), k >= 1, on a proper summand Q vanishes at
-    (1, 1) and lies on Q, narrower than P in some direction, so g and phi / g
-    are nonunits.  Hence a negative-class phi irreducible over its ground
-    field is absolutely irreducible.  Every `search` candidate is
+    isqrt(area2(P_i)) < m_i <= m, and the loop in `_rigid_split` meets phi_i.
+    Conversely a lone generator g of K(Q, k), k >= 1, on a proper summand Q
+    vanishes at (1, 1) and lies on Q, narrower than P in some direction, so g
+    and phi / g are nonunits.  Hence a negative-class phi irreducible over
+    its ground field is absolutely irreducible.  Every `search` candidate is
     negative-class: it lies in the order-r jet kernel on dT, so m >= r, and P
     lies in dT, so area2(P) <= d^2/abc < r^2; so is every `classify` form, of
     order r on a pool polygon of area2 < r^2.
@@ -367,38 +396,20 @@ def rigid_factor(phi):
     returns None before any multiplicity is computed.
     """
     P = newton_polygon(phi)
-    if P.dim < 2:
-        (x0, y0), (x1, y1) = P.vertices[0], P.vertices[-1]
-        g = gcd(x1 - x0, y1 - y0)
-        if g < 2 or not multiplicity_at_one(phi):
-            return None
-        return LaurentPoly({(0, 0): 1, ((x1 - x0) // g, (y1 - y0) // g): -1}, phi.char)
-    pairs = minkowski_decompositions(P)
-    if not pairs:
+    pairs = _decompositions(P)
+    if pairs is None:
         return None
-    m = multiplicity_at_one(phi)
-    for Q in chain.from_iterable(pairs):
-        pts = lattice_points(Q)
-        # the order-k jet rows are among the order-(k + 1) rows, so the
-        # first empty kernel ends Q
-        for k in range(isqrt(area2(Q)) + 1, m + 1):
-            basis = graded_piece(pts, k, phi.char)
-            if not basis:
-                break
-            if len(basis) == 1 and exact_divide(phi, basis[0]) is not None:
-                return basis[0]
-    return None
+    return _rigid_split(phi, P, pairs, multiplicity_at_one(phi))
 
 
 def certify(phi):
-    """Typed irreducibility certificate for a nonzero nonunit phi.
+    """Irreducibility certificate for a nonzero nonunit phi, or None.
 
-    Past the Newton polygon test, a negative-class phi reads `rigid_factor`
-    in every characteristic, with no factorization.  Any other phi is
-    factored: char p reads `factor_mod_p`, which ends Inconclusive once its
-    `_BUDGET` splitting attempts and recombination candidates are spent, and
-    char 0 reads sympy's complete factorization over ZZ, which needs no
-    budget.
+    A primitive Newton segment or an indecomposable Newton polygon reads
+    IrreduciblePolytope.  A negative-class phi, area2(P) < m^2, reads
+    `rigid_factor`'s split in every characteristic.  Any other phi gets None,
+    as no complete test here decides it; an r-nct report on it fails its
+    multiplicity or area check, as m == r with area2(P) < r^2 is negative-class.
     """
     if not phi:
         raise ValueError("zero polynomial")
@@ -406,41 +417,19 @@ def certify(phi):
         raise ValueError("units are neither reducible nor irreducible here")
     body, _ = _to_origin(phi)
     P = newton_polygon(body)
-    if P.dim == 1:
-        (x1, y1), (x2, y2) = P.vertices
-        if gcd(x2 - x1, y2 - y1) == 1:
-            return IrreducibilityCertificate(
-                "IrreduciblePolytope", "newton segment is primitive")
-    elif not minkowski_decompositions(P):
+    pairs = _decompositions(P)
+    if pairs is None:
         return IrreducibilityCertificate(
-            "IrreduciblePolytope", "newton polygon has no proper summand")
-    if area2(P) < multiplicity_at_one(body) ** 2:
-        factor = rigid_factor(body)
-        if factor is None:
-            return IrreducibilityCertificate(
-                "IrreducibleByRigidity", "absolutely irreducible: no rigid split")
-        return _factored(phi, [factor, exact_divide(body, factor)])
-    if phi.char:
-        try:
-            facs = factor_mod_p(body)
-        except FactorBudgetError as e:
-            return IrreducibilityCertificate("Inconclusive", str(e))
-        if len(facs) == 1:
-            return IrreducibilityCertificate(
-                "IrreducibleModP", "no splitting over the ground field",
-                p=phi.char)
-        return _factored(phi, facs)
-    import sympy
-
-    v, w = sympy.symbols("v w")
-    poly = sympy.Poly.from_dict(integer_terms(body), v, w, domain="ZZ")
-    # body is divisible by neither v nor w, so every factor is a nonunit
-    facs = [LaurentPoly({e: int(c) for e, c in f.terms()}, 0)
-            for f, mult in poly.factor_list()[1] for _ in range(mult)]
-    if len(facs) == 1:
+            "IrreduciblePolytope", "newton segment is primitive" if P.dim < 2
+            else "newton polygon has no proper summand")
+    m = multiplicity_at_one(body)
+    if area2(P) >= m * m:
+        return None
+    factor = _rigid_split(body, P, pairs, m)
+    if factor is None:
         return IrreducibilityCertificate(
-            "IrreducibleOverQ", "no factor over the integers")
-    return _factored(phi, facs)
+            "IrreducibleByRigidity", "absolutely irreducible: no rigid split")
+    return _factored(phi, [factor, exact_divide(body, factor)])
 
 
 def _factored(phi, facs):

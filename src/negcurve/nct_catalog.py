@@ -65,9 +65,11 @@ def is_nct(phi, r, most=None, least=0):
     B, I = pick_counts(P, pts)
     A = area2(P)
     mult = multiplicity_at_one(phi, least)
-    checks = [
-        ("multiplicity", mult == r),
-        ("irreducible", cert.verdict != "Factored"),
+    # with no certificate (see `certify`) the multiplicity or area check fails
+    checks = [("multiplicity", mult == r)]
+    if cert is not None:
+        checks.append(("irreducible", cert.verdict != "Factored"))
+    checks += [
         ("area", A < r * r),
         ("lattice_count", len(pts) <= r * (r + 1) // 2 + 1),
     ]
@@ -83,6 +85,7 @@ def is_nct(phi, r, most=None, least=0):
 
 
 def nct_to_json(report):
+    cert = report.certificate
     return {
         "r": report.r,
         "area2": report.area2,
@@ -91,7 +94,7 @@ def nct_to_json(report):
         "lattice_count": report.lattice_count,
         "multiplicity": report.multiplicity,
         "status": report.status,
-        "certificate": cert_to_json(report.certificate),
+        "certificate": None if cert is None else cert_to_json(cert),
         "checks": [[name, bool(ok)] for name, ok in report.checks],
     }
 

@@ -71,6 +71,8 @@ def _report(triple, char, r, d, phi, dP, pts):
     # the support lies in dP, so a support point on an edge's line is on the edge
     edge_ok = all(any(n[0] * x + n[1] * y == bound for x, y in phi.terms)
                   for n, bound in inward_normals(dP))
+    if nct.certificate is None:  # phi is negative-class: see `rigid_factor`
+        raise RuntimeError("no certificate for a search candidate")
     checks = [
         ("irreducible", nct.certificate.verdict != "Factored"),
         ("edge_touching", edge_ok),

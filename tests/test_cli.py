@@ -95,9 +95,16 @@ def _child_env():
     "assert negcurve.cli.main(['classify', '--r', '2']) == 0",
     "assert negcurve.cli.main(['classify', '--r', '3', '--experimental']) == 0",
     "assert negcurve.cli.main(['classify', '--r', '4', '--experimental']) == 0",
+    # certify factors nothing: outside the negative class no certificate
+    "assert negcurve.cli.main(['check-nct', SEGMENT, '--r', '1']) == 0",
+    "assert negcurve.cli.main(['check-nct', LONE, '--r', '2']) == 0",
 ], ids=["import", "search", "search-13-19-20", "classify-r2", "classify-r3",
-        "classify-r4"])
-def test_char0_search_never_loads_sympy(call):
+        "classify-r4", "check-nct-segment", "check-nct-lone"])
+def test_char0_search_never_loads_sympy(tmp_path, call):
+    for name in ("SEGMENT", "LONE"):
+        f = tmp_path / (name + ".txt")
+        f.write_text(POLYS[name])
+        call = call.replace(name, repr(str(f)))
     proc = subprocess.run([sys.executable, "-c", UNWANTED_LOADED % call],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -507,17 +514,16 @@ PINNED_STDOUT = [
     ('classgroup "2,-1 -2,-1 0,1"', "5589eb8a"),
     ("check-nct PHI2 --r 2", "433c1ac6"),
     ("thm36 PHI2 --r 2", "9e8ca32e"),
-    # one certificate path per characteristic: sympy alone over Q,
-    # factor_mod_p alone over F_p
-    ("check-nct SEGMENT --r 1", "e6513309"),
-    ("check-nct SEGMENT --r 1 --char 2", "2861120a"),
-    ("check-nct LONE --r 2", "c6fc219d"),
+    # outside the negative class no certificate: "certificate": null, no
+    # "irreducible" check, and the multiplicity or area check rejects
+    ("check-nct SEGMENT --r 1", "fded02df"),
+    ("check-nct SEGMENT --r 1 --char 2", "fded02df"),
+    ("check-nct LONE --r 2", "62d75ef8"),
     # LONE mod 3 is w^2 (1 - v^3), a negative-class segment: 1 - v, the
     # rigid factor, and its cofactor
     ("check-nct LONE --r 2 --char 3", "c13fcdf9"),
-    # outside the negative class (multiplicity 0) factor_mod_p recombines
-    # 6 Kronecker factors into 2, each read back by _decode
-    ("check-nct PROD --r 2 --char 5", "791b456f"),
+    # a product outside the negative class (multiplicity 0): no certificate
+    ("check-nct PROD --r 2 --char 5", "d0fe6582"),
     ("search 7 11 17 --char 3 --rmax 6 --long", "1e35f480"),
     ("classify --r 3 --experimental --char 3", "75c44d02"),
     # the rigid split decides every form, one of them IrreducibleByRigidity
@@ -527,35 +533,79 @@ PINNED_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("command, prefix", PINNED_STDOUT,
-                         ids=[command for command, _ in PINNED_STDOUT])
-def test_pinned_stdout(tmp_path, capsys, command, prefix):
+def _pinned_argv(tmp_path, command):
+    """The command's arguments, each POLYS key replaced by a file of its text."""
     files = {}
     for name, text in POLYS.items():
         files[name] = tmp_path / (name + ".txt")
         files[name].write_text(text)
-    argv = [str(files.get(a, a)) for a in shlex.split(command)]
-    rc, out, _ = run(capsys, *argv)
+    return [str(files.get(a, a)) for a in shlex.split(command)]
+
+
+@pytest.mark.parametrize("command, prefix", PINNED_STDOUT,
+                         ids=[command for command, _ in PINNED_STDOUT])
+def test_pinned_stdout(tmp_path, capsys, command, prefix):
+    rc, out, _ = run(capsys, *_pinned_argv(tmp_path, command))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:8] == prefix
 
 
+# each argv of the JSON list in argv[1], run with sympy unimportable: a None
+# entry in sys.modules makes `import sympy` raise ImportError
+PINNED_WITHOUT_SYMPY = """
+import contextlib, hashlib, io, json, sys
+sys.modules["sympy"] = None
+import negcurve.cli
+done = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = negcurve.cli.main(argv)
+    done.append([rc, hashlib.sha256(out.getvalue().encode()).hexdigest()[:8]])
+print(json.dumps(done))
+"""
+
+
+def test_pinned_stdout_without_sympy(tmp_path):
+    # sympy is no runtime dependency: every pinned command runs without it
+    argvs = [_pinned_argv(tmp_path, command) for command, _ in PINNED_STDOUT]
+    proc = subprocess.run([sys.executable, "-c", PINNED_WITHOUT_SYMPY,
+                           json.dumps(argvs)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        [0, prefix] for _, prefix in PINNED_STDOUT]
+
+
+# the r = 4 class whose certificate reads IrreducibleByRigidity, and its
+# image under (a, b) -> (a, 2a + b)
+R4 = ("-1 - v + 5vw^2 + 5v^2*w^3 - 10v^2*w^4 - v^2*w^5 - v^3*w^5 + 5v^3*w^7 "
+      "- v^4*w^10")
+R4_IMAGE = ("-1 - v*w^2 + 5*v*w^4 + 5*v^2*w^7 - 10*v^2*w^8 - v^2*w^9 "
+            "- v^3*w^11 + 5*v^3*w^13 - v^4*w^18")
+
+
 def test_char0_certificate_is_coordinate_free(tmp_path, capsys):
-    # (a, b) -> (a, 2a + b) maps v^2 + v + 1 to 1 + v w^2 + v^2 w^4
-    outs = []
-    for text in (POLYS["SEGMENT"], "1 + v*w^2 + v^2*w^4"):
-        f = tmp_path / "phi.txt"
-        f.write_text(text)
-        rc, out, _ = run(capsys, "check-nct", str(f), "--r", "1")
-        assert rc == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["certificate"]["verdict"] == "IrreducibleOverQ"
+    # (a, b) -> (a, 2a + b) keeps the polygon up to GL(2, Z) and the
+    # multiplicity at (1, 1): it maps v^2 + v + 1, which is not
+    # negative-class and gets no certificate, to 1 + v w^2 + v^2 w^4
+    for r, texts, verdict in ((1, (POLYS["SEGMENT"], "1 + v*w^2 + v^2*w^4"), None),
+                              (4, (R4, R4_IMAGE), "IrreducibleByRigidity")):
+        outs = []
+        for text in texts:
+            f = tmp_path / "phi.txt"
+            f.write_text(text)
+            rc, out, _ = run(capsys, "check-nct", str(f), "--r", str(r))
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        cert = json.loads(outs[0])["certificate"]
+        assert (cert and cert["verdict"]) == verdict
 
 
 @pytest.mark.long
 def test_check_nct_wide_segment_returns(tmp_path):
-    # a wide segment, whose certificate reads sympy's factorization alone
+    # a wide triangle of multiplicity 0: no certificate, and no factorization
     f = tmp_path / "phi.txt"
     f.write_text("1 + v^300 + w^300")
     start = time.monotonic()
@@ -567,8 +617,22 @@ def test_check_nct_wide_segment_returns(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["status"] == "rejected"
-    assert doc["certificate"]["verdict"] == "IrreducibleOverQ"
+    assert doc["certificate"] is None
     assert wall < 20.0
+
+
+def test_check_nct_outside_the_negative_class_returns(tmp_path):
+    # 1 + v^3000 mod 3 has multiplicity 0: the budget counted splitting
+    # attempts, not the work inside one, and factoring it did not end
+    f = tmp_path / "phi.txt"
+    f.write_text("1 + v^3000")
+    proc = subprocess.run([sys.executable, "-m", "negcurve.cli", "check-nct",
+                           str(f), "--r", "2", "--char", "3"],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["status"] == "rejected" and doc["certificate"] is None
 
 
 @pytest.mark.long

@@ -15,6 +15,7 @@ from negcurve.irreducibility import (
 )
 from negcurve.laurent_poly import LaurentPoly, monomial, parse, unit_multiply
 
+from factor_oracle import factor_count
 from gl2z import apply_gl2z
 
 PHI2 = "-v^2*w - vw^2 + 3vw - 1"
@@ -75,24 +76,24 @@ def test_certify_polytope():
 def test_certify_segments():
     cert = certify(parse("vw - 1"))
     assert cert.verdict == "IrreduciblePolytope"
-    # over Q sympy alone decides; over F_2 the lone factor names its prime
-    cert = certify(parse("v^2 + v + 1"))
-    assert cert.verdict == "IrreducibleOverQ" and cert.p == 0
-    cert = certify(parse("v^2 + v + 1", char=2))
-    assert cert.verdict == "IrreducibleModP" and cert.p == 2
+    # multiplicity 0, so not negative-class: no certificate in any
+    # characteristic, though the oracle finds it irreducible over Q and F_2
+    for char in (0, 2):
+        phi = parse("v^2 + v + 1", char=char)
+        assert certify(phi) is None and factor_count(phi) == 1
+    # multiplicity 1 on a segment of area 0: the rigid split, 1 - v
     cert = certify(parse("v^2 - 1"))
     assert cert.verdict == "Factored"
     assert sorted(f.terms[(0, 0)] for f in cert.factors) == [-1, 1]
 
 
 def test_certify_over_q():
-    cert = certify(parse("v^2 + 1"))
-    assert cert.verdict == "IrreducibleOverQ"
-    assert not cert.factors
-    # Sophie Germain: v^4 + 4 = (v^2 - 2v + 2)(v^2 + 2v + 2)
-    cert = certify(parse("v^4 + 4"))
-    assert cert.verdict == "Factored" and len(cert.factors) == 2
-    assert cert.unit * cert.factors[0] * cert.factors[1] == parse("v^4 + 4")
+    # over Q certify factors nothing: neither input is negative-class, and
+    # the oracle, sympy's factor_list, finds v^2 + 1 irreducible and, by
+    # Sophie Germain, v^4 + 4 = (v^2 - 2v + 2)(v^2 + 2v + 2)
+    for text, count in (("v^2 + 1", 1), ("v^4 + 4", 2)):
+        assert certify(parse(text)) is None
+        assert factor_count(parse(text)) == count
 
 
 def test_certify_rational_coefficients():
@@ -158,10 +159,16 @@ def test_certify_char_p_factored():
 
 
 def test_budget_gives_inconclusive(monkeypatch):
-    # outside the negative class certify factors; the Kronecker image of
-    # PROD mod 5 splits into 6 factors, recombined into 2
+    # outside the negative class certify gives no certificate and calls no
+    # factorizer; the Kronecker image of PROD mod 5 splits into 6 factors,
+    # recombined into 2, and a spent budget leaves the oracle inconclusive
+    phi = parse(PROD, char=5)
+    assert certify(phi) is None
+    assert factor_count(phi) == 2
     monkeypatch.setattr(irreducibility, "_BUDGET", 1)
-    assert certify(parse(PROD, char=5)).verdict == "Inconclusive"
+    with pytest.raises(FactorBudgetError):
+        factor_mod_p(phi)
+    assert factor_count(phi) is None
 
 
 def test_negative_class_char3_input_splits_rigidly():
@@ -186,18 +193,19 @@ def test_splitting_attempts_count_against_the_budget(monkeypatch):
                                                         ((0, 2), (1, 1))]
     # one attempt, then one recombination candidate
     monkeypatch.setattr(irreducibility, "_BUDGET", 1)
-    assert certify(phi).verdict == "Inconclusive"
+    with pytest.raises(FactorBudgetError):
+        factor_mod_p(phi)
     monkeypatch.setattr(irreducibility, "_BUDGET", 2)
-    assert certify(phi).verdict == "Factored"
+    assert len(factor_mod_p(phi)) == 2
 
 
-def test_wide_char0_input_reads_sympy_alone():
-    # a wide segment: sympy factors it over ZZ in hundredths of a second
-    certify(parse("v^2 + 1"))  # loads sympy outside the timed call
-    start = time.monotonic()
-    cert = certify(parse("1 + v^30 + w^30"))
-    assert cert.verdict == "IrreducibleOverQ"
-    assert time.monotonic() - start < 1.0
+def test_wide_input_outside_the_negative_class_gets_none():
+    # multiplicity 0 on a wide triangle or segment: certify returns at once,
+    # in every characteristic, where factoring them took seconds or did not end
+    for text, char in (("1 + v^30 + w^30", 0), ("1 + v^3000", 3)):
+        start = time.monotonic()
+        assert certify(parse(text, char=char)) is None
+        assert time.monotonic() - start < 1.0
 
 
 def test_char2_splitting_tries_odd_powers_of_t():
@@ -222,6 +230,8 @@ def test_polytope_cert_invariance():
 def test_cert_json():
     doc = cert_to_json(certify(parse("v^2 - 1")))
     assert doc["verdict"] == "Factored" and len(doc["factors"]) == 2
-    doc = cert_to_json(certify(parse("v^2 + v + 1", char=2)))
-    assert doc["verdict"] == "IrreducibleModP" and doc["p"] == 2
-    assert "p" not in cert_to_json(certify(parse("v^2 + v + 1")))
+    # an irreducible verdict prints its name and reason alone
+    for char in (0, 2):
+        assert cert_to_json(certify(parse(PHI3P, char=char))) == {
+            "verdict": "IrreduciblePolytope",
+            "details": "newton polygon has no proper summand"}

@@ -348,12 +348,15 @@ def test_families_do_not_split():
 def test_lone_generator_must_divide_to_split():
     # the summand segment (0,0)-(3,-1) spans the lone order-1 kernel
     # generator v^3 w^-1 - 1, which does not divide this irreducible phi;
-    # with area2 12 >= 2^2 it is not negative-class, so certify factors it
+    # with area2 12 >= 2^2 it is not negative-class, so certify gives no
+    # certificate, and an nct report at r = 2 fails its area check
     phi = parse("-3w + w^2 - 3w^3 + 3vw + 3vw^2 + 3v^2*w - 3v^3 - v^3*w^2")
     assert multiplicity_at_one(phi) == 2
     assert factor_count(phi) == 1
-    assert certify(phi).verdict == "IrreducibleOverQ"
+    assert certify(phi) is None
     assert rigid_factor(phi) is None
+    checks = dict(is_nct(phi, 2).checks)
+    assert "irreducible" not in checks and not checks["area"]
 
 
 @pytest.mark.parametrize("char", [2, 3])

@@ -34,8 +34,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_no_numpy_import():
-    # numpy is no dependency of the package, whatever the host has installed
+def _imports_of(package):
+    """file:line of each import of package, or of a module in it, in src/."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -45,9 +45,19 @@ def test_no_numpy_import():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 found.append("%s:%d" % (path.name, node.lineno))
-    assert found == []
+    return found
+
+
+def test_no_numpy_import():
+    # numpy is no dependency of the package, whatever the host has installed
+    assert _imports_of("numpy") == []
+
+
+def test_no_sympy_import():
+    # certify runs no factorizer: sympy is the tests' oracle, not a dependency
+    assert _imports_of("sympy") == []
 
 
 def test_binomials_are_read_in_laurent_poly_only():
